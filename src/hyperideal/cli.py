@@ -35,7 +35,7 @@ from .pattern import (
     truncated_lengths,
     verify_pattern,
 )
-from .solve import CONVERGED, INFEASIBLE, solve_problem
+from .solve import CONVERGED, INFEASIBLE, LINE_SEARCH_FAILED, solve_problem
 from .surface import parse_problem, problem_dict
 
 logger = logging.getLogger("hyperideal")
@@ -120,9 +120,12 @@ def _run_solve(args):
         print(f"infeasible: {report.diagnostics[0] if report.diagnostics else ''}")
         return EXIT_INFEASIBLE
     if report.status != CONVERGED:
+        if report.status == LINE_SEARCH_FAILED:
+            what = f"line search failed at iteration {report.iterations}"
+        else:
+            what = f"did not converge in {report.iterations} iterations"
         print(
-            f"did not converge in {report.iterations} iterations "
-            f"(projected gradient {report.projected_grad_norm:.3e})",
+            f"{what} (projected gradient {report.projected_grad_norm:.3e})",
             file=sys.stderr,
         )
         return EXIT_NO_CONVERGENCE

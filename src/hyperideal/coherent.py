@@ -16,7 +16,7 @@ g_corner2); side ``s`` runs between corners ``s`` and ``s+1``.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy import sparse
 
 from . import _simplex
 from .energy import in_delta
@@ -26,14 +26,6 @@ from .surface import BOUNDARY, AngleData, GluedTriangulation
 EQ_TOL = 1e-10
 SLACK_TOL = 1e-10
 FEASIBLE_SLACK = 1e-9
-
-
-def alpha_index(t, s):
-    return 6 * t + s
-
-
-def gamma_index(t, c):
-    return 6 * t + 3 + c
 
 
 @dataclass
@@ -70,15 +62,20 @@ class ConstraintSystem:
     """Linear description of the closure of the coherent polytope.
 
     Equalities ``a_eq x = b_eq``; strict inequalities ``g_ineq x < h_ineq``.
+    ``a_eq`` and ``g_ineq`` are ``scipy.sparse`` CSR matrices.  ``rank`` is
+    the rank of ``a_eq``, and ``independent_eq`` marks a set of ``rank``
+    equality rows that spans the same row space (one redundant gamma-sum row
+    per connected component is left out).
     """
 
-    a_eq: np.ndarray
+    a_eq: sparse.csr_matrix
     b_eq: np.ndarray
     labels_eq: list
-    g_ineq: np.ndarray
+    g_ineq: sparse.csr_matrix
     h_ineq: np.ndarray
     labels_ineq: list
     rank: int
+    independent_eq: np.ndarray
 
     @property
     def dimension(self):
@@ -94,79 +91,108 @@ class ConstraintSystem:
             h_ineq=self.h_ineq[perm_ineq],
             labels_ineq=[self.labels_ineq[i] for i in perm_ineq],
             rank=self.rank,
+            independent_eq=self.independent_eq[perm_eq],
         )
 
 
+def _csr(row_lengths, cols, n_cols, vals=None):
+    """CSR matrix whose rows hold ``row_lengths`` consecutive entries of
+    ``cols``/``vals`` (all ones by default)."""
+    indptr = np.concatenate([[0], np.cumsum(row_lengths)])
+    vals = np.ones(len(cols)) if vals is None else vals
+    return sparse.csr_matrix((vals, cols, indptr), shape=(len(row_lengths), n_cols))
+
+
+def _component_roots(tri: GluedTriangulation):
+    """Smallest triangle index of every connected component of the
+    triangle/vertex-class incidence graph."""
+    parent = list(range(tri.triangle_count))
+
+    def find(t):
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    for corners in tri.vertices:
+        for t, _ in corners[1:]:
+            a, b = find(corners[0][0]), find(t)
+            if a != b:
+                parent[max(a, b)] = min(a, b)  # roots stay the smallest index
+    return sorted({find(t) for t in range(tri.triangle_count)})
+
+
 def build_constraints(tri: GluedTriangulation, data: AngleData) -> ConstraintSystem:
-    """Assemble the coherence constraints for (tri, data), deterministically."""
+    """Assemble the coherence constraints for (tri, data), deterministically.
+
+    Rows, in order: the gamma sum of every triangle, the alpha sum (interior)
+    or alpha (boundary) of every edge, the gamma sum of every vertex class.
+    """
     data.validate(tri)
-    n = 6 * tri.triangle_count
-    rows, rhs, labels = [], [], []
+    n_t = tri.triangle_count
+    n = 6 * n_t
+    n_e = len(tri.edges)
+    n_v = len(tri.vertices)
 
-    for t in range(tri.triangle_count):
-        r = np.zeros(n)
-        r[[gamma_index(t, c) for c in range(3)]] = 1.0
-        rows.append(r)
-        rhs.append(np.pi)
-        labels.append(f"triangle {t} gamma sum")
+    sides = np.array([(t, s) for e in tri.edges for t, s in e.sides])
+    corners = np.array([corner for cls in tri.vertices for corner in cls])
+    a_eq = _csr(
+        [3] * n_t + [len(e.sides) for e in tri.edges] + [len(cls) for cls in tri.vertices],
+        np.concatenate([
+            np.arange(n).reshape(n_t, 6)[:, 3:].ravel(),
+            6 * sides[:, 0] + sides[:, 1],
+            6 * corners[:, 0] + 3 + corners[:, 1],
+        ]),
+        n,
+    )
+    b_eq = np.concatenate([
+        np.full(n_t, np.pi),
+        np.pi - np.asarray(data.theta, dtype=float),
+        np.asarray(data.xi, dtype=float),
+    ])
+    labels = [f"triangle {t} gamma sum" for t in range(n_t)]
+    labels += [
+        f"edge {e.index} boundary alpha" if e.kind == BOUNDARY else f"edge {e.index} alpha sum"
+        for e in tri.edges
+    ]
+    labels += [f"vertex {v} gamma sum" for v in range(n_v)]
 
-    for e in tri.edges:
-        r = np.zeros(n)
-        if e.kind == BOUNDARY:
-            ((t, s),) = e.sides
-            r[alpha_index(t, s)] = 1.0
-            labels.append(f"edge {e.index} boundary alpha")
-        else:
-            (t, s), (t2, s2) = e.sides
-            r[alpha_index(t, s)] += 1.0
-            r[alpha_index(t2, s2)] += 1.0
-            labels.append(f"edge {e.index} alpha sum")
-        rows.append(r)
-        rhs.append(np.pi - data.theta[e.index])
+    # rows 6t+k: x[6t+k] > 0; rows n + 3t + c: Delta bound at corner c of t,
+    # gamma[t][c] + alpha[t][c] + alpha[t][c-1] < pi
+    tc = np.arange(3 * n_t)
+    t, c = tc // 3, tc % 3
+    delta_cols = np.stack([6 * t + 3 + c, 6 * t + c, 6 * t + (c + 2) % 3], axis=1)
+    g_ineq = _csr(
+        [1] * n + [3] * (3 * n_t),
+        np.concatenate([np.arange(n), delta_cols.ravel()]),
+        n,
+        vals=np.concatenate([-np.ones(n), np.ones(9 * n_t)]),
+    )
+    h_ineq = np.concatenate([np.zeros(n), np.full(3 * n_t, np.pi)])
+    g_labels = []
+    for t in range(n_t):
+        g_labels += [f"alpha[{t}][{s}] > 0" for s in range(3)]
+        g_labels += [f"gamma[{t}][{c}] > 0" for c in range(3)]
+    g_labels += [f"triangle {t} corner {c} delta bound" for t in range(n_t) for c in range(3)]
 
-    for v, corners in enumerate(tri.vertices):
-        r = np.zeros(n)
-        for t, c in corners:
-            r[gamma_index(t, c)] += 1.0
-        rows.append(r)
-        rhs.append(data.xi[v])
-        labels.append(f"vertex {v} gamma sum")
-
-    a_eq = np.array(rows)
-    b_eq = np.array(rhs)
-
-    g_rows, g_rhs, g_labels = [], [], []
-    for t in range(tri.triangle_count):
-        for s in range(3):
-            r = np.zeros(n)
-            r[alpha_index(t, s)] = -1.0
-            g_rows.append(r)
-            g_rhs.append(0.0)
-            g_labels.append(f"alpha[{t}][{s}] > 0")
-        for c in range(3):
-            r = np.zeros(n)
-            r[gamma_index(t, c)] = -1.0
-            g_rows.append(r)
-            g_rhs.append(0.0)
-            g_labels.append(f"gamma[{t}][{c}] > 0")
-    for t in range(tri.triangle_count):
-        for c in range(3):
-            r = np.zeros(n)
-            r[gamma_index(t, c)] = 1.0
-            r[alpha_index(t, c)] = 1.0
-            r[alpha_index(t, (c + 2) % 3)] = 1.0
-            g_rows.append(r)
-            g_rhs.append(np.pi)
-            g_labels.append(f"triangle {t} corner {c} delta bound")
-
+    # Every alpha lies in exactly one edge row, so the edge rows are
+    # independent of each other and of the gamma rows.  The gamma rows are
+    # the unsigned incidence matrix of the bipartite triangle/vertex-class
+    # graph, of rank (nodes - components): per component, the triangle rows
+    # and the vertex rows sum to the same row, and dropping any one of them
+    # leaves independent rows.
+    roots = _component_roots(tri)
+    independent = np.ones(a_eq.shape[0], dtype=bool)
+    independent[roots] = False
     return ConstraintSystem(
         a_eq=a_eq,
         b_eq=b_eq,
         labels_eq=labels,
-        g_ineq=np.array(g_rows),
-        h_ineq=np.array(g_rhs),
+        g_ineq=g_ineq,
+        h_ineq=h_ineq,
         labels_ineq=g_labels,
-        rank=int(np.linalg.matrix_rank(a_eq)),
+        rank=n_t + n_e + n_v - len(roots),
+        independent_eq=independent,
     )
 
 
@@ -224,7 +250,8 @@ def find_coherent(cs: ConstraintSystem):
     zero-slack-only polytope has no strictly coherent point), reported as
     Infeasible together with s*.
     """
-    status, x, s = _simplex.max_slack_lp(cs.a_eq, cs.b_eq, cs.g_ineq, cs.h_ineq)
+    a_eq = cs.a_eq.toarray()
+    status, x, s = _simplex.max_slack_lp(a_eq, cs.b_eq, cs.g_ineq.toarray(), cs.h_ineq)
     if status == _simplex.INFEASIBLE:
         return Infeasible(
             reason="equalities_inconsistent",
@@ -235,8 +262,8 @@ def find_coherent(cs: ConstraintSystem):
     if s > FEASIBLE_SLACK:
         # tableau elimination leaves ~1e-12 equality residue; a least-squares
         # correction (far below the slack scale) removes it
-        res = cs.a_eq @ x - cs.b_eq
-        x = x - np.linalg.lstsq(cs.a_eq, res, rcond=None)[0]
+        res = a_eq @ x - cs.b_eq
+        x = x - np.linalg.lstsq(a_eq, res, rcond=None)[0]
         return AngleSystem(x)
     degenerate = " (polytope is nonempty but has empty relative interior)" if s > 0 else ""
     return Infeasible(
@@ -247,8 +274,15 @@ def find_coherent(cs: ConstraintSystem):
 
 
 def tangent_basis(cs: ConstraintSystem, rcond=1e-10):
-    """Orthonormal basis of the equality null space, shape (6|T|, k)."""
-    return null_space(cs.a_eq, rcond=rcond)
+    """Orthonormal basis of the equality null space, shape (6|T|, k).
+
+    Right singular vectors of singular values at most ``rcond`` times the
+    largest one; a dense SVD, so for small systems and checks only.
+    """
+    a = cs.a_eq.toarray()
+    _, sv, vh = np.linalg.svd(a, full_matrices=True)
+    tol = np.amax(sv, initial=0.0) * rcond
+    return vh[int(np.sum(sv > tol)):].T
 
 
 def sample_coherent(cs: ConstraintSystem, rng, n=1, spread=0.8):

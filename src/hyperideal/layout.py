@@ -101,31 +101,67 @@ def _abutting_positions(tri, dm, t2, s2, pos_fixed, s_fixed):
 
 
 def _interiors_overlap(p, q, eps):
-    """Strict interior overlap of two triangles via separating axes."""
+    """Strict interior overlap of triangle pairs via separating axes.
+
+    ``p`` and ``q`` have shape (k, 3, 2); returns k booleans.
+    """
+    separated = np.zeros(len(p), dtype=bool)
     for a, b in ((p, q), (q, p)):
         for s in range(3):
-            edge = a[(s + 1) % 3] - a[s]
-            normal = np.array([-edge[1], edge[0]])
-            pa = (a - a[s]) @ normal
-            pb = (b - a[s]) @ normal
-            if pa.max() <= pb.min() + eps or pb.max() <= pa.min() + eps:
-                return False
-    return True
+            edge = a[:, (s + 1) % 3] - a[:, s]
+            normal = np.stack([-edge[:, 1], edge[:, 0]], axis=1)
+            pa = np.einsum("kci,ki->kc", a - a[:, s:s + 1], normal)
+            pb = np.einsum("kci,ki->kc", b - a[:, s:s + 1], normal)
+            separated |= pa.max(axis=1) <= pb.min(axis=1) + eps
+            separated |= pb.max(axis=1) <= pa.min(axis=1) + eps
+    return ~separated
 
 
-def _warn_if_overlapping(tri, positions):
+def _first_overlap(positions):
+    """The first pair (t, t2), t < t2 in lexicographic order, of triangles
+    whose interiors overlap, or None.
+
+    Only pairs whose bounding boxes share a cell of a uniform grid, about
+    one mean triangle wide, and overlap are tested, so triangles of similar
+    size cost O(T) tests.
+    """
+    pts = np.array([positions[t] for t in range(len(positions))])
+    eps = 1e-9 * max(1.0, float(np.max(np.abs(pts))))
+    lo, hi = pts.min(axis=1), pts.max(axis=1)
+    cell = float(np.mean(np.max(hi - lo, axis=1))) or 1.0
+    while True:
+        first = np.floor((lo - lo.min(axis=0)) / cell).astype(int)
+        last = np.floor((hi - lo.min(axis=0)) / cell).astype(int)
+        if np.sum(np.prod(last - first + 1, axis=1)) <= 8 * len(pts):
+            break
+        cell *= 2.0  # a few large triangles would cover too many cells
+    buckets = {}
+    for t in range(len(pts)):
+        for ix in range(first[t, 0], last[t, 0] + 1):
+            for iy in range(first[t, 1], last[t, 1] + 1):
+                buckets.setdefault((ix, iy), []).append(t)
+    pairs = sorted({
+        (a, b) for members in buckets.values()
+        for k, a in enumerate(members) for b in members[k + 1:]
+    })
+    if not pairs:
+        return None
+    i, j = np.array(pairs).T
+    boxes_meet = np.all((lo[i] <= hi[j]) & (lo[j] <= hi[i]), axis=1)
+    i, j = i[boxes_meet], j[boxes_meet]
+    hits = np.flatnonzero(_interiors_overlap(pts[i], pts[j], eps))
+    return (int(i[hits[0]]), int(j[hits[0]])) if hits.size else None
+
+
+def _warn_if_overlapping(positions):
     """Global developments of non-convex instances can wrap over themselves;
     the drawing is emitted as-is, but a warning names the first offending pair."""
-    scale = max(float(np.max(np.abs(positions[t]))) for t in positions)
-    eps = 1e-9 * max(1.0, scale)
-    for t in range(tri.triangle_count):
-        for t2 in range(t + 1, tri.triangle_count):
-            if _interiors_overlap(positions[t], positions[t2], eps):
-                logger.warning(
-                    "global development overlaps itself (triangles %d and %d); "
-                    "drawing emitted as-is", t, t2,
-                )
-                return
+    pair = _first_overlap(positions)
+    if pair is not None:
+        logger.warning(
+            "global development overlaps itself (triangles %d and %d); "
+            "drawing emitted as-is", *pair,
+        )
 
 
 def geometric_cone_angles(tri, dm):
@@ -165,7 +201,7 @@ def lay_out(tri: GluedTriangulation, dm: DecoratedMetric, flat_tol=FLAT_TOL) -> 
                 positions[t2] = _abutting_positions(tri, dm, t2, s2, positions[t], s)
                 queue.append(t2)
         charts = [_chart_for(tri, dm, t, positions[t]) for t in range(tri.triangle_count)]
-        _warn_if_overlapping(tri, positions)
+        _warn_if_overlapping(positions)
     else:
         charts = [
             _chart_for(tri, dm, t, _canonical_positions(tri, dm, t))

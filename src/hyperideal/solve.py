@@ -3,11 +3,11 @@
 The objective F is the sum of per-triangle truncated volumes; it is smooth
 and strictly concave on the open polytope, with a +infinity inward derivative
 at the mildly degenerate parts of the boundary, so the maximizer is interior
-and unique.  Newton's method in reduced coordinates (an orthonormal basis of
-the equality null space) with an Armijo backtracking line search reaches it
-quadratically; steps are capped so every strict inequality keeps at least 1%
-of its current slack, which keeps all Lobachevsky arguments away from their
-singularities.
+and unique.  Newton's method on the affine space of the equality constraints
+(each step a sparse KKT solve) with an Armijo backtracking line search
+reaches it quadratically; steps are capped so every strict inequality keeps
+at least 1% of its current slack, which keeps all Lobachevsky arguments away
+from their singularities.
 """
 
 import logging
@@ -22,7 +22,6 @@ from .coherent import (
     build_constraints,
     find_coherent,
     is_coherent,
-    tangent_basis,
 )
 from .energy import tet_volume, tet_volume_grad, tet_volume_hess
 from .errors import DomainError, NotCoherentError
@@ -36,7 +35,12 @@ DEFAULT_MAX_ITERS = 200
 ARMIJO_C1 = 1e-4
 ARMIJO_SHRINK = 0.5
 SLACK_KEEP = 1e-2
-ILL_CONDITIONED = 1e12
+# KKT systems with at most this many unknowns (angles plus multipliers) are
+# factorized densely, larger ones with a sparse LU.  One factorization alone
+# is cheaper sparse from about 250 unknowns on, but the first sparse solve in
+# a process also imports scipy.sparse.linalg (~0.1 s, ~9 MB); for a single
+# cold solve the two break even between 450 and 650 unknowns.
+DENSE_KKT_MAX = 600
 # below this projected-gradient norm the objective differences fall under the
 # float noise floor, so the full Newton step is taken without an Armijo test
 # (quadratic contraction takes over)
@@ -44,6 +48,7 @@ NEWTON_TRUST_PGN = 1e-6
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
+LINE_SEARCH_FAILED = "line_search_failed"
 INFEASIBLE = "infeasible"
 
 
@@ -84,6 +89,64 @@ def _reduced_hessian(blocks, basis):
     return basis.T @ hn
 
 
+class _KKT:
+    """KKT matrices [H A^T; A 0] over the independent equality rows A of a
+    constraint system, with H block-diagonal, one 6x6 block per triangle.
+
+    The matrix is factorized as a whole, since a block of H is definite only
+    on its triangle's gamma-sum plane.  Systems of at most ``DENSE_KKT_MAX``
+    unknowns go to a dense LU, larger ones to a sparse LU.
+    """
+
+    def __init__(self, cs: ConstraintSystem):
+        n = self.n = cs.dimension
+        size = n + cs.rank
+        self.pad = np.zeros(cs.rank)
+        first = np.arange(0, n, 6)[:, None, None]
+        self.h_rows = np.broadcast_to(first + np.arange(6)[:, None], (n // 6, 6, 6))
+        self.h_cols = np.broadcast_to(first + np.arange(6), (n // 6, 6, 6))
+        self.dense = size <= DENSE_KKT_MAX
+        if self.dense:
+            a = cs.a_eq.toarray()[cs.independent_eq]
+            self.template = np.zeros((size, size))
+            self.template[n:, :n] = a
+            self.template[:n, n:] = a.T
+        else:
+            a = cs.a_eq[cs.independent_eq].tocoo()
+            self.rows = np.concatenate([self.h_rows.ravel(), n + a.row, a.col])
+            self.cols = np.concatenate([self.h_cols.ravel(), a.col, n + a.row])
+            self.a_vals = np.concatenate([a.data, a.data])
+            self.size = size
+
+    def projector(self):
+        """Returns g -> the orthogonal projection of g onto the null space
+        of A: a reduced QR of A^T when dense, else the KKT system with
+        H = I, factorized once."""
+        if self.dense:
+            q = np.linalg.qr(self.template[self.n:, :self.n].T)[0]
+            return lambda g: g - q @ (q.T @ g)
+        return self.solver(np.broadcast_to(np.eye(6), self.h_rows.shape))
+
+    def solver(self, blocks):
+        """Factorize with H = ``blocks``; returns r -> d solving
+        [H A^T; A 0] [d; lam] = [r; 0].  Raises ``numpy.linalg.LinAlgError``
+        or ``RuntimeError`` if the matrix is singular."""
+        n, pad = self.n, self.pad
+        if self.dense:
+            kkt = self.template.copy()
+            kkt[self.h_rows, self.h_cols] = blocks
+            return lambda r: np.linalg.solve(kkt, np.concatenate([r, pad]))[:n]
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
+        vals = np.concatenate([np.ravel(blocks), self.a_vals])
+        # minimum-degree ordering of A^T A: about half the fill of the default
+        # COLAMD ordering on lattice disks of 512 to 2048 triangles
+        lu = splu(csc_matrix((vals, (self.rows, self.cols)), shape=(self.size, self.size)),
+                  permc_spec="MMD_ATA")
+        return lambda r: lu.solve(np.concatenate([r, pad]))[:n]
+
+
 def _max_step(cs, x, d):
     """Largest step along d keeping every strict slack >= SLACK_KEEP of itself."""
     slack = cs.h_ineq - cs.g_ineq @ x
@@ -99,18 +162,19 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
              cs: ConstraintSystem = None, callback=None):
     """Maximize F from a strictly coherent start; returns (x*, SolveReport).
 
-    Newton with Armijo backtracking in reduced coordinates; falls back to a
-    projected-gradient step when the reduced Hessian is ill-conditioned.
-    Stationarity is the sup norm of the gradient projected onto the tangent
-    space of the equality constraints.  ``callback(iteration, x, f)`` is
-    invoked after every accepted step.
+    Newton with Armijo backtracking on the affine space of the equality
+    constraints: each step solves the sparse KKT system of the Hessian and
+    the independent equality rows.  A projected-gradient step replaces it
+    when the factorization fails, gives a non-finite direction, or gives no
+    ascent.  Stationarity is the sup norm of the gradient projected
+    orthogonally onto the tangent space of the equality constraints.
+    ``callback(iteration, x, f)`` is invoked after every accepted step.
     """
     if cs is None:
         cs = build_constraints(tri, data)
     check = is_coherent(x0, cs)
     if not check.ok:
         raise NotCoherentError(f"starting point is not coherent: {check.violations[:3]}")
-    basis = tangent_basis(cs)
     x = x0.values.copy()
 
     def report(status, iters, pgn):
@@ -129,26 +193,30 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
         )
         return xs, rep
 
-    if basis.shape[1] == 0:
+    if cs.rank == cs.dimension:
         return report(CONVERGED, 0, 0.0)
 
+    kkt = _KKT(cs)
+    project = kkt.projector()
     fx = objective_f(AngleSystem(x))
     for it in range(max_iters):
         g = objective_grad(AngleSystem(x))
-        gz = basis.T @ g
-        pgn = float(np.max(np.abs(basis @ gz)))
+        pg = project(g)
+        pgn = float(np.max(np.abs(pg)))
         if pgn <= tol:
             return report(CONVERGED, it, pgn)
 
-        hz = _reduced_hessian(_hess_blocks(AngleSystem(x)), basis)
-        use_newton = np.linalg.cond(hz) < ILL_CONDITIONED
-        if use_newton:
-            dz = np.linalg.solve(hz, -gz)
-            if dz @ gz <= 0.0:  # not an ascent direction; concavity must have failed numerically
-                dz = gz
-        else:
-            dz = gz
-        d = basis @ dz
+        try:
+            # -pg differs from -g by a combination of equality rows, which
+            # only moves the multipliers; its size bounds the solve's rounding
+            d = kkt.solver(_hess_blocks(AngleSystem(x)))(-pg)
+            use_newton = bool(np.all(np.isfinite(d)))
+        except (np.linalg.LinAlgError, RuntimeError):
+            use_newton = False
+        if not use_newton or d @ g <= 0.0:
+            # no Newton direction, or not an ascent direction (concavity
+            # must have failed numerically)
+            d = pg
 
         if use_newton and pgn <= NEWTON_TRUST_PGN:
             x = x + _max_step(cs, x, d) * d
@@ -169,14 +237,13 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
             step *= ARMIJO_SHRINK
         if not accepted:
             logger.warning("line search failed at iteration %d", it)
-            return report(MAX_ITERS, it, pgn)
+            return report(LINE_SEARCH_FAILED, it, pgn)
         x = cand
         fx = f_cand
         if callback is not None:
             callback(it, AngleSystem(x.copy()), fx)
 
-    g = objective_grad(AngleSystem(x))
-    pgn = float(np.max(np.abs(basis @ (basis.T @ g))))
+    pgn = float(np.max(np.abs(project(objective_grad(AngleSystem(x))))))
     status = CONVERGED if pgn <= tol else MAX_ITERS
     return report(status, max_iters, pgn)
 

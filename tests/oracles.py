@@ -101,6 +101,88 @@ def _min_angle(points, tri):
     return min(angs)
 
 
+def _glued(simplices):
+    """Triangulation of counterclockwise point-index triples, with every side
+    glued to the side that runs the opposite way."""
+    gluings = []
+    side_of = {}
+    for t, tri_pts in enumerate(simplices):
+        for s in range(3):
+            key = (tri_pts[s], tri_pts[(s + 1) % 3])
+            side_of[key] = (t, s)
+    seen = set()
+    for (a, b), (t, s) in side_of.items():
+        if (b, a) in side_of and (b, a) not in seen:
+            seen.add((a, b))
+            gluings.append(((t, s), side_of[(b, a)]))
+    return GluedTriangulation(len(simplices), gluings)
+
+
+def _side_lengths(tri, points, simplices):
+    lengths = np.empty(len(tri.edges))
+    for e in tri.edges:
+        t, s = e.sides[0]
+        pa = points[simplices[t][s]]
+        pb = points[simplices[t][(s + 1) % 3]]
+        lengths[e.index] = float(np.hypot(*(pa - pb)))
+    return lengths
+
+
+def lattice_disk(rng, n):
+    """A flat n x n rhombic patch of the triangular lattice, T = 2 n^2.
+
+    Lattice points are moved by up to 0.08 of the spacing; each vertex
+    circle gets 0.2 to 0.3 of its shortest incident edge as radius.
+    """
+    def vid(i, j):
+        return i + (n + 1) * j
+
+    points = np.array([[i + 0.5 * j, 0.5 * math.sqrt(3.0) * j]
+                       for j in range(n + 1) for i in range(n + 1)])
+    points += 0.08 * rng.uniform(-1.0, 1.0, points.shape)
+    simplices = []
+    for j in range(n):
+        for i in range(n):
+            simplices.append((vid(i, j), vid(i + 1, j), vid(i, j + 1)))
+            simplices.append((vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    tri = _glued(simplices)
+    lengths = _side_lengths(tri, points, simplices)
+    shortest = np.full(len(tri.vertices), np.inf)
+    for e in tri.edges:
+        t, s = e.sides[0]
+        for c in (s, (s + 1) % 3):
+            v = tri.corner_class[(t, c)]
+            shortest[v] = min(shortest[v], lengths[e.index])
+    radii = rng.uniform(0.2, 0.3, len(tri.vertices)) * shortest
+    return tri, DecoratedMetric(lengths=lengths, radii=radii)
+
+
+def _interiors_overlap(p, q, eps):
+    """Strict interior overlap of two triangles via separating axes."""
+    for a, b in ((p, q), (q, p)):
+        for s in range(3):
+            edge = a[(s + 1) % 3] - a[s]
+            normal = np.array([-edge[1], edge[0]])
+            pa = (a - a[s]) @ normal
+            pb = (b - a[s]) @ normal
+            if pa.max() <= pb.min() + eps or pb.max() <= pa.min() + eps:
+                return False
+    return True
+
+
+def first_overlapping_pair(positions):
+    """Reference overlap check of a global layout: every pair of triangles,
+    in lexicographic order; the first overlapping pair, or None."""
+    scale = max(float(np.max(np.abs(positions[t]))) for t in positions)
+    eps = 1e-9 * max(1.0, scale)
+    count = len(positions)
+    for t in range(count):
+        for t2 in range(t + 1, count):
+            if _interiors_overlap(positions[t], positions[t2], eps):
+                return t, t2
+    return None
+
+
 def random_disk(rng, n_tri_range=(2, 6), max_attempts=400):
     """A random triangulated disk with a valid decorated metric.
 
@@ -121,25 +203,8 @@ def random_disk(rng, n_tri_range=(2, 6), max_attempts=400):
         if min(_min_angle(points, t) for t in simplices) < 0.3:
             continue
 
-        gluings = []
-        side_of = {}
-        for t, tri_pts in enumerate(simplices):
-            for s in range(3):
-                key = (tri_pts[s], tri_pts[(s + 1) % 3])
-                side_of[key] = (t, s)
-        seen = set()
-        for (a, b), (t, s) in side_of.items():
-            if (b, a) in side_of and (b, a) not in seen:
-                seen.add((a, b))
-                gluings.append(((t, s), side_of[(b, a)]))
-        tri = GluedTriangulation(len(simplices), gluings)
-
-        lengths = np.empty(len(tri.edges))
-        for e in tri.edges:
-            t, s = e.sides[0]
-            pa = points[simplices[t][s]]
-            pb = points[simplices[t][(s + 1) % 3]]
-            lengths[e.index] = float(np.hypot(*(pa - pb)))
+        tri = _glued(simplices)
+        lengths = _side_lengths(tri, points, simplices)
         rfrac = rng.uniform(0.15, 0.3)
         radii = np.full(len(tri.vertices), np.inf)
         for e in tri.edges:

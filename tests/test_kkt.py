@@ -1,0 +1,150 @@
+"""The sparse solve path: combinatorial rank, KKT Newton steps, statuses."""
+
+import math
+
+import numpy as np
+
+import hyperideal.solve as solve_mod
+from hyperideal.cli import main
+from hyperideal.coherent import AngleSystem, build_constraints, find_coherent, is_coherent
+from hyperideal.pattern import metric_from_lengths, probe, truncated_lengths, verify_pattern
+from hyperideal.solve import (
+    CONVERGED,
+    LINE_SEARCH_FAILED,
+    maximize,
+    objective_grad,
+    solve_problem,
+    tangent_span_vectors,
+)
+from hyperideal.surface import AngleData, GluedTriangulation
+
+from .conftest import bundled_instance, bundled_text
+from .oracles import lattice_disk
+
+PI = math.pi
+BUNDLED = ("torus.json", "disk2.json", "fan3.json", "triangle.json", "triangle_infeasible.json")
+
+
+def _check_rank(cs):
+    dense = cs.a_eq.toarray()
+    assert cs.rank == np.linalg.matrix_rank(dense)
+    assert int(np.sum(cs.independent_eq)) == cs.rank
+    assert np.linalg.matrix_rank(dense[cs.independent_eq]) == cs.rank
+
+
+def test_combinatorial_rank_matches_matrix_rank(rng):
+    for name in BUNDLED:
+        cs = build_constraints(*bundled_instance(name))
+        _check_rank(cs)
+        _check_rank(cs.permuted(rng.permutation(len(cs.b_eq)), rng.permutation(len(cs.h_ineq))))
+
+
+def test_rank_of_two_component_surface():
+    tri = GluedTriangulation(2, [])
+    data = AngleData(theta=np.full(6, 5 * PI / 6), xi=np.full(6, PI / 3))
+    cs = build_constraints(tri, data)
+    assert cs.rank == 12
+    _check_rank(cs)
+
+
+def test_constraints_are_sparse():
+    cs = build_constraints(*bundled_instance("fan3.json"))
+    assert cs.a_eq.format == "csr" and cs.g_ineq.format == "csr"
+    perm = cs.permuted(np.arange(len(cs.b_eq))[::-1], np.arange(len(cs.h_ineq))[::-1])
+    assert np.array_equal(perm.a_eq.toarray(), cs.a_eq.toarray()[::-1])
+
+
+def _kkt_parts(name):
+    tri, data = bundled_instance(name)
+    cs = build_constraints(tri, data)
+    x = find_coherent(cs)
+    return cs, solve_mod._hess_blocks(x), solve_mod._KKT(cs).projector()(objective_grad(x))
+
+
+def test_dense_and_sparse_newton_directions_agree(monkeypatch):
+    cs, blocks, pg = _kkt_parts("fan3.json")
+    monkeypatch.setattr(solve_mod, "DENSE_KKT_MAX", 10**9)
+    dense = solve_mod._KKT(cs)
+    monkeypatch.setattr(solve_mod, "DENSE_KKT_MAX", 0)
+    sparse = solve_mod._KKT(cs)
+    assert dense.dense and not sparse.dense
+    d_dense = dense.solver(blocks)(-pg)
+    d_sparse = sparse.solver(blocks)(-pg)
+    assert np.max(np.abs(d_dense - d_sparse)) <= 1e-10
+    assert np.max(np.abs(cs.a_eq @ d_dense)) <= 1e-12
+    assert d_dense @ pg > 0.0
+
+
+def test_projection_is_orthogonal(monkeypatch):
+    from hyperideal.coherent import tangent_basis
+
+    tri, data = bundled_instance("disk2.json")
+    cs = build_constraints(tri, data)
+    g = objective_grad(find_coherent(cs))
+    basis = tangent_basis(cs)
+    expected = basis @ (basis.T @ g)
+    for limit in (10**9, 0):
+        monkeypatch.setattr(solve_mod, "DENSE_KKT_MAX", limit)
+        assert np.max(np.abs(solve_mod._KKT(cs).projector()(g) - expected)) <= 1e-13
+
+
+def test_lattice_disk_through_sparse_branch():
+    rng = np.random.default_rng(2024)
+    tri, dm = lattice_disk(rng, 8)
+    assert tri.triangle_count >= 128
+    data, probed = probe(tri, dm)
+    cs = build_constraints(tri, data)
+    assert cs.dimension + cs.rank > solve_mod.DENSE_KKT_MAX
+
+    # move the known answer along a few edge vectors of the tangent space
+    span = tangent_span_vectors(tri)
+    picks = rng.choice(len(tri.interior_edges), 6, replace=False)
+    x0 = AngleSystem(probed.values + 0.05 * rng.uniform(-1.0, 1.0, 6) @ span[picks])
+    assert is_coherent(x0, cs).ok
+
+    x, rep = maximize(tri, data, x0, cs=cs)
+    assert rep.status == CONVERGED
+    assert np.max(np.abs(x.values - probed.values)) <= 1e-7
+    report = verify_pattern(tri, data, metric_from_lengths(truncated_lengths(x, tri), tri))
+    assert report.max_theta_residual <= 1e-8
+
+
+def _fail_every_trial_step(monkeypatch):
+    real = solve_mod.objective_f
+    calls = []
+
+    def objective(x):
+        calls.append(1)
+        return real(x) if len(calls) == 1 else -np.inf
+
+    monkeypatch.setattr(solve_mod, "objective_f", objective)
+
+
+def test_line_search_failure_has_its_own_status(monkeypatch):
+    _fail_every_trial_step(monkeypatch)
+    tri, data = bundled_instance("torus.json")
+    x, rep = solve_problem(tri, data)
+    assert rep.status == LINE_SEARCH_FAILED
+    assert rep.iterations == 0
+
+
+def test_cli_reports_line_search_failure(monkeypatch, tmp_path, capsys):
+    _fail_every_trial_step(monkeypatch)
+    p = tmp_path / "torus.json"
+    p.write_text(bundled_text("torus.json"))
+    assert main(["solve", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert "line search failed at iteration 0" in err
+    assert "did not converge" not in err
+
+
+def test_import_loads_no_dense_scipy_modules():
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, hyperideal; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,0 +1,72 @@
+"""The grid-based overlap check of global layouts against the all-pairs reference."""
+
+import math
+
+import numpy as np
+
+from hyperideal.layout import GLOBAL, _first_overlap, lay_out
+from hyperideal.pattern import DecoratedMetric, metric_from_lengths, truncated_lengths
+from hyperideal.solve import solve_problem
+from hyperideal.surface import GluedTriangulation
+
+from .conftest import bundled_instance
+from .oracles import first_overlapping_pair, lattice_disk
+
+
+def _positions(tri, dm):
+    cl = lay_out(tri, dm)
+    assert cl.mode == GLOBAL
+    return {c.triangle: c.vertices for c in cl.charts}
+
+
+def _wrapped_fan():
+    # six 72-degree wedges around a boundary vertex: the development wraps
+    k = 6
+    tri = GluedTriangulation(k, [((t, 2), (t + 1, 0)) for t in range(k - 1)])
+    rim = 2.0 * math.sin(math.radians(36.0))
+    lengths = np.array([rim if e.sides[0][1] == 1 else 1.0 for e in tri.edges])
+    return tri, DecoratedMetric(lengths=lengths, radii=np.full(len(tri.vertices), 0.1))
+
+
+def test_wrapped_fan_same_first_pair():
+    positions = _positions(*_wrapped_fan())
+    expected = first_overlapping_pair(positions)
+    assert expected is not None
+    assert _first_overlap(positions) == expected
+
+
+def test_flat_disk_has_no_overlap():
+    tri, data = bundled_instance("fan3.json")
+    x, _ = solve_problem(tri, data)
+    positions = _positions(tri, metric_from_lengths(truncated_lengths(x, tri), tri))
+    assert first_overlapping_pair(positions) is None
+    assert _first_overlap(positions) is None
+
+
+def test_large_lattice_disk_matches_reference():
+    rng = np.random.default_rng(77)
+    tri, dm = lattice_disk(rng, 8)
+    assert tri.triangle_count >= 128
+    positions = _positions(tri, dm)
+    assert first_overlapping_pair(positions) is None
+    assert _first_overlap(positions) is None
+
+    # drop copies of triangles onto other parts of the disk
+    for trial in range(6):
+        moved = dict(positions)
+        for t in rng.choice(tri.triangle_count, 1 + trial, replace=False):
+            target = positions[int(rng.integers(tri.triangle_count))]
+            moved[t] = positions[t] - positions[t].mean(axis=0) + target.mean(axis=0) \
+                + rng.uniform(-0.3, 0.3, 2)
+        assert _first_overlap(moved) == first_overlapping_pair(moved)
+
+
+def test_one_large_triangle_among_small_ones():
+    rng = np.random.default_rng(5)
+    tri, dm = lattice_disk(rng, 6)
+    positions = dict(_positions(tri, dm))
+    center = positions[3].mean(axis=0)
+    positions[3] = center + 40.0 * (positions[3] - center)  # covers the disk
+    expected = first_overlapping_pair(positions)
+    assert expected is not None
+    assert _first_overlap(positions) == expected
