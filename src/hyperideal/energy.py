@@ -229,15 +229,19 @@ def vol_prism(alpha, beta, gamma):
         np.all((a > 0.0) & (b > 0.0) & (g > 0.0) & (a + b + g < np.pi)),
         "vol_prism: need positive angles with alpha+beta+gamma < pi",
     )
-    out = (
-        lob(a)
-        + lob(b)
-        + lob(g)
-        + lob(0.5 * (np.pi + a - b - g))
-        + lob(0.5 * (np.pi - a + b - g))
-        + lob(0.5 * (np.pi - a - b + g))
-        + lob(0.5 * (np.pi - a - b - g))
+    args = np.stack(
+        [
+            a,
+            b,
+            g,
+            0.5 * (np.pi + a - b - g),
+            0.5 * (np.pi - a + b - g),
+            0.5 * (np.pi - a - b + g),
+            0.5 * (np.pi - a - b - g),
+        ],
+        axis=-1,
     )
+    out = lob(args).sum(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -245,6 +249,9 @@ def vol_p3(alpha, beta, gamma):
     """Truncated volume of a tetrahedron with one hyperideal and three ideal vertices."""
     out = 0.5 * np.asarray(vol_prism(alpha, beta, gamma))
     return float(out) if out.ndim == 0 else out
+
+
+_P4_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, 1.0])
 
 
 def vol_p4(alpha, beta, gamma):
@@ -261,13 +268,17 @@ def vol_p4(alpha, beta, gamma):
         ),
         "vol_p4: need alpha, beta, gamma in (0, pi) with alpha+beta+gamma < pi",
     )
-    out = 0.5 * (
-        lob(g)
-        + lob(0.5 * (np.pi + a - b - g))
-        + lob(0.5 * (np.pi - a + b - g))
-        - lob(0.5 * (np.pi - a - b + g))
-        + lob(0.5 * (np.pi - a - b - g))
+    args = np.stack(
+        [
+            g,
+            0.5 * (np.pi + a - b - g),
+            0.5 * (np.pi - a + b - g),
+            0.5 * (np.pi - a - b + g),
+            0.5 * (np.pi - a - b - g),
+        ],
+        axis=-1,
     )
+    out = 0.5 * (_P4_SIGNS * lob(args)).sum(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -416,7 +416,9 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout, options: SvgOptions = N
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
     )
 
-    def chart_elements(chart, indent):
+    def chart_elements(chart, indent, drawn_vertices=None):
+        """SVG lines of one chart; with ``drawn_vertices``, a vertex circle
+        whose vertex class is in the set is skipped, otherwise added to it."""
         shift = shifts[chart.triangle]
         pts = [to_px(p, shift) for p in chart.vertices]
         d = (
@@ -429,6 +431,11 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout, options: SvgOptions = N
             f'stroke-width="{_fmt(opt.stroke_width)}"/>'
         ]
         for c in range(3):
+            if drawn_vertices is not None:
+                vclass = tri.corner_class[(chart.triangle, c)]
+                if vclass in drawn_vertices:
+                    continue
+                drawn_vertices.add(vclass)
             cx, cy = pts[c]
             lines.append(
                 f'{indent}<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
@@ -467,34 +474,7 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout, options: SvgOptions = N
     else:
         drawn_vertices = set()
         for chart in cl.charts:
-            shift = shifts[chart.triangle]
-            pts = [to_px(p, shift) for p in chart.vertices]
-            d = (
-                f"M {_fmt(pts[0][0])} {_fmt(pts[0][1])} "
-                f"L {_fmt(pts[1][0])} {_fmt(pts[1][1])} "
-                f"L {_fmt(pts[2][0])} {_fmt(pts[2][1])} Z"
-            )
-            out.write(
-                f'  <path d="{d}" fill="none" stroke="{opt.triangle_color}" '
-                f'stroke-width="{_fmt(opt.stroke_width)}"/>\n'
-            )
-            for c in range(3):
-                vclass = tri.corner_class[(chart.triangle, c)]
-                if vclass in drawn_vertices:
-                    continue
-                drawn_vertices.add(vclass)
-                cx, cy = pts[c]
-                out.write(
-                    f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                    f'r="{_fmt(chart.vertex_radii[c] * scale)}" fill="none" '
-                    f'stroke="{opt.vertex_circle_color}" stroke-width="{_fmt(opt.stroke_width)}"/>\n'
-                )
-            fx, fy = to_px(chart.face_center, shift)
-            out.write(
-                f'  <circle cx="{_fmt(fx)}" cy="{_fmt(fy)}" '
-                f'r="{_fmt(chart.face_radius * scale)}" fill="none" '
-                f'stroke="{opt.face_circle_color}" stroke-width="{_fmt(opt.stroke_width)}" '
-                'stroke-dasharray="4 3"/>\n'
-            )
+            for line in chart_elements(chart, "  ", drawn_vertices):
+                out.write(line + "\n")
     out.write("</svg>\n")
     return out.getvalue()

@@ -41,10 +41,11 @@ SLACK_KEEP = 1e-2
 # a process also imports scipy.sparse.linalg (~0.1 s, ~9 MB); for a single
 # cold solve the two break even between 450 and 650 unknowns.
 DENSE_KKT_MAX = 600
-# below this projected-gradient norm the objective differences fall under the
-# float noise floor, so the full Newton step is taken without an Armijo test
-# (quadratic contraction takes over)
-NEWTON_TRUST_PGN = 1e-6
+# When the increase a Newton step predicts, half the step times the slope, is
+# at most this many float spacings of F, objective differences are rounding
+# noise and an Armijo test can stall on it; the capped Newton step is then
+# taken without one (quadratic contraction takes over).
+NEWTON_TRUST_ULPS = 64
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -218,15 +219,15 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
             # must have failed numerically)
             d = pg
 
-        if use_newton and pgn <= NEWTON_TRUST_PGN:
-            x = x + _max_step(cs, x, d) * d
+        step = _max_step(cs, x, d)
+        slope = float(g @ d)
+        if use_newton and 0.5 * step * slope <= NEWTON_TRUST_ULPS * np.spacing(abs(fx)):
+            x = x + step * d
             fx = objective_f(AngleSystem(x))
             if callback is not None:
                 callback(it, AngleSystem(x.copy()), fx)
             continue
 
-        step = _max_step(cs, x, d)
-        slope = float(g @ d)
         accepted = False
         for _ in range(60):
             cand = x + step * d
@@ -263,89 +264,6 @@ def _flip_diagnostics(tri, data, x: AngleSystem):
                     )
                     break
     return notes
-
-
-def tangent_span_vectors(tri: GluedTriangulation):
-    """The edge and cycle tangent vectors that span the coherent tangent space.
-
-    One vector per interior edge (+1 on one side's alpha, -1 on the other's)
-    plus one per fundamental cycle of the vertex/triangle incidence graph
-    (alternating +-1 on gamma coordinates around the cycle).
-    """
-    n = 6 * tri.triangle_count
-    vectors = []
-    for e in tri.edges:
-        if e.kind != INTERIOR:
-            continue
-        (t, s), (t2, s2) = e.sides
-        v = np.zeros(n)
-        v[6 * t + s] += 1.0
-        v[6 * t2 + s2] -= 1.0
-        vectors.append(v)
-
-    # spanning tree of the bipartite incidence graph; corners are its edges
-    parent = {("v", 0): None}  # node -> (parent node, connecting corner)
-    queue = [("v", 0)]
-    corners_of_class = {v: cls for v, cls in enumerate(tri.vertices)}
-    tree_corners = set()
-    while queue:
-        node = queue.pop()
-        if node[0] == "v":
-            incident = [(("t", t), (t, c)) for t, c in corners_of_class[node[1]]]
-        else:
-            t = node[1]
-            incident = [(("v", tri.corner_class[(t, c)]), (t, c)) for c in range(3)]
-        for nxt, corner in incident:
-            if nxt not in parent:
-                parent[nxt] = (node, corner)
-                tree_corners.add(corner)
-                queue.append(nxt)
-
-    def root_chain(node):
-        """[(node, corner to parent), ..., (root, None)]"""
-        chain = []
-        while True:
-            link = parent[node]
-            if link is None:
-                chain.append((node, None))
-                return chain
-            chain.append((node, link[1]))
-            node = link[0]
-
-    for t in range(tri.triangle_count):
-        for c in range(3):
-            corner = (t, c)
-            if corner in tree_corners:
-                continue
-            # fundamental cycle: class(c) --corner-- t --tree path-- class(c)
-            chain_t = root_chain(("t", t))
-            chain_v = root_chain(("v", tri.corner_class[corner]))
-            nodes_t = [nd for nd, _ in chain_t]
-            nodes_v = [nd for nd, _ in chain_v]
-            # strip the common tail above the lowest common ancestor
-            ka, kb = len(chain_v) - 1, len(chain_t) - 1
-            while ka > 0 and kb > 0 and nodes_v[ka - 1] == nodes_t[kb - 1]:
-                ka -= 1
-                kb -= 1
-            # corner sequence of the closed walk starting at class(c):
-            # the non-tree corner, up from t to the LCA, down from LCA to class(c)
-            walk = [corner]
-            walk += [cr for _, cr in chain_t[:kb]]
-            walk += [cr for _, cr in reversed(chain_v[:ka])]
-            # nodes alternate class/triangle; each triangle visit contributes
-            # +gamma(exit corner) - gamma(entry corner)
-            node = ("v", tri.corner_class[corner])
-            v = np.zeros(n)
-            for k, cr in enumerate(walk):
-                if node[0] == "t":
-                    tt = node[1]
-                    entry, exit_ = walk[k - 1], cr
-                    v[6 * tt + 3 + entry[1]] -= 1.0
-                    v[6 * tt + 3 + exit_[1]] += 1.0
-                nxt_t = ("t", cr[0])
-                node = nxt_t if node[0] == "v" else ("v", tri.corner_class[cr])
-            vectors.append(v)
-    return np.array(vectors) if vectors else np.zeros((0, n))
 
 
 def solve_problem(tri: GluedTriangulation, data: AngleData,

@@ -58,9 +58,6 @@ class GluedTriangulation:
         for v, corners in enumerate(self.vertices):
             for c in corners:
                 self.corner_class[c] = v
-        # The fixed side-matching rule is orientation-compatible, so gluings
-        # parsed from a problem file always yield an orientable surface.
-        self.orientation = True
 
     # -- construction helpers -------------------------------------------------
 

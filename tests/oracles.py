@@ -1,19 +1,21 @@
 """Independent oracles and random-instance generators used across the tests.
 
 Everything here deliberately avoids the code paths it is used to check: the
-Lobachevsky oracle integrates the defining integral (singular parts split off
-in closed form, Gauss-Legendre for the smooth remainder), derivatives come
+Lobachevsky oracles integrate the defining integral (singular parts split off
+in closed form, Gauss-Legendre for the smooth remainder) or sum its series
+term by term with coefficients from exact Bernoulli numbers, derivatives come
 from central differences, and feasibility of pinned instances from the
 closed-form slack analysis.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import Delaunay
 
 from hyperideal.pattern import DecoratedMetric, probe, verify_pattern
-from hyperideal.surface import GluedTriangulation
+from hyperideal.surface import INTERIOR, GluedTriangulation
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -28,6 +30,54 @@ def lob_quadrature(x):
     t = 0.5 * x * (_GL_NODES + 1.0)
     smooth = np.log(np.sinc(t / pi)) + np.log(pi / (pi - t))
     return closed - 0.5 * x * float(_GL_WEIGHTS @ smooth)
+
+
+def series_coefficients(count=40):
+    """c_n = zeta(2n) / (n (2n+1) pi^(2n)) = |B_2n| 4^n / (2 n (2n+1) (2n)!),
+    n = 1..count, from exact Bernoulli numbers; no zeta table involved."""
+    bern = [Fraction(1)]
+    for m in range(1, 2 * count + 1):
+        bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
+    return np.array([
+        float(abs(bern[2 * n]) * 4**n / (2 * n * (2 * n + 1) * math.factorial(2 * n)))
+        for n in range(1, count + 1)
+    ])
+
+
+_COEF = series_coefficients()
+_HALF_PI = 0.5 * np.pi
+TERM_TOL = 1e-16
+
+
+def lob_series(x):
+    """Reference Lobachevsky function over a float64 array: the same
+    reduction as the kernel, then the series summed term by term with Kahan
+    compensation until a term falls below TERM_TOL."""
+    x = np.asarray(x, dtype=np.float64)
+    theta = x - np.rint(x / np.pi) * np.pi
+    live = (theta != 0.0) & (np.abs(theta) != _HALF_PI)
+
+    out = np.zeros_like(theta)
+    if not np.any(live):
+        return out
+
+    t = theta[live]
+    u = t * t
+    # Kahan-compensated accumulation: main term first, then the series.
+    s = t - t * np.log(2.0 * np.abs(t))
+    c = np.zeros_like(t)
+    p = t * u
+    for coef in _COEF:
+        term = coef * p
+        y = term - c
+        hi = s + y
+        c = (hi - s) - y
+        s = hi
+        if np.max(np.abs(term)) < TERM_TOL:
+            break
+        p = p * u
+    out[live] = s
+    return out
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -81,6 +131,89 @@ def symmetric_torus(rho, side=1.0):
     tri = GluedTriangulation(2, [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))])
     dm = DecoratedMetric(lengths=np.full(3, float(side)), radii=np.array([float(rho)]))
     return tri, dm
+
+
+def tangent_span_vectors(tri: GluedTriangulation):
+    """The edge and cycle tangent vectors that span the coherent tangent space.
+
+    One vector per interior edge (+1 on one side's alpha, -1 on the other's)
+    plus one per fundamental cycle of the vertex/triangle incidence graph
+    (alternating +-1 on gamma coordinates around the cycle).
+    """
+    n = 6 * tri.triangle_count
+    vectors = []
+    for e in tri.edges:
+        if e.kind != INTERIOR:
+            continue
+        (t, s), (t2, s2) = e.sides
+        v = np.zeros(n)
+        v[6 * t + s] += 1.0
+        v[6 * t2 + s2] -= 1.0
+        vectors.append(v)
+
+    # spanning tree of the bipartite incidence graph; corners are its edges
+    parent = {("v", 0): None}  # node -> (parent node, connecting corner)
+    queue = [("v", 0)]
+    corners_of_class = {v: cls for v, cls in enumerate(tri.vertices)}
+    tree_corners = set()
+    while queue:
+        node = queue.pop()
+        if node[0] == "v":
+            incident = [(("t", t), (t, c)) for t, c in corners_of_class[node[1]]]
+        else:
+            t = node[1]
+            incident = [(("v", tri.corner_class[(t, c)]), (t, c)) for c in range(3)]
+        for nxt, corner in incident:
+            if nxt not in parent:
+                parent[nxt] = (node, corner)
+                tree_corners.add(corner)
+                queue.append(nxt)
+
+    def root_chain(node):
+        """[(node, corner to parent), ..., (root, None)]"""
+        chain = []
+        while True:
+            link = parent[node]
+            if link is None:
+                chain.append((node, None))
+                return chain
+            chain.append((node, link[1]))
+            node = link[0]
+
+    for t in range(tri.triangle_count):
+        for c in range(3):
+            corner = (t, c)
+            if corner in tree_corners:
+                continue
+            # fundamental cycle: class(c) --corner-- t --tree path-- class(c)
+            chain_t = root_chain(("t", t))
+            chain_v = root_chain(("v", tri.corner_class[corner]))
+            nodes_t = [nd for nd, _ in chain_t]
+            nodes_v = [nd for nd, _ in chain_v]
+            # strip the common tail above the lowest common ancestor
+            ka, kb = len(chain_v) - 1, len(chain_t) - 1
+            while ka > 0 and kb > 0 and nodes_v[ka - 1] == nodes_t[kb - 1]:
+                ka -= 1
+                kb -= 1
+            # corner sequence of the closed walk starting at class(c):
+            # the non-tree corner, up from t to the LCA, down from LCA to class(c)
+            walk = [corner]
+            walk += [cr for _, cr in chain_t[:kb]]
+            walk += [cr for _, cr in reversed(chain_v[:ka])]
+            # nodes alternate class/triangle; each triangle visit contributes
+            # +gamma(exit corner) - gamma(entry corner)
+            node = ("v", tri.corner_class[corner])
+            v = np.zeros(n)
+            for k, cr in enumerate(walk):
+                if node[0] == "t":
+                    tt = node[1]
+                    entry, exit_ = walk[k - 1], cr
+                    v[6 * tt + 3 + entry[1]] -= 1.0
+                    v[6 * tt + 3 + exit_[1]] += 1.0
+                nxt_t = ("t", cr[0])
+                node = nxt_t if node[0] == "v" else ("v", tri.corner_class[cr])
+            vectors.append(v)
+    return np.array(vectors) if vectors else np.zeros((0, n))
 
 
 def _oriented_simplices(points, simplices):

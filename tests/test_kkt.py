@@ -14,12 +14,11 @@ from hyperideal.solve import (
     maximize,
     objective_grad,
     solve_problem,
-    tangent_span_vectors,
 )
 from hyperideal.surface import AngleData, GluedTriangulation
 
 from .conftest import bundled_instance, bundled_text
-from .oracles import lattice_disk
+from .oracles import lattice_disk, tangent_span_vectors
 
 PI = math.pi
 BUNDLED = ("torus.json", "disk2.json", "fan3.json", "triangle.json", "triangle_infeasible.json")

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hyperideal import _lob_np
 from hyperideal.errors import SingularityError
-from hyperideal.lob import backend, lob, lob_deriv, lob_second
+from hyperideal.lob import SERIES_DEGREE, backend, lob, lob_deriv, lob_second
 
-from .oracles import lob_quadrature
+from .oracles import lob_quadrature, lob_series, series_coefficients
 
 # frozen with 25-digit arithmetic during development
 LOB_PI_6 = 0.5074708032048268
@@ -79,6 +78,8 @@ def test_non_finite_rejected():
         lob(float("nan"))
     with pytest.raises(ValueError):
         lob_deriv(float("inf"))
+    with pytest.raises(ValueError):
+        lob_second(float("nan"))
 
 
 def test_array_and_scalar_forms():
@@ -92,11 +93,36 @@ def test_array_and_scalar_forms():
 def test_backends_agree(rng):
     xs = rng.uniform(-20.0, 20.0, 5000)
     ours = lob(xs)
-    fallback = _lob_np.lob_array(xs)
-    assert np.max(np.abs(ours - fallback)) <= 1e-15
-    assert backend() in ("cython", "numpy")
+    reference = lob_series(xs)
+    assert np.max(np.abs(ours - reference)) <= 1e-15
+    assert backend() == "numpy"
 
 
 def test_fallback_exact_zeros():
-    vals = _lob_np.lob_array(np.array([0.0, math.pi / 2, math.pi, -math.pi / 2]))
+    vals = lob_series(np.array([0.0, math.pi / 2, math.pi, -math.pi / 2]))
     assert np.all(vals == 0.0)
+
+
+def test_series_degree_is_the_smallest_with_a_negligible_tail():
+    # dropped tail of the series at |t| = pi/2, where it is largest
+    terms = series_coefficients() * (math.pi / 2) ** (2 * np.arange(1, 41) + 1)
+    assert terms[SERIES_DEGREE:].sum() < 1e-17 <= terms[SERIES_DEGREE - 1:].sum()
+
+
+def test_kernel_matches_series_reference(rng):
+    near_half_pi = np.concatenate(
+        [c + rng.uniform(-1e-3, 1e-3, 20000) for c in (math.pi / 2, -math.pi / 2)]
+    )
+    tiny = np.concatenate([10.0 ** -np.arange(1, 301), -(10.0 ** -np.arange(1, 301))])
+    uniform = rng.uniform(-50.0, 50.0, 100000)
+    for xs in (near_half_pi, tiny, uniform):
+        assert np.max(np.abs(lob(xs) - lob_series(xs))) <= 2.3e-16
+
+
+def test_empty_and_zero_dimensional_arrays():
+    empty = lob(np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    assert lob(np.empty((2, 0))).shape == (2, 0)
+    zero_d = lob(np.array(0.3))
+    assert isinstance(zero_d, float) and zero_d == lob(0.3)
+    assert lob(np.array(math.pi / 2)) == 0.0

@@ -18,12 +18,11 @@ from hyperideal.solve import (
     objective_f,
     objective_grad,
     solve_problem,
-    tangent_span_vectors,
 )
 from hyperideal.surface import AngleData, GluedTriangulation
 
 from .conftest import bundled_instance
-from .oracles import fd_gradient
+from .oracles import fd_gradient, tangent_span_vectors
 
 PI = math.pi
 TORUS = GluedTriangulation(2, [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))])
@@ -243,15 +242,17 @@ def test_sphere_topology_end_to_end():
 
 
 def test_thin_polytope_still_converges():
-    # theta barely above pi/3 leaves only eps of slack at the optimum
-    eps = 1e-6
-    theta = PI / 3 + eps
-    data = AngleData(theta=np.full(3, theta), xi=np.array([2 * PI]))
-    x, rep = solve_problem(TORUS, data)
-    assert rep.status == CONVERGED
-    assert np.max(np.abs(x.alphas() - (PI - theta) / 2)) <= 1e-10
-    assert np.max(np.abs(x.gammas() - PI / 3)) <= 1e-10
-    assert 0.0 < rep.min_slack < 2 * eps
+    # theta barely above pi/3 leaves only eps of slack at the optimum; at
+    # 7e-7 the last Newton steps change F by less than its rounding noise,
+    # which an Armijo test cannot resolve
+    for eps in (1e-6, 7e-7):
+        theta = PI / 3 + eps
+        data = AngleData(theta=np.full(3, theta), xi=np.array([2 * PI]))
+        x, rep = solve_problem(TORUS, data)
+        assert rep.status == CONVERGED
+        assert np.max(np.abs(x.alphas() - (PI - theta) / 2)) <= 1e-10
+        assert np.max(np.abs(x.gammas() - PI / 3)) <= 1e-10
+        assert 0.0 < rep.min_slack < 2 * eps
 
 
 def test_objective_zero_when_all_triangles_badly_degenerate():
