@@ -17,7 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, SchemaError
-from .pattern import DecoratedMetric, _corner_angles, place_on_segment, radical_center
+from .pattern import (
+    DecoratedMetric,
+    _corner_angles,
+    _dot,
+    _vertex_sums,
+    place_canonical,
+    place_on_segment,
+    radical_center,
+)
 from .surface import INTERIOR, GluedTriangulation
 
 logger = logging.getLogger(__name__)
@@ -62,30 +70,6 @@ class ChartLayout:
     mode: str
     charts: list
     transitions: list = field(default_factory=list)
-
-
-def _chart_for(tri, dm, t, positions):
-    center, power = radical_center(positions, dm.corner_radii(tri, t))
-    if power <= 0.0:
-        raise PreconditionError(f"triangle {t}: no orthocircle")
-    return TriangleChart(
-        triangle=t,
-        vertices=np.asarray(positions, dtype=float),
-        face_center=center,
-        face_radius=math.sqrt(power),
-        vertex_radii=dm.corner_radii(tri, t),
-    )
-
-
-def _canonical_positions(tri, dm, t):
-    """Longest side of the triangle on the positive x axis, starting at 0."""
-    sides = dm.triangle_sides(tri, t)
-    s = int(np.argmax(sides))
-    rolled = place_on_segment(np.roll(sides, -s), (0.0, 0.0), (sides[s], 0.0))
-    positions = np.empty((3, 2))
-    for c in range(3):
-        positions[c] = rolled[(c - s) % 3]
-    return positions
 
 
 def _abutting_positions(tri, dm, t2, s2, pos_fixed, s_fixed):
@@ -166,13 +150,7 @@ def _warn_if_overlapping(positions):
 
 def geometric_cone_angles(tri, dm):
     """Total euclidean corner angle per vertex class of the decorated metric."""
-    out = np.zeros(len(tri.vertices))
-    for t in range(tri.triangle_count):
-        sides = dm.triangle_sides(tri, t)
-        ang = _corner_angles(place_on_segment(sides, (0.0, 0.0), (sides[0], 0.0)))
-        for c in range(3):
-            out[tri.corner_class[(t, c)]] += ang[c]
-    return out
+    return _vertex_sums(tri, _corner_angles(place_canonical(*dm.lengths[tri.side_edge].T)))
 
 
 def lay_out(tri: GluedTriangulation, dm: DecoratedMetric, flat_tol=FLAT_TOL) -> ChartLayout:
@@ -185,51 +163,61 @@ def lay_out(tri: GluedTriangulation, dm: DecoratedMetric, flat_tol=FLAT_TOL) -> 
     )
     mode = GLOBAL if tri.is_disk() and flat_interior else ATLAS
 
+    # atlas charts: the longest side of each triangle on the positive x axis,
+    # starting at the origin
+    sides = dm.lengths[tri.side_edge]
+    rows = np.arange(tri.triangle_count)[:, None]
+    longest = np.argmax(sides, axis=1)[:, None]
+    placed = place_canonical(*sides[rows, (longest + np.arange(3)) % 3].T)
+    positions = placed[rows, (np.arange(3) - longest) % 3]
     if mode == GLOBAL:
-        positions = {0: _canonical_positions(tri, dm, 0)}
+        developed = {0: positions[0]}
         queue = [0]
         while queue:
             t = queue.pop(0)
             for s in range(3):
-                edge = tri.edges[tri.side_edge[(t, s)]]
+                edge = tri.edges[tri.side_edge[t, s]]
                 if edge.kind != INTERIOR:
                     continue
                 side_a, side_b = edge.sides
                 t2, s2 = side_b if side_a == (t, s) else side_a
-                if t2 in positions:
+                if t2 in developed:
                     continue
-                positions[t2] = _abutting_positions(tri, dm, t2, s2, positions[t], s)
+                developed[t2] = _abutting_positions(tri, dm, t2, s2, developed[t], s)
                 queue.append(t2)
-        charts = [_chart_for(tri, dm, t, positions[t]) for t in range(tri.triangle_count)]
+        positions = np.array([developed[t] for t in range(tri.triangle_count)])
         _warn_if_overlapping(positions)
-    else:
-        charts = [
-            _chart_for(tri, dm, t, _canonical_positions(tri, dm, t))
-            for t in range(tri.triangle_count)
-        ]
-        positions = {c.triangle: c.vertices for c in charts}
 
-    transitions = []
-    for edge in tri.edges:
-        if edge.kind != INTERIOR:
-            continue
-        (t, s), (t2, s2) = edge.sides
-        target_pos = positions[t]
-        moved = _abutting_positions(tri, dm, t2, s2, target_pos, s)
-        source_pos = positions[t2]
-        # isometry: source chart corners of t2 -> abutting corners
-        qa, qb = source_pos[s2], source_pos[(s2 + 1) % 3]
-        pa, pb = moved[s2], moved[(s2 + 1) % 3]
-        u = qb - qa
-        v = pb - pa
-        nu, nv = np.hypot(*u), np.hypot(*v)
-        cosang = float(u @ v) / (nu * nv)
-        sinang = float(u[0] * v[1] - u[1] * v[0]) / (nu * nv)
-        rot = np.array([[cosang, -sinang], [sinang, cosang]])
-        trans = pa - rot @ qa
-        transitions.append(Transition(edge.index, source=t2, target=t,
-                                      source_side=s2, target_side=s,
-                                      rotation=rot, translation=trans))
+    radii = dm.radii[tri.corner_class]
+    center, power = radical_center(positions, radii)
+    missing = np.flatnonzero(power <= 0.0)
+    if missing.size:
+        raise PreconditionError(f"triangle {missing[0]}: no orthocircle")
+    radius = np.sqrt(power)
+    charts = [
+        TriangleChart(triangle=t, vertices=positions[t], face_center=center[t],
+                      face_radius=float(radius[t]), vertex_radii=radii[t])
+        for t in range(tri.triangle_count)
+    ]
+
+    # the isometry carrying side s2 of the source chart t2 onto side s of the
+    # target chart t, run the other way
+    interior = len(tri.gluings)
+    (t, s), (t2, s2) = np.moveaxis(tri.edge_sides[:interior], 0, -1)
+    qa, qb = positions[t2, s2], positions[t2, (s2 + 1) % 3]
+    pa, pb = positions[t, (s + 1) % 3], positions[t, s]
+    u, v = qb - qa, pb - pa
+    norms = np.hypot(u[:, 0], u[:, 1]) * np.hypot(v[:, 0], v[:, 1])
+    cosang = _dot(u, v) / norms
+    sinang = (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]) / norms
+    rot = np.stack([np.stack([cosang, -sinang], axis=-1),
+                    np.stack([sinang, cosang], axis=-1)], axis=-2)
+    trans = pa - (rot @ qa[:, :, None])[:, :, 0]
+    transitions = [
+        Transition(e, source=int(t2[e]), target=int(t[e]), source_side=int(s2[e]),
+                   target_side=int(s[e]), rotation=rot[e], translation=trans[e])
+        for e in range(interior)
+    ]
     return ChartLayout(mode=mode, charts=charts, transitions=transitions)
 
 

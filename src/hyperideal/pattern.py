@@ -24,7 +24,7 @@ import numpy as np
 from .coherent import AngleSystem, build_constraints, is_coherent
 from .energy import in_delta, tet_volume_grad
 from .errors import NotCriticalError, PreconditionError
-from .surface import INTERIOR, AngleData, GluedTriangulation
+from .surface import AngleData, GluedTriangulation
 
 COMPAT_TOL = 1e-7
 
@@ -72,15 +72,24 @@ def _potential_walk(tri, gp):
     return psi_v, residual
 
 
+def _at_sides(tri, per_side):
+    """``per_side[t, s]`` at both sides (t, s) of every edge, shape (E, 2);
+    a boundary edge's one side fills both columns."""
+    return per_side[tri.edge_sides[..., 0], tri.edge_sides[..., 1]]
+
+
+def _end_radii(tri, radii):
+    """Radii of the vertex circles at both ends of every edge, each (E,)."""
+    t, s = tri.edge_sides[:, 0].T
+    return radii[tri.corner_class[t, s]], radii[tri.corner_class[t, (s + 1) % 3]]
+
+
 def compat_residuals(tri, x: AngleSystem):
     """(max |compat_1| over interior edges, max |compat_2| over fundamental cycles)."""
     grads = tet_volume_grad(x.alphas(), x.gammas())
     ap, gp = grads[:, :3], grads[:, 3:]
-    c1 = 0.0
-    for e in tri.edges:
-        if e.kind == INTERIOR:
-            (t, s), (t2, s2) = e.sides
-            c1 = max(c1, abs(ap[t, s] - ap[t2, s2]))
+    across = _at_sides(tri, ap)
+    c1 = float(np.max(np.abs(across[:, 0] - across[:, 1])))
     _, c2 = _potential_walk(tri, gp)
     return c1, c2
 
@@ -102,20 +111,15 @@ def truncated_lengths(x: AngleSystem, tri: GluedTriangulation,
     """Truncated lengths at a critical point; raises if x is not critical."""
     grads = tet_volume_grad(x.alphas(), x.gammas())
     ap, gp = grads[:, :3], grads[:, 3:]
-    a_edge = np.empty(len(tri.edges))
-    for e in tri.edges:
-        if e.kind == INTERIOR:
-            (t, s), (t2, s2) = e.sides
-            one, two = -2.0 * ap[t, s], -2.0 * ap[t2, s2]
-            if abs(one - two) > 2.0 * compat_tol:
-                raise NotCriticalError(
-                    f"edge {e.index}: truncated length differs across the edge "
-                    f"({one:.12g} vs {two:.12g}); angle system is not critical"
-                )
-            a_edge[e.index] = 0.5 * (one + two)
-        else:
-            ((t, s),) = e.sides
-            a_edge[e.index] = -2.0 * ap[t, s]
+    one, two = (-2.0 * _at_sides(tri, ap)).T
+    differ = np.flatnonzero(np.abs(one - two) > 2.0 * compat_tol)
+    if differ.size:
+        e = differ[0]
+        raise NotCriticalError(
+            f"edge {e}: truncated length differs across the edge "
+            f"({one[e]:.12g} vs {two[e]:.12g}); angle system is not critical"
+        )
+    a_edge = 0.5 * (one + two)
     psi_v, cycle_res = _potential_walk(tri, gp)
     if cycle_res > compat_tol:
         raise NotCriticalError(
@@ -141,56 +145,66 @@ class DecoratedMetric:
         return DecoratedMetric(lengths=self.lengths * factor, radii=self.radii * factor)
 
     def triangle_sides(self, tri, t):
-        return np.array([self.lengths[tri.side_edge[(t, s)]] for s in range(3)])
+        return self.lengths[tri.side_edge[t]]
 
     def corner_radii(self, tri, t):
-        return np.array([self.radii[tri.corner_class[(t, c)]] for c in range(3)])
+        return self.radii[tri.corner_class[t]]
 
     def validate(self, tri):
+        if not (np.all(np.isfinite(self.lengths)) and np.all(np.isfinite(self.radii))):
+            raise PreconditionError("lengths and radii must be finite")
         if np.any(self.lengths <= 0.0) or np.any(self.radii <= 0.0):
             raise PreconditionError("lengths and radii must be positive")
-        for e in tri.edges:
-            (t, s) = e.sides[0]
-            ri = self.radii[tri.corner_class[(t, s)]]
-            rj = self.radii[tri.corner_class[(t, (s + 1) % 3)]]
-            if ri + rj >= self.lengths[e.index]:
-                raise PreconditionError(
-                    f"edge {e.index}: vertex circles touch or overlap "
-                    f"(r_i + r_j = {ri + rj:.12g} >= l = {self.lengths[e.index]:.12g})"
-                )
-        for t in range(tri.triangle_count):
-            l = self.triangle_sides(tri, t)
-            if (l[0] + l[1] <= l[2]) or (l[1] + l[2] <= l[0]) or (l[2] + l[0] <= l[1]):
-                raise PreconditionError(f"triangle {t} violates the triangle inequality")
+        ri, rj = _end_radii(tri, self.radii)
+        overlapping = np.flatnonzero(ri + rj >= self.lengths)
+        if overlapping.size:
+            e = overlapping[0]
+            raise PreconditionError(
+                f"edge {e}: vertex circles touch or overlap "
+                f"(r_i + r_j = {ri[e] + rj[e]:.12g} >= l = {self.lengths[e]:.12g})"
+            )
+        l = self.lengths[tri.side_edge]
+        broken = np.flatnonzero(np.any(
+            np.roll(l, -1, axis=1) + np.roll(l, -2, axis=1) <= l, axis=1))
+        if broken.size:
+            raise PreconditionError(f"triangle {broken[0]} violates the triangle inequality")
 
 
 def metric_from_lengths(tl: TruncatedLengths, tri: GluedTriangulation) -> DecoratedMetric:
     """Euclidean lengths and radii from truncated hyperbolic data (gauge r[0] = 1)."""
     radii = np.exp(-(tl.a_vertex - tl.a_vertex[0]))
-    lengths = np.empty(len(tri.edges))
-    for e in tri.edges:
-        t, s = e.sides[0]
-        ri = radii[tri.corner_class[(t, s)]]
-        rj = radii[tri.corner_class[(t, (s + 1) % 3)]]
-        lengths[e.index] = math.sqrt(
-            ri * ri + rj * rj + 2.0 * ri * rj * math.cosh(tl.a_edge[e.index])
-        )
+    ri, rj = _end_radii(tri, radii)
+    lengths = np.sqrt(ri * ri + rj * rj + 2.0 * ri * rj * np.cosh(tl.a_edge))
     return DecoratedMetric(lengths=lengths, radii=radii)
 
 
-# -- planar geometry of one decorated triangle --------------------------------
+# -- planar geometry of decorated triangles -------------------------------------
+#
+# The functions below broadcast over leading axes: a triangle's side lengths
+# (l12, l23, l31) and vertex radii (r1, r2, r3) run along the last axis, its
+# corners along the second to last, point coordinates along the last.
+
+
+def _dot(u, v):
+    """Dot products of 2-vectors along the last axis (rounded as ``u @ v``)."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def place_canonical(l12, l23, l31):
-    """Corners of a triangle with the given side lengths: corner 0 at the
-    origin, corner 1 at (l12, 0), corner 2 in the upper half plane."""
-    if l12 + l23 <= l31 or l23 + l31 <= l12 or l31 + l12 <= l23:
+    """Corners (..., 3, 2) of triangles with the given side lengths: corner 0
+    at the origin, corner 1 at (l12, 0), corner 2 in the upper half plane."""
+    l12, l23, l31 = np.broadcast_arrays(*(np.asarray(l, dtype=float) for l in (l12, l23, l31)))
+    if np.any((l12 + l23 <= l31) | (l23 + l31 <= l12) | (l31 + l12 <= l23)):
         raise PreconditionError("triangle inequality violated")
     x = (l12 * l12 + l31 * l31 - l23 * l23) / (2.0 * l12)
     y2 = l31 * l31 - x * x
-    if y2 <= 0.0:
+    if np.any(y2 <= 0.0):
         raise PreconditionError("degenerate triangle")
-    return np.array([[0.0, 0.0], [l12, 0.0], [x, math.sqrt(y2)]])
+    corners = np.zeros(x.shape + (3, 2))
+    corners[..., 1, 0] = l12
+    corners[..., 2, 0] = x
+    corners[..., 2, 1] = np.sqrt(y2)
+    return corners
 
 
 def place_on_segment(l_sides, pa, pb):
@@ -210,135 +224,135 @@ def radical_center(points, radii):
     The power is the squared orthocircle radius; it must be positive for the
     orthocircle to exist.
     """
-    p1, p2, p3 = (np.asarray(p, dtype=float) for p in points)
-    r1, r2, r3 = radii
+    p = np.asarray(points, dtype=float)
+    r = np.asarray(radii, dtype=float)
+    p1 = p[..., 0, :]
     # equal-power conditions linearized: 2 (p_j - p_i) . c = |p_j|^2 - |p_i|^2 - r_j^2 + r_i^2
-    A = 2.0 * np.array([p2 - p1, p3 - p1])
-    b = np.array(
-        [
-            p2 @ p2 - p1 @ p1 - r2 * r2 + r1 * r1,
-            p3 @ p3 - p1 @ p1 - r3 * r3 + r1 * r1,
-        ]
-    )
-    center = np.linalg.solve(A, b)
-    power = float((center - p1) @ (center - p1) - r1 * r1)
+    a = 2.0 * (p[..., 1:, :] - p1[..., None, :])
+    sq = _dot(p, p)
+    b = sq[..., 1:] - sq[..., :1] - r[..., 1:] * r[..., 1:] + r[..., :1] * r[..., :1]
+    center = np.linalg.solve(a, b[..., None])[..., 0]
+    power = _dot(center - p1, center - p1) - r[..., 0] * r[..., 0]
     return center, power
+
+
+def _orthocircles(sides, radii):
+    """Canonical corners of decorated triangles and the center and radius of
+    each orthocircle there."""
+    points = place_canonical(*np.moveaxis(sides, -1, 0))
+    if np.any(radii + np.roll(radii, -1, axis=-1) >= sides):
+        raise PreconditionError("vertex circles touch or overlap")
+    center, power = radical_center(points, radii)
+    if np.any(power <= 0.0):
+        raise PreconditionError("radical center has nonpositive power; no orthocircle")
+    return points, center, np.sqrt(power)
 
 
 def orthocircle(l12, l23, l31, r1, r2, r3):
     """Center and radius of the circle orthogonal to the three vertex circles,
     in the canonical placement."""
-    points = place_canonical(l12, l23, l31)
-    for (i, j, l) in ((0, 1, l12), (1, 2, l23), (2, 0, l31)):
-        radii = (r1, r2, r3)
-        if radii[i] + radii[j] >= l:
-            raise PreconditionError("vertex circles touch or overlap")
-    center, power = radical_center(points, (r1, r2, r3))
-    if power <= 0.0:
-        raise PreconditionError("radical center has nonpositive power; no orthocircle")
-    return center, math.sqrt(power)
+    _, center, radius = _orthocircles(np.stack(np.broadcast_arrays(l12, l23, l31), axis=-1),
+                                      np.stack(np.broadcast_arrays(r1, r2, r3), axis=-1))
+    return center, radius
 
 
-def _cross2(u, v):
-    return float(u[0] * v[1] - u[1] * v[0])
-
-
-def _signed_edge_distances(points, center):
-    """Signed distance of ``center`` from each directed side (s -> s+1);
-    positive on the interior (left/counterclockwise) side."""
-    out = np.empty(3)
-    for s in range(3):
-        pa, pb = points[s], points[(s + 1) % 3]
-        u = pb - pa
-        out[s] = _cross2(u, center - pa) / float(np.hypot(*u))
-    return out
+def _side_frames(points, q):
+    """``q[..., s, :]`` in the frame of side s of the triangles ``points``
+    (corner s at the origin, corner s+1 on the positive x axis), scaled by
+    the length of side s; and that length."""
+    edge = np.roll(points, -1, axis=-2) - points
+    rel = q - points
+    along_across = np.stack(
+        [_dot(edge, rel), edge[..., 0] * rel[..., 1] - edge[..., 1] * rel[..., 0]], axis=-1)
+    return along_across, np.hypot(edge[..., 0], edge[..., 1])[..., None]
 
 
 def _corner_angles(points):
-    out = np.empty(3)
-    for c in range(3):
-        u = points[(c + 1) % 3] - points[c]
-        v = points[(c + 2) % 3] - points[c]
-        out[c] = math.atan2(abs(_cross2(u, v)), float(u @ v))
-    return out
+    far, _ = _side_frames(points, np.roll(points, -2, axis=-2))
+    return np.arctan2(np.abs(far[..., 1]), far[..., 0])
+
+
+def _read_off_triangles(sides, radii):
+    """Everything the pattern reads off decorated triangles, computed once.
+
+    Returns the angles (a12, a23, a31, g1, g2, g3) (..., 6), the orthocircle
+    radius (...,) and, per side s, the orthocircle center and the far corner
+    s+2 in the frame of side s (..., 3, 2), where the triangle lies above.
+    gamma is the euclidean corner angle; alpha the angle between an edge line
+    and the orthocircle, obtuse exactly when the orthocircle center lies on
+    the far side of that edge.
+    """
+    points, center, radius = _orthocircles(sides, radii)
+    face, length = _side_frames(points, center[..., None, :])
+    face /= length
+    h = face[..., 1]
+    if np.any(np.abs(h) >= radius[..., None]):
+        raise PreconditionError("an edge line does not meet the orthocircle")
+    alpha = np.arccos(h / radius[..., None])
+    gamma = _corner_angles(points)
+    if not np.all(in_delta(alpha, gamma, closed=False)):
+        raise PreconditionError("read-off angles fall outside Delta")
+    far, _ = _side_frames(points, np.roll(points, -2, axis=-2))
+    return np.concatenate([alpha, gamma], axis=-1), radius, face, far / length
 
 
 def read_angles(lengths, radii):
     """Angles (a12, a23, a31, g1, g2, g3) of the decorated triangle with side
-    lengths (l12, l23, l31) and vertex radii (r1, r2, r3).
-
-    gamma is the euclidean corner angle; alpha the angle between an edge line
-    and the orthocircle, obtuse exactly when the orthocircle center lies on
-    the far side of that edge.  The result lies in Delta.
-    """
-    l12, l23, l31 = lengths
-    r1, r2, r3 = radii
-    points = place_canonical(l12, l23, l31)
-    center, radius = orthocircle(l12, l23, l31, r1, r2, r3)
-    h = _signed_edge_distances(points, center)
-    if np.any(np.abs(h) >= radius):
-        raise PreconditionError("an edge line does not meet the orthocircle")
-    alpha = np.arccos(np.clip(h / radius, -1.0, 1.0))
-    gamma = _corner_angles(points)
-    if not np.all(in_delta(alpha, gamma, closed=False)):
-        raise PreconditionError("read-off angles fall outside Delta")
-    return np.concatenate([alpha, gamma])
+    lengths (l12, l23, l31) and vertex radii (r1, r2, r3); the result lies in
+    Delta."""
+    return _read_off_triangles(np.asarray(lengths, dtype=float), np.asarray(radii, dtype=float))[0]
 
 
 # -- probing and verification --------------------------------------------------
 
 
-def _face_circle_on_edge(tri, dm, t, s):
-    """(center_x_along_edge, height_above_edge, radius) of the face circle of
-    ``t`` in coordinates where side ``s`` runs from corner s at 0 to corner
-    s+1 at (l, 0) and the triangle lies above."""
-    sides = dm.triangle_sides(tri, t)
-    radii = dm.corner_radii(tri, t)
-    rolled_l = np.roll(sides, -s)
-    rolled_r = np.roll(radii, -s)
-    points = place_canonical(*rolled_l)
-    center, power = radical_center(points, rolled_r)
-    if power <= 0.0:
-        raise PreconditionError(f"triangle {t}: no orthocircle")
-    return center[0], center[1], math.sqrt(power)
+def _read_off(tri, dm):
+    """The read-off of every triangle of ``dm``, batched."""
+    return _read_off_triangles(dm.lengths[tri.side_edge], dm.radii[tri.corner_class])
 
 
-def face_circle_intersection_angle(tri, dm, edge):
-    """Intersection angle of the two face circles across an interior edge.
+def _edge_theta(tri, angles):
+    """pi minus the alphas at the sides of every edge, per edge index."""
+    alpha = _at_sides(tri, angles[:, :3])
+    theta = np.pi - alpha[:, 0]
+    interior = len(tri.gluings)
+    theta[:interior] -= alpha[:interior, 1]
+    return theta
 
-    Zero means the circles coincide; this is the problem datum theta at the
-    edge.  The two circles meet on the edge line, so the angle can be read
-    from an abutting placement of the two triangles.
+
+def _vertex_sums(tri, per_corner):
+    """Sum of ``per_corner[t, c]`` over each vertex class."""
+    return np.bincount(tri.corner_class.ravel(), weights=per_corner.ravel(),
+                       minlength=len(tri.vertices))
+
+
+def _across_interior_edges(tri, dm, radius, face, far):
+    """The two face circles of every interior edge, compared across it.
+
+    Returns the condition (ii) margins (n, 2), pi/2 minus the angle between
+    each face circle and the far vertex circle of the other triangle
+    (non-intersection counts as margin pi/2), and the intersection angle of
+    the two face circles (n,), which is theta at the edge.  The two side
+    frames of an edge run opposite ways: x -> l - x, y -> -y maps one into
+    the other.
     """
-    (t, s), (t2, s2) = edge.sides
-    cx, h, rad = _face_circle_on_edge(tri, dm, t, s)
-    cx2, h2, rad2 = _face_circle_on_edge(tri, dm, t2, s2)
-    l = dm.lengths[edge.index]
-    # the second chart is glued with reversed direction: x -> l - x, y -> -y
-    d2 = (cx - (l - cx2)) ** 2 + (h + h2) ** 2
-    cosang = (rad * rad + rad2 * rad2 - d2) / (2.0 * rad * rad2)
-    return math.acos(min(1.0, max(-1.0, cosang)))
-
-
-def delaunay_margins(tri, dm, edge):
-    """Condition (ii) margins (pi/2 minus the face/far-vertex-circle angle)
-    for the two face circles across an interior edge; non-intersection counts
-    as margin pi/2."""
-    (t, s), (t2, s2) = edge.sides
-    l = dm.lengths[edge.index]
-    margins = []
-    for (ta, sa, tb, sb) in ((t, s, t2, s2), (t2, s2, t, s)):
-        cx, h, rad = _face_circle_on_edge(tri, dm, ta, sa)
-        far = place_on_segment(np.roll(dm.triangle_sides(tri, tb), -sb),
-                               (l, 0.0), (0.0, 0.0))[2]
-        rho = dm.corner_radii(tri, tb)[(sb + 2) % 3]
-        d2 = (cx - far[0]) ** 2 + (h - far[1]) ** 2
-        cosang = (d2 - rad * rad - rho * rho) / (2.0 * rad * rho)
-        if abs(cosang) > 1.0:
-            margins.append(0.5 * math.pi)
-        else:
-            margins.append(0.5 * math.pi - math.acos(cosang))
-    return margins
+    interior = len(tri.gluings)
+    t, s = np.moveaxis(tri.edge_sides[:interior], -1, 0)
+    l = dm.lengths[:interior, None]
+    rad = radius[t]
+    center = face[t, s]
+    far_other = far[t, s][:, ::-1]
+    rho = dm.radii[tri.corner_class[t, (s + 2) % 3]][:, ::-1]
+    d2 = ((center[..., 0] - (l - far_other[..., 0])) ** 2
+          + (center[..., 1] + far_other[..., 1]) ** 2)
+    cos_ii = (d2 - rad * rad - rho * rho) / (2.0 * rad * rho)
+    margins = np.where(np.abs(cos_ii) > 1.0, 0.5 * np.pi,
+                       0.5 * np.pi - np.arccos(np.clip(cos_ii, -1.0, 1.0)))
+    (cx, h), (cx2, h2) = np.moveaxis(center, 0, -1)
+    rad1, rad2 = rad.T
+    d2 = (cx - (l[:, 0] - cx2)) ** 2 + (h + h2) ** 2
+    cos_theta = (rad1 * rad1 + rad2 * rad2 - d2) / (2.0 * rad1 * rad2)
+    return margins, np.arccos(np.clip(cos_theta, -1.0, 1.0))
 
 
 def probe(tri: GluedTriangulation, dm: DecoratedMetric, cross_check_tol=1e-10):
@@ -350,40 +364,30 @@ def probe(tri: GluedTriangulation, dm: DecoratedMetric, cross_check_tol=1e-10):
     angle of the two face circles.
     """
     dm.validate(tri)
-    for e in tri.edges:
-        if e.kind == INTERIOR:
-            for m in delaunay_margins(tri, dm, e):
-                if m <= 0.0:
-                    raise PreconditionError(
-                        f"edge {e.index}: Delaunay condition (ii) violated "
-                        f"(face circle meets far vertex circle at {0.5 * math.pi - m:.6g} rad)"
-                    )
-    values = np.empty(6 * tri.triangle_count)
-    for t in range(tri.triangle_count):
-        values[6 * t:6 * t + 6] = read_angles(
-            dm.triangle_sides(tri, t), dm.corner_radii(tri, t)
+    angles, radius, face, far = _read_off(tri, dm)
+    margins, direct = _across_interior_edges(tri, dm, radius, face, far)
+    violated = np.flatnonzero(np.any(margins <= 0.0, axis=1))
+    if violated.size:
+        e = violated[0]
+        m = margins[e][margins[e] <= 0.0][0]
+        raise PreconditionError(
+            f"edge {e}: Delaunay condition (ii) violated "
+            f"(face circle meets far vertex circle at {0.5 * math.pi - m:.6g} rad)"
         )
-    x = AngleSystem(values)
-    theta = np.empty(len(tri.edges))
-    for e in tri.edges:
-        if e.kind == INTERIOR:
-            (t, s), (t2, s2) = e.sides
-            theta[e.index] = np.pi - values[6 * t + s] - values[6 * t2 + s2]
-            direct = face_circle_intersection_angle(tri, dm, e)
-            if abs(direct - theta[e.index]) > cross_check_tol:
-                raise PreconditionError(
-                    f"edge {e.index}: face-circle angle cross-check failed "
-                    f"({direct:.12g} vs {theta[e.index]:.12g})"
-                )
-        else:
-            ((t, s),) = e.sides
-            theta[e.index] = np.pi - values[6 * t + s]
-        if not 0.0 <= theta[e.index] < np.pi:
-            raise PreconditionError(f"edge {e.index}: theta out of range [0, pi)")
-    xi = np.zeros(len(tri.vertices))
-    for v, corners in enumerate(tri.vertices):
-        xi[v] = sum(values[6 * t + 3 + c] for t, c in corners)
-    data = AngleData(theta=theta, xi=xi)
+    theta = _edge_theta(tri, angles)
+    mismatch = np.zeros(len(theta), dtype=bool)
+    mismatch[:len(direct)] = np.abs(direct - theta[:len(direct)]) > cross_check_tol
+    bad = np.flatnonzero(mismatch | ~((0.0 <= theta) & (theta < np.pi)))
+    if bad.size:
+        e = bad[0]
+        if mismatch[e]:
+            raise PreconditionError(
+                f"edge {e}: face-circle angle cross-check failed "
+                f"({direct[e]:.12g} vs {theta[e]:.12g})"
+            )
+        raise PreconditionError(f"edge {e}: theta out of range [0, pi)")
+    x = AngleSystem(angles.reshape(-1))
+    data = AngleData(theta=theta, xi=_vertex_sums(tri, angles[:, 3:]))
     report = is_coherent(x, build_constraints(tri, data))
     if not report.ok:
         raise PreconditionError(f"probed angle system is not coherent: {report.violations[:3]}")
@@ -402,34 +406,12 @@ class PatternReport:
 
 def verify_pattern(tri, data: AngleData, dm: DecoratedMetric) -> PatternReport:
     """Compare the pattern read off ``dm`` with the problem data."""
-    values = np.empty(6 * tri.triangle_count)
-    for t in range(tri.triangle_count):
-        values[6 * t:6 * t + 6] = read_angles(
-            dm.triangle_sides(tri, t), dm.corner_radii(tri, t)
-        )
-    theta_res = 0.0
-    cond_i = math.inf
-    cond_ii = 0.5 * math.pi
-    for e in tri.edges:
-        if e.kind == INTERIOR:
-            (t, s), (t2, s2) = e.sides
-            theta = np.pi - values[6 * t + s] - values[6 * t2 + s2]
-            cond_ii = min(cond_ii, *delaunay_margins(tri, dm, e))
-        else:
-            ((t, s),) = e.sides
-            theta = np.pi - values[6 * t + s]
-        theta_res = max(theta_res, abs(theta - data.theta[e.index]))
-        t, s = e.sides[0]
-        ri = dm.radii[tri.corner_class[(t, s)]]
-        rj = dm.radii[tri.corner_class[(t, (s + 1) % 3)]]
-        cond_i = min(cond_i, (dm.lengths[e.index] - ri - rj) / dm.lengths[e.index])
-    xi_res = 0.0
-    for v, corners in enumerate(tri.vertices):
-        xi = sum(values[6 * t + 3 + c] for t, c in corners)
-        xi_res = max(xi_res, abs(xi - data.xi[v]))
+    angles, radius, face, far = _read_off(tri, dm)
+    margins, _ = _across_interior_edges(tri, dm, radius, face, far)
+    ri, rj = _end_radii(tri, dm.radii)
     return PatternReport(
-        max_theta_residual=float(theta_res),
-        max_xi_residual=float(xi_res),
-        min_condition_i_slack=float(cond_i),
-        min_condition_ii_margin=float(cond_ii),
+        max_theta_residual=float(np.max(np.abs(_edge_theta(tri, angles) - data.theta))),
+        max_xi_residual=float(np.max(np.abs(_vertex_sums(tri, angles[:, 3:]) - data.xi))),
+        min_condition_i_slack=float(np.min((dm.lengths - ri - rj) / dm.lengths)),
+        min_condition_ii_margin=float(np.min(margins, initial=0.5 * np.pi)),
     )

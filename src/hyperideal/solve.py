@@ -26,7 +26,7 @@ from .coherent import (
 from .energy import tet_volume, tet_volume_grad, tet_volume_hess
 from .errors import DomainError, NotCoherentError
 from .pattern import compat_residuals
-from .surface import INTERIOR, AngleData, GluedTriangulation
+from .surface import AngleData, GluedTriangulation
 
 logger = logging.getLogger(__name__)
 
@@ -80,14 +80,6 @@ def objective_grad(x: AngleSystem) -> np.ndarray:
 
 def _hess_blocks(x: AngleSystem) -> np.ndarray:
     return tet_volume_hess(x.alphas(), x.gammas())
-
-
-def _reduced_hessian(blocks, basis):
-    n_t = blocks.shape[0]
-    hn = np.empty((6 * n_t, basis.shape[1]))
-    for t in range(n_t):
-        hn[6 * t:6 * t + 6] = blocks[t] @ basis[6 * t:6 * t + 6]
-    return basis.T @ hn
 
 
 class _KKT:
@@ -252,17 +244,16 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
 def _flip_diagnostics(tri, data, x: AngleSystem):
     """Edges with theta = 0 whose alpha collapsed: the face circles coincide
     and the edge could be flipped out of the triangulation."""
+    interior = len(tri.gluings)
+    sides = tri.edge_sides[:interior]
+    collapsed = x.alphas()[sides[..., 0], sides[..., 1]] < 1e-8
     notes = []
-    values = x.values
-    for e in tri.edges:
-        if e.kind == INTERIOR and data.theta[e.index] < 1e-12:
-            for (t, s) in e.sides:
-                if values[6 * t + s] < 1e-8:
-                    notes.append(
-                        f"edge {e.index}: theta = 0 and alpha[{t}][{s}] < 1e-8; "
-                        "the two face circles coincide and a flip is recommended"
-                    )
-                    break
+    for e in np.flatnonzero((data.theta[:interior] < 1e-12) & collapsed.any(axis=1)):
+        t, s = sides[e, np.argmax(collapsed[e])]
+        notes.append(
+            f"edge {e}: theta = 0 and alpha[{t}][{s}] < 1e-8; "
+            "the two face circles coincide and a flip is recommended"
+        )
     return notes
 
 

@@ -48,13 +48,17 @@ class GluedTriangulation:
         )
         self._check_gluings()
         self.edges = self._derive_edges()
-        self.side_edge = {}
-        for e in self.edges:
-            for side in e.sides:
-                self.side_edge[side] = e.index
+        # (E, 2, 2): the sides (t, s) of every edge in edge order, a boundary
+        # edge's one side twice; the interior rows are the gluings
+        self.edge_sides = np.array([(e.sides * 2)[:2] for e in self.edges])
+        # (T, 3) lookups side (t, s) -> edge and corner (t, c) -> vertex class;
+        # -1 marks a corner that a user-supplied partition leaves out
+        self.side_edge = np.full((self.triangle_count, 3), -1)
+        self.side_edge[self.edge_sides[..., 0], self.edge_sides[..., 1]] = \
+            np.arange(len(self.edges))[:, None]
         derived = self._derive_vertices()
         self.vertices = tuple(tuple(c) for c in (derived if vertices is None else vertices))
-        self.corner_class = {}
+        self.corner_class = np.full((self.triangle_count, 3), -1)
         for v, corners in enumerate(self.vertices):
             for c in corners:
                 self.corner_class[c] = v

@@ -14,8 +14,11 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial import Delaunay
 
-from hyperideal.pattern import DecoratedMetric, probe, verify_pattern
-from hyperideal.surface import INTERIOR, GluedTriangulation
+from hyperideal.coherent import AngleSystem, build_constraints, is_coherent
+from hyperideal.energy import in_delta
+from hyperideal.errors import PreconditionError
+from hyperideal.pattern import DecoratedMetric, PatternReport, probe, verify_pattern
+from hyperideal.surface import INTERIOR, AngleData, GluedTriangulation
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -355,3 +358,234 @@ def random_disk(rng, n_tri_range=(2, 6), max_attempts=400):
             continue
         return tri, dm
     raise RuntimeError("failed to generate a random disk instance")
+
+
+def _reduced_hessian(blocks, basis):
+    n_t = blocks.shape[0]
+    hn = np.empty((6 * n_t, basis.shape[1]))
+    for t in range(n_t):
+        hn[6 * t:6 * t + 6] = blocks[t] @ basis[6 * t:6 * t + 6]
+    return basis.T @ hn
+
+
+# -- reference read-off: one triangle, one edge at a time ------------------------
+
+
+def place_canonical(l12, l23, l31):
+    if l12 + l23 <= l31 or l23 + l31 <= l12 or l31 + l12 <= l23:
+        raise PreconditionError("triangle inequality violated")
+    x = (l12 * l12 + l31 * l31 - l23 * l23) / (2.0 * l12)
+    y2 = l31 * l31 - x * x
+    if y2 <= 0.0:
+        raise PreconditionError("degenerate triangle")
+    return np.array([[0.0, 0.0], [l12, 0.0], [x, math.sqrt(y2)]])
+
+
+def place_on_segment(l_sides, pa, pb):
+    pa = np.asarray(pa, dtype=float)
+    pb = np.asarray(pb, dtype=float)
+    local = place_canonical(*l_sides)
+    u = (pb - pa) / l_sides[0]
+    rot = np.array([[u[0], -u[1]], [u[1], u[0]]])
+    return pa + local @ rot.T
+
+
+def radical_center(points, radii):
+    p1, p2, p3 = (np.asarray(p, dtype=float) for p in points)
+    r1, r2, r3 = radii
+    A = 2.0 * np.array([p2 - p1, p3 - p1])
+    b = np.array(
+        [
+            p2 @ p2 - p1 @ p1 - r2 * r2 + r1 * r1,
+            p3 @ p3 - p1 @ p1 - r3 * r3 + r1 * r1,
+        ]
+    )
+    center = np.linalg.solve(A, b)
+    power = float((center - p1) @ (center - p1) - r1 * r1)
+    return center, power
+
+
+def orthocircle(l12, l23, l31, r1, r2, r3):
+    points = place_canonical(l12, l23, l31)
+    for (i, j, l) in ((0, 1, l12), (1, 2, l23), (2, 0, l31)):
+        radii = (r1, r2, r3)
+        if radii[i] + radii[j] >= l:
+            raise PreconditionError("vertex circles touch or overlap")
+    center, power = radical_center(points, (r1, r2, r3))
+    if power <= 0.0:
+        raise PreconditionError("radical center has nonpositive power; no orthocircle")
+    return center, math.sqrt(power)
+
+
+def _cross2(u, v):
+    return float(u[0] * v[1] - u[1] * v[0])
+
+
+def _signed_edge_distances(points, center):
+    out = np.empty(3)
+    for s in range(3):
+        pa, pb = points[s], points[(s + 1) % 3]
+        u = pb - pa
+        out[s] = _cross2(u, center - pa) / float(np.hypot(*u))
+    return out
+
+
+def corner_angles(points):
+    out = np.empty(3)
+    for c in range(3):
+        u = points[(c + 1) % 3] - points[c]
+        v = points[(c + 2) % 3] - points[c]
+        out[c] = math.atan2(abs(_cross2(u, v)), float(u @ v))
+    return out
+
+
+def read_angles(lengths, radii):
+    """Angles (a12, a23, a31, g1, g2, g3) of one decorated triangle."""
+    l12, l23, l31 = lengths
+    r1, r2, r3 = radii
+    points = place_canonical(l12, l23, l31)
+    center, radius = orthocircle(l12, l23, l31, r1, r2, r3)
+    h = _signed_edge_distances(points, center)
+    if np.any(np.abs(h) >= radius):
+        raise PreconditionError("an edge line does not meet the orthocircle")
+    alpha = np.arccos(np.clip(h / radius, -1.0, 1.0))
+    gamma = corner_angles(points)
+    if not np.all(in_delta(alpha, gamma, closed=False)):
+        raise PreconditionError("read-off angles fall outside Delta")
+    return np.concatenate([alpha, gamma])
+
+
+def _face_circle_on_edge(tri, dm, t, s):
+    sides = dm.triangle_sides(tri, t)
+    radii = dm.corner_radii(tri, t)
+    rolled_l = np.roll(sides, -s)
+    rolled_r = np.roll(radii, -s)
+    points = place_canonical(*rolled_l)
+    center, power = radical_center(points, rolled_r)
+    if power <= 0.0:
+        raise PreconditionError(f"triangle {t}: no orthocircle")
+    return center[0], center[1], math.sqrt(power)
+
+
+def face_circle_intersection_angle(tri, dm, edge):
+    (t, s), (t2, s2) = edge.sides
+    cx, h, rad = _face_circle_on_edge(tri, dm, t, s)
+    cx2, h2, rad2 = _face_circle_on_edge(tri, dm, t2, s2)
+    l = dm.lengths[edge.index]
+    d2 = (cx - (l - cx2)) ** 2 + (h + h2) ** 2
+    cosang = (rad * rad + rad2 * rad2 - d2) / (2.0 * rad * rad2)
+    return math.acos(min(1.0, max(-1.0, cosang)))
+
+
+def delaunay_margins(tri, dm, edge):
+    (t, s), (t2, s2) = edge.sides
+    l = dm.lengths[edge.index]
+    margins = []
+    for (ta, sa, tb, sb) in ((t, s, t2, s2), (t2, s2, t, s)):
+        cx, h, rad = _face_circle_on_edge(tri, dm, ta, sa)
+        far = place_on_segment(np.roll(dm.triangle_sides(tri, tb), -sb),
+                               (l, 0.0), (0.0, 0.0))[2]
+        rho = dm.corner_radii(tri, tb)[(sb + 2) % 3]
+        d2 = (cx - far[0]) ** 2 + (h - far[1]) ** 2
+        cosang = (d2 - rad * rad - rho * rho) / (2.0 * rad * rho)
+        if abs(cosang) > 1.0:
+            margins.append(0.5 * math.pi)
+        else:
+            margins.append(0.5 * math.pi - math.acos(cosang))
+    return margins
+
+
+def validate_metric(tri, dm):
+    if np.any(dm.lengths <= 0.0) or np.any(dm.radii <= 0.0):
+        raise PreconditionError("lengths and radii must be positive")
+    for e in tri.edges:
+        (t, s) = e.sides[0]
+        ri = dm.radii[tri.corner_class[(t, s)]]
+        rj = dm.radii[tri.corner_class[(t, (s + 1) % 3)]]
+        if ri + rj >= dm.lengths[e.index]:
+            raise PreconditionError(
+                f"edge {e.index}: vertex circles touch or overlap "
+                f"(r_i + r_j = {ri + rj:.12g} >= l = {dm.lengths[e.index]:.12g})"
+            )
+    for t in range(tri.triangle_count):
+        l = dm.triangle_sides(tri, t)
+        if (l[0] + l[1] <= l[2]) or (l[1] + l[2] <= l[0]) or (l[2] + l[0] <= l[1]):
+            raise PreconditionError(f"triangle {t} violates the triangle inequality")
+
+
+def probe_loop(tri, dm, cross_check_tol=1e-10):
+    """Reference ``probe``: the read-off one triangle and one edge at a time."""
+    validate_metric(tri, dm)
+    for e in tri.edges:
+        if e.kind == INTERIOR:
+            for m in delaunay_margins(tri, dm, e):
+                if m <= 0.0:
+                    raise PreconditionError(
+                        f"edge {e.index}: Delaunay condition (ii) violated "
+                        f"(face circle meets far vertex circle at {0.5 * math.pi - m:.6g} rad)"
+                    )
+    values = np.empty(6 * tri.triangle_count)
+    for t in range(tri.triangle_count):
+        values[6 * t:6 * t + 6] = read_angles(
+            dm.triangle_sides(tri, t), dm.corner_radii(tri, t)
+        )
+    x = AngleSystem(values)
+    theta = np.empty(len(tri.edges))
+    for e in tri.edges:
+        if e.kind == INTERIOR:
+            (t, s), (t2, s2) = e.sides
+            theta[e.index] = np.pi - values[6 * t + s] - values[6 * t2 + s2]
+            direct = face_circle_intersection_angle(tri, dm, e)
+            if abs(direct - theta[e.index]) > cross_check_tol:
+                raise PreconditionError(
+                    f"edge {e.index}: face-circle angle cross-check failed "
+                    f"({direct:.12g} vs {theta[e.index]:.12g})"
+                )
+        else:
+            ((t, s),) = e.sides
+            theta[e.index] = np.pi - values[6 * t + s]
+        if not 0.0 <= theta[e.index] < np.pi:
+            raise PreconditionError(f"edge {e.index}: theta out of range [0, pi)")
+    xi = np.zeros(len(tri.vertices))
+    for v, corners in enumerate(tri.vertices):
+        xi[v] = sum(values[6 * t + 3 + c] for t, c in corners)
+    data = AngleData(theta=theta, xi=xi)
+    report = is_coherent(x, build_constraints(tri, data))
+    if not report.ok:
+        raise PreconditionError(f"probed angle system is not coherent: {report.violations[:3]}")
+    return data, x
+
+
+def verify_pattern_loop(tri, data, dm):
+    """Reference ``verify_pattern``: the read-off one triangle and one edge at a time."""
+    values = np.empty(6 * tri.triangle_count)
+    for t in range(tri.triangle_count):
+        values[6 * t:6 * t + 6] = read_angles(
+            dm.triangle_sides(tri, t), dm.corner_radii(tri, t)
+        )
+    theta_res = 0.0
+    cond_i = math.inf
+    cond_ii = 0.5 * math.pi
+    for e in tri.edges:
+        if e.kind == INTERIOR:
+            (t, s), (t2, s2) = e.sides
+            theta = np.pi - values[6 * t + s] - values[6 * t2 + s2]
+            cond_ii = min(cond_ii, *delaunay_margins(tri, dm, e))
+        else:
+            ((t, s),) = e.sides
+            theta = np.pi - values[6 * t + s]
+        theta_res = max(theta_res, abs(theta - data.theta[e.index]))
+        t, s = e.sides[0]
+        ri = dm.radii[tri.corner_class[(t, s)]]
+        rj = dm.radii[tri.corner_class[(t, (s + 1) % 3)]]
+        cond_i = min(cond_i, (dm.lengths[e.index] - ri - rj) / dm.lengths[e.index])
+    xi_res = 0.0
+    for v, corners in enumerate(tri.vertices):
+        xi = sum(values[6 * t + 3 + c] for t, c in corners)
+        xi_res = max(xi_res, abs(xi - data.xi[v]))
+    return PatternReport(
+        max_theta_residual=float(theta_res),
+        max_xi_residual=float(xi_res),
+        min_condition_i_slack=float(cond_i),
+        min_condition_ii_margin=float(cond_ii),
+    )

@@ -115,11 +115,14 @@ def test_probe_geometry_to_problem(tmp_path):
 
 
 def test_probe_precondition_exit_code(tmp_path):
-    doc = json.loads(bundled_text("disk2_geometry.json"))
-    doc["radii"] = [2.0 for _ in doc["radii"]]  # circles overlap
-    geo = tmp_path / "geom.json"
-    geo.write_text(json.dumps(doc))
-    assert main(["probe", str(geo)]) == 5
+    overlapping = json.loads(bundled_text("disk2_geometry.json"))
+    overlapping["radii"] = [2.0 for _ in overlapping["radii"]]  # circles overlap
+    not_finite = json.loads(bundled_text("disk2_geometry.json"))
+    not_finite["lengths"][0] = float("nan")
+    for doc in (overlapping, not_finite):
+        geo = tmp_path / "geom.json"
+        geo.write_text(json.dumps(doc))
+        assert main(["probe", str(geo)]) == 5
 
 
 def test_volume_subcommand(capsys):
@@ -168,6 +171,19 @@ def test_solve_flag_validation(torus_file):
 
 def test_solver_non_convergence_exit_code(torus_file):
     assert main(["solve", torus_file, "--max-iters", "1"]) == 4
+
+
+def test_layout_rejects_non_finite_metric(tmp_path):
+    problem = tmp_path / "fan3.json"
+    problem.write_text(bundled_text("fan3.json"))
+    sol = tmp_path / "solution.json"
+    assert main(["solve", str(problem), "-o", str(sol)]) == 0
+    doc = json.loads(sol.read_text())
+    doc["lengths"][0] = float("nan")
+    sol.write_text(json.dumps(doc))
+    svg = tmp_path / "out.svg"
+    assert main(["layout", str(sol), "-o", str(svg)]) == 5
+    assert not svg.exists()
 
 
 def test_layout_requires_reconstruction(torus_file, tmp_path):

@@ -115,7 +115,9 @@ def test_solutions_from_random_coherent_starts_agree(rng):
 
 
 def test_reduced_hessian_negative_definite(rng):
-    from hyperideal.solve import _hess_blocks, _reduced_hessian
+    from hyperideal.solve import _hess_blocks
+
+    from .oracles import _reduced_hessian
 
     cs = build_constraints(TORUS, TORUS_DATA)
     basis = tangent_basis(cs)
