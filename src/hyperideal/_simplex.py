@@ -11,6 +11,7 @@ import numpy as np
 from .errors import ConvergenceError
 
 PIVOT_TOL = 1e-9
+INFEAS_TOL = 1e-8  # phase-1 optimum above which M y = d, y >= 0 is infeasible
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -46,7 +47,7 @@ def _pivot_loop(T, basis, cost, max_pivots):
     raise ConvergenceError("simplex: pivot limit exceeded")
 
 
-def solve_standard_min(c, M, d, infeas_tol=1e-8):
+def solve_standard_min(c, M, d):
     """Two-phase simplex for  min c.y  s.t.  M y = d, y >= 0.
 
     Returns (status, y, objective); y and objective are None unless optimal.
@@ -68,7 +69,7 @@ def solve_standard_min(c, M, d, infeas_tol=1e-8):
     status = _pivot_loop(T, basis, cost1, max_pivots)
     if status != OPTIMAL:  # phase 1 is bounded below by 0, so this cannot happen
         raise ConvergenceError("simplex: phase 1 failed")
-    if cost1[basis] @ T[:, -1] > infeas_tol:
+    if cost1[basis] @ T[:, -1] > INFEAS_TOL:
         return INFEASIBLE, None, None
 
     # drive leftover artificials out of the basis; drop redundant rows

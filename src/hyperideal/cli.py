@@ -26,7 +26,7 @@ from .errors import (
     SurfaceError,
 )
 from .files import canonical_json, parse_geometry, read_solution, solution_dict
-from .layout import SvgOptions, export_svg, lay_out, layout_to_dict
+from .layout import export_svg, lay_out, layout_to_dict
 from .lob import LOB_PI_3, LOB_PI_4, LOB_PI_6, lob
 from .pattern import (
     DecoratedMetric,
@@ -149,7 +149,7 @@ def _run_layout(args):
         raise PreconditionError("solution file carries no lengths/radii to lay out")
     cl = lay_out(tri, dm)
     if args.format == "svg":
-        _emit(export_svg(tri, cl, SvgOptions()), args.output)
+        _emit(export_svg(tri, cl), args.output)
     else:
         _emit(canonical_json(layout_to_dict(cl)), args.output)
     return EXIT_OK

@@ -26,6 +26,8 @@ from .surface import BOUNDARY, AngleData, GluedTriangulation
 EQ_TOL = 1e-10
 SLACK_TOL = 1e-10
 FEASIBLE_SLACK = 1e-9
+TANGENT_RCOND = 1e-10  # relative singular-value cut of tangent_basis
+SAMPLE_SPREAD = 0.8  # share of the center's slack a sample may use up
 
 
 @dataclass
@@ -204,8 +206,7 @@ class CoherenceReport:
     violations: list = field(default_factory=list)
 
 
-def is_coherent(x: AngleSystem, cs: ConstraintSystem,
-                eq_tol=EQ_TOL, slack_tol=SLACK_TOL) -> CoherenceReport:
+def is_coherent(x: AngleSystem, cs: ConstraintSystem) -> CoherenceReport:
     """Test membership in the open coherent polytope, with per-constraint residuals."""
     v = x.values
     if v.size != cs.dimension:
@@ -213,13 +214,13 @@ def is_coherent(x: AngleSystem, cs: ConstraintSystem,
     res = cs.a_eq @ v - cs.b_eq
     slack = cs.h_ineq - cs.g_ineq @ v
     violations = [
-        (cs.labels_eq[i], float(res[i])) for i in np.flatnonzero(np.abs(res) > eq_tol)
+        (cs.labels_eq[i], float(res[i])) for i in np.flatnonzero(np.abs(res) > EQ_TOL)
     ] + [
-        (cs.labels_ineq[i], float(slack[i])) for i in np.flatnonzero(slack <= slack_tol)
+        (cs.labels_ineq[i], float(slack[i])) for i in np.flatnonzero(slack <= SLACK_TOL)
     ]
     # per-triangle Delta membership is implied by the rows above at equal
     # tolerances; re-checked for safety.
-    if not np.all(in_delta(x.alphas(), x.gammas(), closed=False, tol=slack_tol)):
+    if not np.all(in_delta(x.alphas(), x.gammas(), closed=False, tol=SLACK_TOL)):
         if not violations:
             violations.append(("delta membership", float("nan")))
     return CoherenceReport(
@@ -273,24 +274,24 @@ def find_coherent(cs: ConstraintSystem):
     )
 
 
-def tangent_basis(cs: ConstraintSystem, rcond=1e-10):
+def tangent_basis(cs: ConstraintSystem):
     """Orthonormal basis of the equality null space, shape (6|T|, k).
 
-    Right singular vectors of singular values at most ``rcond`` times the
+    Right singular vectors of singular values at most ``TANGENT_RCOND`` times the
     largest one; a dense SVD, so for small systems and checks only.
     """
     a = cs.a_eq.toarray()
     _, sv, vh = np.linalg.svd(a, full_matrices=True)
-    tol = np.amax(sv, initial=0.0) * rcond
+    tol = np.amax(sv, initial=0.0) * TANGENT_RCOND
     return vh[int(np.sum(sv > tol)):].T
 
 
-def sample_coherent(cs: ConstraintSystem, rng, n=1, spread=0.8):
+def sample_coherent(cs: ConstraintSystem, rng, n=1):
     """Random strictly coherent angle systems (empty list if infeasible).
 
     Starts from the max-slack point and perturbs within the tangent space,
     capping each step so that every strict inequality keeps at least
-    ``1 - spread`` of the center's slack.
+    ``1 - SAMPLE_SPREAD`` of the center's slack.
     """
     center = find_coherent(cs)
     if isinstance(center, Infeasible):
@@ -306,7 +307,7 @@ def sample_coherent(cs: ConstraintSystem, rng, n=1, spread=0.8):
         d = basis @ rng.standard_normal(basis.shape[1])
         drop = cs.g_ineq @ d
         with np.errstate(divide="ignore"):
-            caps = np.where(drop > 0.0, spread * slack0 / drop, np.inf)
+            caps = np.where(drop > 0.0, SAMPLE_SPREAD * slack0 / drop, np.inf)
         step = rng.uniform(0.0, 1.0) * min(1.0, float(np.min(caps)))
         out.append(AngleSystem(x0 + step * d))
     return out

@@ -187,7 +187,7 @@ BAD = "badly_degenerate"
 ALPHA_DEG = "alpha_degenerate"
 
 
-def classify(alpha, gamma, tol=MEMBERSHIP_TOL):
+def classify(alpha, gamma):
     """Classify a point of the closure of Delta.
 
     Returns one of ``interior``, ``mildly_degenerate``, ``badly_degenerate``,
@@ -196,12 +196,12 @@ def classify(alpha, gamma, tol=MEMBERSHIP_TOL):
     mild degeneration, a triple at a vertex (a permutation of (0, 0, pi)) a
     bad one, and if none of the five degenerate only some alpha can vanish.
     """
-    if not np.all(in_delta(alpha, gamma, closed=True, tol=tol)):
+    if not np.all(in_delta(alpha, gamma, closed=True)):
         raise DomainError("classify: angles outside the closure of Delta")
-    if bool(np.all(in_delta(alpha, gamma, closed=False, tol=tol))):
+    if bool(np.all(in_delta(alpha, gamma, closed=False))):
         return INTERIOR
     triples = five_tetra(alpha, gamma)
-    zeros = (triples <= tol).sum(axis=-1)
+    zeros = (triples <= MEMBERSHIP_TOL).sum(axis=-1)
     if np.any(zeros == 1):
         return MILD
     if np.any(zeros >= 2):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .pattern import DecoratedMetric
-from .surface import GluedTriangulation, parse_problem, problem_dict
+from .surface import float_array, parse_header, parse_problem, problem_dict
 
 
 def _canon(value, out):
@@ -98,13 +98,7 @@ def read_solution(text):
         raise SchemaError(f"solution file has invalid 'angles': {exc}") from exc
     if alpha.shape != (tri.triangle_count, 3) or gamma.shape != (tri.triangle_count, 3):
         raise SchemaError("solution angles have the wrong shape")
-    dm = None
-    if "lengths" in doc and "radii" in doc:
-        lengths = np.array(doc["lengths"], dtype=float)
-        radii = np.array(doc["radii"], dtype=float)
-        if lengths.shape != (len(tri.edges),) or radii.shape != (len(tri.vertices),):
-            raise SchemaError("solution lengths/radii have the wrong shape")
-        dm = DecoratedMetric(lengths=lengths, radii=radii)
+    dm = _metric(tri, doc) if "lengths" in doc and "radii" in doc else None
     return tri, data, np.hstack([alpha, gamma]).reshape(-1), dm
 
 
@@ -117,21 +111,13 @@ def geometry_dict(tri, dm):
     }
 
 
+def _metric(tri, doc):
+    """The decorated metric of a geometry or solution document on ``tri``."""
+    return DecoratedMetric(lengths=float_array(doc["lengths"], "lengths", len(tri.edges)),
+                           radii=float_array(doc["radii"], "radii", len(tri.vertices)))
+
+
 def parse_geometry(text):
     """Parse a geometry file; returns (GluedTriangulation, DecoratedMetric)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"geometry file is not valid JSON: {exc}") from exc
-    for key in ("triangles", "gluings", "lengths", "radii"):
-        if key not in doc:
-            raise SchemaError(f"geometry file is missing key {key!r}")
-    gluings = [(tuple(g["a"]), tuple(g["b"])) for g in doc["gluings"]]
-    tri = GluedTriangulation(int(doc["triangles"]), gluings)
-    lengths = np.array(doc["lengths"], dtype=float)
-    radii = np.array(doc["radii"], dtype=float)
-    if lengths.shape != (len(tri.edges),):
-        raise SchemaError(f"geometry needs {len(tri.edges)} lengths, got {lengths.shape}")
-    if radii.shape != (len(tri.vertices),):
-        raise SchemaError(f"geometry needs {len(tri.vertices)} radii, got {radii.shape}")
-    return tri, DecoratedMetric(lengths=lengths, radii=radii)
+    tri, doc = parse_header(text, "geometry", ("triangles", "gluings", "lengths", "radii"))
+    return tri, _metric(tri, doc)

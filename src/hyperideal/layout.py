@@ -1,17 +1,19 @@
 """Planar drawings of decorated metrics: global layouts and chart atlases.
 
-A simply connected flat instance (disk topology, interior cone angles 2pi)
-is developed into the plane by breadth-first gluing.  Everything else gets an
-atlas: each triangle drawn in canonical position plus, per interior edge, the
-orientation-preserving isometry that moves the neighbor chart into abutting
-position.  Both forms carry the face circle and the vertex circles and are
-exportable as SVG and JSON.
+Every triangle is placed once, in its own chart, and each interior edge gets
+the orientation-preserving isometry (transition) that moves the neighbor
+chart into abutting position.  A simply connected flat instance (disk
+topology, interior cone angles 2pi) is developed into the plane by composing
+the transitions breadth-first; everything else is drawn as the atlas.  Both
+forms carry the face circle and the vertex circles and are exportable as SVG
+and JSON.
 """
 
 import io
 import json
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,16 +25,23 @@ from .pattern import (
     _dot,
     _vertex_sums,
     place_canonical,
-    place_on_segment,
     radical_center,
 )
-from .surface import INTERIOR, GluedTriangulation
+from .surface import GluedTriangulation
 
 logger = logging.getLogger(__name__)
 
 GLOBAL = "global"
 ATLAS = "atlas"
-FLAT_TOL = 1e-7
+FLAT_TOL = 1e-7  # |cone angle - 2 pi| below which an interior vertex is flat
+
+# SVG drawing
+SCALE = 100.0  # drawing units per metric unit
+MARGIN = 20.0
+STROKE_WIDTH = 1.5
+TRIANGLE_COLOR = "#1f3b57"
+VERTEX_CIRCLE_COLOR = "#c23b22"
+FACE_CIRCLE_COLOR = "#2a7f62"
 
 
 @dataclass
@@ -70,18 +79,6 @@ class ChartLayout:
     mode: str
     charts: list
     transitions: list = field(default_factory=list)
-
-
-def _abutting_positions(tri, dm, t2, s2, pos_fixed, s_fixed):
-    """Positions of triangle ``t2`` glued along its side ``s2`` to the already
-    placed side ``s_fixed`` of the chart ``pos_fixed``."""
-    pa = pos_fixed[(s_fixed + 1) % 3]
-    pb = pos_fixed[s_fixed]
-    rolled = place_on_segment(np.roll(dm.triangle_sides(tri, t2), -s2), pa, pb)
-    positions = np.empty((3, 2))
-    for c in range(3):
-        positions[c] = rolled[(c - s2) % 3]
-    return positions
 
 
 def _interiors_overlap(p, q, eps):
@@ -148,45 +145,82 @@ def _warn_if_overlapping(positions):
         )
 
 
-def geometric_cone_angles(tri, dm):
-    """Total euclidean corner angle per vertex class of the decorated metric."""
-    return _vertex_sums(tri, _corner_angles(place_canonical(*dm.lengths[tri.side_edge].T)))
-
-
-def lay_out(tri: GluedTriangulation, dm: DecoratedMetric, flat_tol=FLAT_TOL) -> ChartLayout:
-    """Global development for flat disks, chart atlas otherwise."""
-    dm.validate(tri)
-    cone = geometric_cone_angles(tri, dm)
-    flat_interior = all(
-        tri.vertex_is_boundary(v) or abs(cone[v] - 2.0 * math.pi) <= flat_tol
-        for v in range(len(tri.vertices))
-    )
-    mode = GLOBAL if tri.is_disk() and flat_interior else ATLAS
-
-    # atlas charts: the longest side of each triangle on the positive x axis,
-    # starting at the origin
+def _chart_positions(tri, dm):
+    """Every triangle in its own chart, placed in one batch: the longest side
+    on the positive x axis, starting at the origin."""
     sides = dm.lengths[tri.side_edge]
     rows = np.arange(tri.triangle_count)[:, None]
     longest = np.argmax(sides, axis=1)[:, None]
     placed = place_canonical(*sides[rows, (longest + np.arange(3)) % 3].T)
-    positions = placed[rows, (np.arange(3) - longest) % 3]
-    if mode == GLOBAL:
-        developed = {0: positions[0]}
-        queue = [0]
-        while queue:
-            t = queue.pop(0)
-            for s in range(3):
-                edge = tri.edges[tri.side_edge[t, s]]
-                if edge.kind != INTERIOR:
-                    continue
-                side_a, side_b = edge.sides
-                t2, s2 = side_b if side_a == (t, s) else side_a
-                if t2 in developed:
-                    continue
-                developed[t2] = _abutting_positions(tri, dm, t2, s2, developed[t], s)
+    return placed[rows, (np.arange(3) - longest) % 3]
+
+
+def geometric_cone_angles(tri, dm):
+    """Total euclidean corner angle per vertex class of the decorated metric."""
+    return _vertex_sums(tri, _corner_angles(_chart_positions(tri, dm)))
+
+
+def _transitions(tri, positions):
+    """Per interior edge, the isometry (rotation (n, 2, 2), translation (n, 2))
+    carrying side s2 of the source chart t2 onto side s of the target chart
+    t, run the other way, where ((t, s), (t2, s2)) is the gluing."""
+    (t, s), (t2, s2) = np.moveaxis(tri.edge_sides[:len(tri.gluings)], 0, -1)
+    qa, qb = positions[t2, s2], positions[t2, (s2 + 1) % 3]
+    pa, pb = positions[t, (s + 1) % 3], positions[t, s]
+    u, v = qb - qa, pb - pa
+    norms = np.hypot(u[:, 0], u[:, 1]) * np.hypot(v[:, 0], v[:, 1])
+    cosang = _dot(u, v) / norms
+    sinang = (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]) / norms
+    rot = np.stack([np.stack([cosang, -sinang], axis=-1),
+                    np.stack([sinang, cosang], axis=-1)], axis=-2)
+    return rot, pa - (rot @ qa[:, :, None])[:, :, 0]
+
+
+def _across(rot, shift, rotation, translation, near_is_target):
+    """The isometry (rot, shift) of the chart on the near side of an edge,
+    extended to the chart on the far side: composed with the edge's
+    transition when the near chart is its target, else with its inverse."""
+    if not near_is_target:
+        rotation, translation = rotation.T, -rotation.T @ translation
+    return rot @ rotation, rot @ translation + shift
+
+
+def _develop(tri, positions, rot, trans):
+    """The charts of a flat disk moved into one plane: breadth-first from
+    triangle 0, whose chart stays, each chart moved by the transitions
+    composed along the tree."""
+    moves = [None] * tri.triangle_count
+    moves[0] = (np.eye(2), np.zeros(2))
+    queue = deque([0])
+    while queue:
+        t = queue.popleft()
+        for s, e in enumerate(tri.side_edge[t].tolist()):
+            if e >= len(tri.gluings):
+                continue
+            near_is_target = tri.gluings[e][0] == (t, s)
+            t2 = tri.gluings[e][1 if near_is_target else 0][0]
+            if moves[t2] is None:
+                moves[t2] = _across(*moves[t], rot[e], trans[e], near_is_target)
                 queue.append(t2)
-        positions = np.array([developed[t] for t in range(tri.triangle_count)])
+    rotation, translation = map(np.array, zip(*moves))
+    return positions @ np.swapaxes(rotation, 1, 2) + translation[:, None, :]
+
+
+def lay_out(tri: GluedTriangulation, dm: DecoratedMetric) -> ChartLayout:
+    """Global development for flat disks, chart atlas otherwise."""
+    dm.validate(tri)
+    positions = _chart_positions(tri, dm)
+    cone = _vertex_sums(tri, _corner_angles(positions))
+    flat_interior = all(
+        tri.vertex_is_boundary(v) or abs(cone[v] - 2.0 * math.pi) <= FLAT_TOL
+        for v in range(len(tri.vertices))
+    )
+    mode = GLOBAL if tri.is_disk() and flat_interior else ATLAS
+    rot, trans = _transitions(tri, positions)
+    if mode == GLOBAL:
+        positions = _develop(tri, positions, rot, trans)
         _warn_if_overlapping(positions)
+        rot, trans = _transitions(tri, positions)
 
     radii = dm.radii[tri.corner_class]
     center, power = radical_center(positions, radii)
@@ -199,24 +233,10 @@ def lay_out(tri: GluedTriangulation, dm: DecoratedMetric, flat_tol=FLAT_TOL) -> 
                       face_radius=float(radius[t]), vertex_radii=radii[t])
         for t in range(tri.triangle_count)
     ]
-
-    # the isometry carrying side s2 of the source chart t2 onto side s of the
-    # target chart t, run the other way
-    interior = len(tri.gluings)
-    (t, s), (t2, s2) = np.moveaxis(tri.edge_sides[:interior], 0, -1)
-    qa, qb = positions[t2, s2], positions[t2, (s2 + 1) % 3]
-    pa, pb = positions[t, (s + 1) % 3], positions[t, s]
-    u, v = qb - qa, pb - pa
-    norms = np.hypot(u[:, 0], u[:, 1]) * np.hypot(v[:, 0], v[:, 1])
-    cosang = _dot(u, v) / norms
-    sinang = (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]) / norms
-    rot = np.stack([np.stack([cosang, -sinang], axis=-1),
-                    np.stack([sinang, cosang], axis=-1)], axis=-2)
-    trans = pa - (rot @ qa[:, :, None])[:, :, 0]
     transitions = [
-        Transition(e, source=int(t2[e]), target=int(t[e]), source_side=int(s2[e]),
-                   target_side=int(s[e]), rotation=rot[e], translation=trans[e])
-        for e in range(interior)
+        Transition(e, source=int(t2), target=int(t), source_side=int(s2),
+                   target_side=int(s), rotation=rot[e], translation=trans[e])
+        for e, ((t, s), (t2, s2)) in enumerate(tri.gluings)
     ]
     return ChartLayout(mode=mode, charts=charts, transitions=transitions)
 
@@ -259,14 +279,10 @@ def vertex_holonomy(tri, layout: ChartLayout, t, c) -> HolonomyReport:
             drift = max(drift, float(np.hypot(*(p - p_ref))))
         total += _corner_angles(chart.vertices)[ck]
         tr = by_edge[tri.side_edge[(tk, ck)]]
-        if (tr.target, tr.target_side) == (tk, ck):
-            r2, t2 = tr.rotation, tr.translation
-        elif (tr.source, tr.source_side) == (tk, ck):
-            r2 = tr.rotation.T
-            t2 = -tr.rotation.T @ tr.translation
-        else:
+        near_is_target = (tr.target, tr.target_side) == (tk, ck)
+        if not near_is_target and (tr.source, tr.source_side) != (tk, ck):
             raise PreconditionError("transition does not match the crossed side")
-        rot, shift = rot @ r2, rot @ t2 + shift
+        rot, shift = _across(rot, shift, tr.rotation, tr.translation, near_is_target)
     return HolonomyReport(rotation=rot, translation=shift,
                           cone_angle=total, vertex_drift=drift)
 
@@ -339,26 +355,14 @@ def layout_from_json(text: str) -> ChartLayout:
 # -- SVG export ----------------------------------------------------------------
 
 
-@dataclass
-class SvgOptions:
-    scale: float = 100.0  # drawing units per metric unit
-    margin: float = 20.0
-    stroke_width: float = 1.5
-    triangle_color: str = "#1f3b57"
-    vertex_circle_color: str = "#c23b22"
-    face_circle_color: str = "#2a7f62"
-    annotate: bool = True
-
-
 def _fmt(x):
     return format(float(x), ".9g")
 
 
-def export_svg(tri: GluedTriangulation, cl: ChartLayout, options: SvgOptions = None) -> str:
+def export_svg(tri: GluedTriangulation, cl: ChartLayout) -> str:
     """Well-formed SVG 1.1: one path per triangle, circle elements for vertex
-    and face circles; atlas charts are arranged on a grid with their
+    and face circles; atlas charts are arranged on a grid, labeled, with their
     transitions annotated."""
-    opt = options or SvgOptions()
     if not cl.charts:
         raise PreconditionError("layout has no charts")
 
@@ -389,13 +393,12 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout, options: SvgOptions = N
         blo, bhi = chart_bbox(chart)
         lo = np.minimum(lo, blo + shifts[chart.triangle])
         hi = np.maximum(hi, bhi + shifts[chart.triangle])
-    scale = opt.scale
-    width = (hi[0] - lo[0]) * scale + 2 * opt.margin
-    height = (hi[1] - lo[1]) * scale + 2 * opt.margin
+    width = (hi[0] - lo[0]) * SCALE + 2 * MARGIN
+    height = (hi[1] - lo[1]) * SCALE + 2 * MARGIN
 
     def to_px(p, shift):
-        q = (np.asarray(p) + shift - lo) * scale
-        return q[0] + opt.margin, height - opt.margin - q[1]
+        q = (np.asarray(p) + shift - lo) * SCALE
+        return q[0] + MARGIN, height - MARGIN - q[1]
 
     out = io.StringIO()
     out.write(
@@ -415,8 +418,8 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout, options: SvgOptions = N
             f"L {_fmt(pts[2][0])} {_fmt(pts[2][1])} Z"
         )
         lines = [
-            f'{indent}<path d="{d}" fill="none" stroke="{opt.triangle_color}" '
-            f'stroke-width="{_fmt(opt.stroke_width)}"/>'
+            f'{indent}<path d="{d}" fill="none" stroke="{TRIANGLE_COLOR}" '
+            f'stroke-width="{_fmt(STROKE_WIDTH)}"/>'
         ]
         for c in range(3):
             if drawn_vertices is not None:
@@ -427,14 +430,14 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout, options: SvgOptions = N
             cx, cy = pts[c]
             lines.append(
                 f'{indent}<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                f'r="{_fmt(chart.vertex_radii[c] * scale)}" fill="none" '
-                f'stroke="{opt.vertex_circle_color}" stroke-width="{_fmt(opt.stroke_width)}"/>'
+                f'r="{_fmt(chart.vertex_radii[c] * SCALE)}" fill="none" '
+                f'stroke="{VERTEX_CIRCLE_COLOR}" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
             )
         fx, fy = to_px(chart.face_center, shift)
         lines.append(
             f'{indent}<circle cx="{_fmt(fx)}" cy="{_fmt(fy)}" '
-            f'r="{_fmt(chart.face_radius * scale)}" fill="none" '
-            f'stroke="{opt.face_circle_color}" stroke-width="{_fmt(opt.stroke_width)}" '
+            f'r="{_fmt(chart.face_radius * SCALE)}" fill="none" '
+            f'stroke="{FACE_CIRCLE_COLOR}" stroke-width="{_fmt(STROKE_WIDTH)}" '
             'stroke-dasharray="4 3"/>'
         )
         return lines
@@ -444,21 +447,19 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout, options: SvgOptions = N
             out.write(f'  <g class="chart" id="chart-{chart.triangle}">\n')
             for line in chart_elements(chart, "    "):
                 out.write(line + "\n")
-            if opt.annotate:
-                sx, sy = to_px(chart.vertices.mean(axis=0), shifts[chart.triangle])
-                out.write(
-                    f'    <text x="{_fmt(sx)}" y="{_fmt(sy)}" font-size="12" '
-                    f'text-anchor="middle">t{chart.triangle}</text>\n'
-                )
+            sx, sy = to_px(chart.vertices.mean(axis=0), shifts[chart.triangle])
+            out.write(
+                f'    <text x="{_fmt(sx)}" y="{_fmt(sy)}" font-size="12" '
+                f'text-anchor="middle">t{chart.triangle}</text>\n'
+            )
             out.write("  </g>\n")
-        if opt.annotate:
-            for k, tr in enumerate(cl.transitions):
-                deg = math.degrees(tr.angle)
-                out.write(
-                    f'  <text x="{_fmt(opt.margin)}" y="{_fmt(14 * (k + 1))}" font-size="11">'
-                    f"edge {tr.edge}: chart {tr.source} &#8594; chart {tr.target}, "
-                    f"rot {_fmt(deg)}&#176;</text>\n"
-                )
+        for k, tr in enumerate(cl.transitions):
+            deg = math.degrees(tr.angle)
+            out.write(
+                f'  <text x="{_fmt(MARGIN)}" y="{_fmt(14 * (k + 1))}" font-size="11">'
+                f"edge {tr.edge}: chart {tr.source} &#8594; chart {tr.target}, "
+                f"rot {_fmt(deg)}&#176;</text>\n"
+            )
     else:
         drawn_vertices = set()
         for chart in cl.charts:

@@ -26,7 +26,8 @@ from .energy import in_delta, tet_volume_grad
 from .errors import NotCriticalError, PreconditionError
 from .surface import AngleData, GluedTriangulation
 
-COMPAT_TOL = 1e-7
+COMPAT_TOL = 1e-7  # truncated lengths across an edge, potential cycles
+CROSS_CHECK_TOL = 1e-10  # theta from the alphas vs the face circles
 
 
 # -- compatibility residuals and potentials ----------------------------------
@@ -106,13 +107,12 @@ class TruncatedLengths:
     max_cycle_residual: float
 
 
-def truncated_lengths(x: AngleSystem, tri: GluedTriangulation,
-                      compat_tol=COMPAT_TOL) -> TruncatedLengths:
+def truncated_lengths(x: AngleSystem, tri: GluedTriangulation) -> TruncatedLengths:
     """Truncated lengths at a critical point; raises if x is not critical."""
     grads = tet_volume_grad(x.alphas(), x.gammas())
     ap, gp = grads[:, :3], grads[:, 3:]
     one, two = (-2.0 * _at_sides(tri, ap)).T
-    differ = np.flatnonzero(np.abs(one - two) > 2.0 * compat_tol)
+    differ = np.flatnonzero(np.abs(one - two) > 2.0 * COMPAT_TOL)
     if differ.size:
         e = differ[0]
         raise NotCriticalError(
@@ -121,7 +121,7 @@ def truncated_lengths(x: AngleSystem, tri: GluedTriangulation,
         )
     a_edge = 0.5 * (one + two)
     psi_v, cycle_res = _potential_walk(tri, gp)
-    if cycle_res > compat_tol:
+    if cycle_res > COMPAT_TOL:
         raise NotCriticalError(
             f"gamma-potential cycle residual {cycle_res:.3e} too large; "
             "angle system is not critical"
@@ -205,17 +205,6 @@ def place_canonical(l12, l23, l31):
     corners[..., 2, 0] = x
     corners[..., 2, 1] = np.sqrt(y2)
     return corners
-
-
-def place_on_segment(l_sides, pa, pb):
-    """Corners (3, 2) of a triangle with sides ``l_sides`` so that corner 0
-    is at ``pa``, corner 1 at ``pb``, corners in counterclockwise order."""
-    pa = np.asarray(pa, dtype=float)
-    pb = np.asarray(pb, dtype=float)
-    local = place_canonical(*l_sides)
-    u = (pb - pa) / l_sides[0]
-    rot = np.array([[u[0], -u[1]], [u[1], u[0]]])
-    return pa + local @ rot.T
 
 
 def radical_center(points, radii):
@@ -331,7 +320,7 @@ def _across_interior_edges(tri, dm, radius, face, far):
 
     Returns the condition (ii) margins (n, 2), pi/2 minus the angle between
     each face circle and the far vertex circle of the other triangle
-    (non-intersection counts as margin pi/2), and the intersection angle of
+    (disjoint circles count as margin pi/2, nested ones as -pi/2), and the intersection angle of
     the two face circles (n,), which is theta at the edge.  The two side
     frames of an edge run opposite ways: x -> l - x, y -> -y maps one into
     the other.
@@ -346,8 +335,7 @@ def _across_interior_edges(tri, dm, radius, face, far):
     d2 = ((center[..., 0] - (l - far_other[..., 0])) ** 2
           + (center[..., 1] + far_other[..., 1]) ** 2)
     cos_ii = (d2 - rad * rad - rho * rho) / (2.0 * rad * rho)
-    margins = np.where(np.abs(cos_ii) > 1.0, 0.5 * np.pi,
-                       0.5 * np.pi - np.arccos(np.clip(cos_ii, -1.0, 1.0)))
+    margins = 0.5 * np.pi - np.arccos(np.clip(cos_ii, -1.0, 1.0))
     (cx, h), (cx2, h2) = np.moveaxis(center, 0, -1)
     rad1, rad2 = rad.T
     d2 = (cx - (l[:, 0] - cx2)) ** 2 + (h + h2) ** 2
@@ -355,7 +343,7 @@ def _across_interior_edges(tri, dm, radius, face, far):
     return margins, np.arccos(np.clip(cos_theta, -1.0, 1.0))
 
 
-def probe(tri: GluedTriangulation, dm: DecoratedMetric, cross_check_tol=1e-10):
+def probe(tri: GluedTriangulation, dm: DecoratedMetric):
     """Read (AngleData, AngleSystem) off an explicit decorated metric.
 
     Preconditions: condition (i) on every edge and the edge-local Delaunay
@@ -376,7 +364,7 @@ def probe(tri: GluedTriangulation, dm: DecoratedMetric, cross_check_tol=1e-10):
         )
     theta = _edge_theta(tri, angles)
     mismatch = np.zeros(len(theta), dtype=bool)
-    mismatch[:len(direct)] = np.abs(direct - theta[:len(direct)]) > cross_check_tol
+    mismatch[:len(direct)] = np.abs(direct - theta[:len(direct)]) > CROSS_CHECK_TOL
     bad = np.flatnonzero(mismatch | ~((0.0 <= theta) & (theta < np.pi)))
     if bad.size:
         e = bad[0]

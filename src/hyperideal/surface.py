@@ -252,39 +252,58 @@ class AngleData:
             raise SchemaError("xi entries must be finite and positive")
 
 
-def parse_problem(text):
-    """Parse a problem file; returns (GluedTriangulation, AngleData)."""
+def parse_header(text, what, keys):
+    """The JSON object of a ``what`` file, checked for ``keys``, and the
+    triangulation of its "triangles" and "gluings"; returns (tri, doc)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"problem file is not valid JSON: {exc}") from exc
+        raise SchemaError(f"{what} file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise SchemaError("problem file must be a JSON object")
-    for key in ("triangles", "gluings", "theta", "xi"):
+        raise SchemaError(f"{what} file must be a JSON object")
+    for key in keys:
         if key not in doc:
-            raise SchemaError(f"problem file is missing key {key!r}")
+            raise SchemaError(f"{what} file is missing key {key!r}")
+    try:
+        count = int(doc["triangles"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("'triangles' must be an integer") from exc
+    form = "each gluing needs 'a': [t, s] and 'b': [t2, s2]"
     try:
         gluings = [(tuple(g["a"]), tuple(g["b"])) for g in doc["gluings"]]
     except (TypeError, KeyError) as exc:
-        raise SchemaError("each gluing needs 'a': [t, s] and 'b': [t2, s2]") from exc
+        raise SchemaError(form) from exc
+    if not all(len(side) == 2 and all(isinstance(i, int) for i in side)
+               for pair in gluings for side in pair):
+        raise SchemaError(form)
+    return GluedTriangulation(count, gluings), doc
+
+
+def float_array(value, name, count):
+    """``value``, a JSON list of ``count`` numbers, as a float array."""
     try:
-        tri = GluedTriangulation(int(doc["triangles"]), gluings)
-    except SurfaceError:
-        raise
+        numbers = np.array([float(x) for x in value]) if isinstance(value, list) else None
+    except (TypeError, ValueError):
+        numbers = None
+    if numbers is None:
+        raise SchemaError(f"{name} must be a list of numbers")
+    if len(numbers) != count:
+        raise SchemaError(f"{name} has {len(numbers)} entries, expected {count}")
+    return numbers
+
+
+def parse_problem(text):
+    """Parse a problem file; returns (GluedTriangulation, AngleData)."""
+    tri, doc = parse_header(text, "problem", ("triangles", "gluings", "theta", "xi"))
     theta_doc = doc["theta"]
     if not isinstance(theta_doc, dict) or set(theta_doc) - {"interior", "boundary"}:
         raise SchemaError("theta must be {'interior': [...], 'boundary': [...]}")
-    interior = [float(x) for x in theta_doc.get("interior", [])]
-    boundary = [float(x) for x in theta_doc.get("boundary", [])]
-    n_int = len(tri.interior_edges)
-    n_bdy = len(tri.boundary_edges)
-    if len(interior) != n_int:
-        raise SchemaError(f"theta.interior has {len(interior)} entries, expected {n_int}")
-    if len(boundary) != n_bdy:
-        raise SchemaError(f"theta.boundary has {len(boundary)} entries, expected {n_bdy}")
-    theta = np.array(interior + boundary, dtype=float)
-    xi = np.array([float(x) for x in doc["xi"]], dtype=float)
-    data = AngleData(theta=theta, xi=xi)
+    n_int = len(tri.gluings)
+    theta = np.concatenate([
+        float_array(theta_doc.get("interior", []), "theta.interior", n_int),
+        float_array(theta_doc.get("boundary", []), "theta.boundary", len(tri.edges) - n_int),
+    ])
+    data = AngleData(theta=theta, xi=float_array(doc["xi"], "xi", len(tri.vertices)))
     data.validate(tri)
     return tri, data
 

@@ -9,6 +9,7 @@ closed-form slack analysis.
 """
 
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -488,10 +489,7 @@ def delaunay_margins(tri, dm, edge):
         rho = dm.corner_radii(tri, tb)[(sb + 2) % 3]
         d2 = (cx - far[0]) ** 2 + (h - far[1]) ** 2
         cosang = (d2 - rad * rad - rho * rho) / (2.0 * rad * rho)
-        if abs(cosang) > 1.0:
-            margins.append(0.5 * math.pi)
-        else:
-            margins.append(0.5 * math.pi - math.acos(cosang))
+        margins.append(0.5 * math.pi - math.acos(min(1.0, max(-1.0, cosang))))
     return margins
 
 
@@ -589,3 +587,34 @@ def verify_pattern_loop(tri, data, dm):
         min_condition_i_slack=float(cond_i),
         min_condition_ii_margin=float(cond_ii),
     )
+
+
+# -- reference global development: one triangle at a time ----------------------
+
+
+def develop_loop(tri, dm):
+    """Reference global development of a flat disk, positions (T, 3, 2).
+
+    Triangle 0 is placed with its longest side on the positive x axis,
+    starting at the origin; breadth-first from it, each triangle is placed
+    on the already placed copy of the side it shares with its parent.
+    """
+    sides = dm.triangle_sides(tri, 0)
+    k = int(np.argmax(sides))
+    developed = {0: np.roll(place_canonical(*np.roll(sides, -k)), k, axis=0)}
+    queue = deque([0])
+    while queue:
+        t = queue.popleft()
+        for s in range(3):
+            edge = tri.edges[tri.side_edge[t, s]]
+            if edge.kind != INTERIOR:
+                continue
+            side_a, side_b = edge.sides
+            t2, s2 = side_b if side_a == (t, s) else side_a
+            if t2 in developed:
+                continue
+            pa, pb = developed[t][(s + 1) % 3], developed[t][s]
+            rolled = place_on_segment(np.roll(dm.triangle_sides(tri, t2), -s2), pa, pb)
+            developed[t2] = np.roll(rolled, s2, axis=0)
+            queue.append(t2)
+    return np.array([developed[t] for t in range(tri.triangle_count)])

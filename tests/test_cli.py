@@ -191,3 +191,31 @@ def test_layout_requires_reconstruction(torus_file, tmp_path):
     assert main(["check", torus_file, "-o", str(dump)]) == 0
     # a check dump has no lengths/radii, so layout is a precondition error
     assert main(["layout", str(dump)]) == 5
+
+
+def test_malformed_fields_exit_code(torus_file, tmp_path, capsys):
+    problem = json.loads(bundled_text("torus.json"))
+    geometry = json.loads(bundled_text("disk2_geometry.json"))
+    solved = tmp_path / "solution.json"
+    assert main(["solve", torus_file, "-o", str(solved)]) == 0
+    solution = json.loads(solved.read_text())
+
+    def changed(doc, edit):
+        doc = json.loads(json.dumps(doc))
+        edit(doc)
+        return doc
+
+    cases = [
+        ("solve", changed(problem, lambda d: d.update(triangles="x"))),
+        ("solve", changed(problem, lambda d: d["theta"]["interior"].__setitem__(0, "a"))),
+        ("probe", changed(geometry, lambda d: d["gluings"].__setitem__(0, {"a": 1, "b": 2}))),
+        ("probe", changed(geometry, lambda d: d["gluings"][0].pop("b"))),
+        ("probe", changed(geometry, lambda d: d["lengths"].__setitem__(0, "x"))),
+        ("layout", changed(solution, lambda d: d["radii"].__setitem__(0, "x"))),
+    ]
+    for command, doc in cases:
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command, str(path)]) == 3, doc
+        assert capsys.readouterr().err.startswith("error: "), doc

@@ -7,7 +7,6 @@ from hyperideal.errors import PreconditionError
 from hyperideal.layout import (
     ATLAS,
     GLOBAL,
-    SvgOptions,
     export_svg,
     lay_out,
     layout_from_json,
@@ -155,7 +154,7 @@ def test_svg_is_parseable_xml():
     import xml.etree.ElementTree as ET
 
     tri, dm = solved_metric("fan3.json")
-    root = ET.fromstring(export_svg(tri, lay_out(tri, dm), SvgOptions(annotate=True)))
+    root = ET.fromstring(export_svg(tri, lay_out(tri, dm)))
     assert root.tag.endswith("svg")
 
 

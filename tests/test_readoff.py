@@ -158,3 +158,13 @@ def test_geometry_helpers_broadcast_over_leading_axes():
         want = oracles.read_angles(sides[i, j], radii[i, j])
         assert np.max(np.abs(angles[i, j] - want)) <= ANGLE_TOL
         assert np.max(np.abs(pattern._corner_angles(points[i, j]) - want[3:])) <= ANGLE_TOL
+
+
+def test_far_vertex_circle_inside_the_face_circle_violates_condition_ii():
+    # the far vertex lies 0.55 from the center of the other face circle,
+    # whose radius is 2.29: the small vertex circle sits wholly inside it
+    tri, dm = two_triangles([3.6, 2.0, 2.0, 2.0, 2.0], 0.2)
+    data, _ = probe(*two_triangles([2.0] * 5, 0.4))
+    assert verify_pattern(tri, data, dm).min_condition_ii_margin < 0.0
+    kind, message = outcome(lambda: probe(tri, dm))
+    assert kind is PreconditionError and "Delaunay condition (ii) violated" in message
