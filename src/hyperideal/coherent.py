@@ -18,16 +18,30 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from . import _simplex
 from .energy import in_delta
-from .errors import NotCoherentError
+from .errors import ConvergenceError, NotCoherentError
 from .surface import BOUNDARY, AngleData, GluedTriangulation
 
 EQ_TOL = 1e-10
 SLACK_TOL = 1e-10
 FEASIBLE_SLACK = 1e-9
 TANGENT_RCOND = 1e-10  # relative singular-value cut of tangent_basis
-SAMPLE_SPREAD = 0.8  # share of the center's slack a sample may use up
+# KKT systems with at most this many unknowns (angles plus multipliers) are
+# factorized densely, larger ones with a sparse LU.  One factorization alone
+# is cheaper sparse from about 250 unknowns on, but the first sparse solve in
+# a process also imports scipy.sparse.linalg (~0.1 s, ~9 MB); for a single
+# cold solve the two break even between 450 and 650 unknowns.
+DENSE_KKT_MAX = 600
+# The max-slack interior point stops once the duality gap is at most
+# LP_GAP_TOL and every residual at most LP_RESIDUAL_TOL.  The dual residual
+# grows again once the gap is below ~1e-12, so no tighter residual is asked.
+LP_GAP_TOL = 1e-10
+LP_RESIDUAL_TOL = 1e-6
+# Near the optimum z/w spans up to 1e19 and the factorization can fail; with
+# the gap already this small the current primal point is kept.
+LP_RESCUE_GAP = 1e-8
+LP_MAX_ITERS = 100
+LP_STEP_KEEP = 0.99  # share of the step to the boundary of w, z >= 0 taken
 
 
 @dataclass
@@ -243,28 +257,189 @@ class Infeasible:
         return False
 
 
+class _KKT:
+    """KKT matrices [H A^T; A 0] over the independent equality rows A of a
+    constraint system, with H block-diagonal, one 6x6 block per triangle.
+
+    The matrix is factorized as a whole, since a block of H need only be
+    definite on its triangle's gamma-sum plane.  Systems of at most
+    ``DENSE_KKT_MAX`` unknowns go to a dense LU, larger ones to a sparse LU.
+    """
+
+    def __init__(self, cs: ConstraintSystem):
+        n = self.n = cs.dimension
+        self.size = n + cs.rank
+        first = np.arange(0, n, 6)[:, None, None]
+        self.h_rows = np.broadcast_to(first + np.arange(6)[:, None], (n // 6, 6, 6))
+        self.h_cols = np.broadcast_to(first + np.arange(6), (n // 6, 6, 6))
+        self.dense = self.size <= DENSE_KKT_MAX
+        if self.dense:
+            a = cs.a_eq.toarray()[cs.independent_eq]
+            self.template = np.zeros((self.size, self.size))
+            self.template[n:, :n] = a
+            self.template[:n, n:] = a.T
+        else:
+            a = cs.a_eq[cs.independent_eq].tocoo()
+            self.rows = np.concatenate([self.h_rows.ravel(), n + a.row, a.col])
+            self.cols = np.concatenate([self.h_cols.ravel(), a.col, n + a.row])
+            self.a_vals = np.concatenate([a.data, a.data])
+
+    def identity(self):
+        """The blocks of H = I."""
+        return np.broadcast_to(np.eye(6), self.h_rows.shape)
+
+    def projector(self):
+        """Returns g -> the orthogonal projection of g onto the null space
+        of A: a reduced QR of A^T when dense, else the KKT system with
+        H = I, factorized once."""
+        if self.dense:
+            q = np.linalg.qr(self.template[self.n:, :self.n].T)[0]
+            return lambda g: g - q @ (q.T @ g)
+        return self.solver(self.identity())
+
+    def solver(self, blocks):
+        """Factorize with H = ``blocks``; returns rhs -> the leading
+        ``len(rhs)`` rows of the solution of [H A^T; A 0] sol = rhs padded
+        with zeros, so ``r`` gives d of [r; 0] and a full [r; e] gives
+        [d; lam].  ``rhs`` may hold several columns.  Raises
+        ``numpy.linalg.LinAlgError`` or ``RuntimeError`` if the matrix is
+        singular."""
+        if self.dense:
+            kkt = self.template.copy()
+            kkt[self.h_rows, self.h_cols] = blocks
+            solve = lambda full: np.linalg.solve(kkt, full)  # noqa: E731
+        else:
+            from scipy.sparse import csc_matrix
+            from scipy.sparse.linalg import splu
+
+            vals = np.concatenate([np.ravel(blocks), self.a_vals])
+            # minimum-degree ordering of A^T A: about half the fill of the
+            # default COLAMD ordering on lattice disks of 512 to 2048 triangles
+            solve = splu(csc_matrix((vals, (self.rows, self.cols)), shape=(self.size, self.size)),
+                         permc_spec="MMD_ATA").solve
+
+        def run(rhs):
+            full = np.zeros((self.size,) + rhs.shape[1:])
+            full[:len(rhs)] = rhs
+            return solve(full)[:len(rhs)]
+
+        return run
+
+
+def _block_gram(g):
+    """Returns d -> the 6x6 diagonal blocks of G^T diag(d) G, shape (T, 6, 6),
+    for a CSR matrix G each of whose rows lies within one triangle's six
+    columns (true of every inequality row)."""
+    lens = np.diff(g.indptr)
+    row = np.repeat(np.arange(len(lens)), lens)
+    # every ordered pair (left, right) of entries that share a row
+    left = np.repeat(np.arange(g.nnz), lens[row])
+    offset = np.arange(len(left)) - np.repeat(np.cumsum(lens[row]) - lens[row], lens[row])
+    right = g.indptr[row[left]] + offset
+    flat = 6 * g.indices[left] + g.indices[right] % 6  # (triangle, i, j) of a (T, 6, 6) array
+    pair_row, pair_val = row[left], g.data[left] * g.data[right]
+    size = 6 * g.shape[1]
+    return lambda d: np.bincount(flat, d[pair_row] * pair_val, size).reshape(-1, 6, 6)
+
+
+def _fraction_to_boundary(v, dv):
+    """Largest step in (0, 1] keeping v + step * dv >= 0, times LP_STEP_KEEP
+    unless it is the full step."""
+    shrink = dv < 0.0
+    if not np.any(shrink):
+        return 1.0
+    return float(min(1.0, LP_STEP_KEEP * np.min(-v[shrink] / dv[shrink])))
+
+
+def _max_slack(cs: ConstraintSystem, kkt: _KKT, x):
+    """Maximize s over {A x = b, G x + s <= h} from a solution x of A x = b.
+
+    Mehrotra's predictor-corrector on the slacks w = h - G x - s and their
+    multipliers z (sum z = 1).  The barrier Hessian G^T diag(z/w) G has the
+    block pattern of the Hessian of F, so each step factorizes the same KKT
+    matrix as a Newton step of ``maximize``, with the scalar s eliminated by
+    one more solve.  Returns the last primal x.
+    """
+    a = cs.a_eq[cs.independent_eq]
+    b = cs.b_eq[cs.independent_eq]
+    g, h = cs.g_ineq, cs.h_ineq
+    a_t, g_t = a.T.tocsr(), g.T.tocsr()  # a CSR transpose is rebuilt on every .T
+    n, m = cs.dimension, len(h)
+    gram = _block_gram(g)
+    slack = h - g @ x
+    s = float(np.min(slack)) - 1.0
+    w = slack - s
+    z = (1.0 / w) / np.sum(1.0 / w)  # every w_i z_i equal: a centered start
+    y = np.zeros(cs.rank)
+    for _ in range(LP_MAX_ITERS):
+        r_p = a @ x - b
+        r_w = g @ x + s + w - h
+        r_d = a_t @ y + g_t @ z
+        r_s = float(np.sum(z)) - 1.0
+        gap = float(w @ z)
+        residual = max(np.max(np.abs(r_p)), np.max(np.abs(r_w)), np.max(np.abs(r_d)), abs(r_s))
+        if gap <= LP_GAP_TOL and residual <= LP_RESIDUAL_TOL:
+            return x
+        d = z / w
+        u = g_t @ d
+
+        def direction(r_c, q=None):
+            """Newton step (dx, ds, dy, dw, dz) with W dz + Z dw = r_c, and q,
+            the solution for [u; 0] that eliminates ds; a first call solves
+            for q in the same factorization."""
+            v = r_c / w + d * r_w
+            rhs = np.concatenate([-r_d - g_t @ v, -r_p])
+            if q is None:
+                q, p = solve(np.column_stack([np.concatenate([u, np.zeros(cs.rank)]), rhs])).T
+            else:
+                p = solve(rhs)
+            ds = (-r_s - np.sum(v) - u @ p[:n]) / (np.sum(d) - u @ q[:n])
+            dxy = p - ds * q
+            dw = -r_w - g @ dxy[:n] - ds
+            if not np.all(np.isfinite(dxy)):
+                raise RuntimeError("non-finite interior-point direction")
+            return (dxy[:n], ds, dxy[n:], dw, (r_c - z * dw) / w), q
+
+        try:
+            solve = kkt.solver(gram(d))
+            (_, _, _, dw, dz), q = direction(-w * z)
+            mu = gap / m
+            step_p, step_d = _fraction_to_boundary(w, dw), _fraction_to_boundary(z, dz)
+            sigma = (((w + step_p * dw) @ (z + step_d * dz)) / m / mu) ** 3
+            (dx, ds, dy, dw, dz), _ = direction(sigma * mu - w * z - dw * dz, q)
+        except (np.linalg.LinAlgError, RuntimeError) as exc:
+            if gap <= LP_RESCUE_GAP:
+                return x
+            raise ConvergenceError(f"max-slack interior point failed: {exc}") from exc
+        step_p, step_d = _fraction_to_boundary(w, dw), _fraction_to_boundary(z, dz)
+        x, s, w = x + step_p * dx, s + step_p * ds, w + step_p * dw
+        y, z = y + step_d * dy, z + step_d * dz
+    raise ConvergenceError(f"max-slack interior point: no optimum in {LP_MAX_ITERS} iterations")
+
+
 def find_coherent(cs: ConstraintSystem):
     """Max-slack feasibility: a deep interior point, or an Infeasible certificate.
 
     Maximizes s subject to the equalities and every inequality holding with
-    slack >= s.  An optimum s* <= 1e-9 means the open polytope is empty (a
-    zero-slack-only polytope has no strictly coherent point), reported as
-    Infeasible together with s*.
+    slack >= s, by an interior point on the sparse KKT system that Newton
+    uses.  Equalities whose min-norm solution leaves a residual above
+    ``EQ_TOL`` on any row are inconsistent.  An optimum s* <= 1e-9 means the
+    open polytope is empty (a zero-slack-only polytope has no strictly
+    coherent point), reported as Infeasible together with s*.  A pinned
+    system (rank = dimension) reads its slack off the unique solution.
     """
-    a_eq = cs.a_eq.toarray()
-    status, x, s = _simplex.max_slack_lp(a_eq, cs.b_eq, cs.g_ineq.toarray(), cs.h_ineq)
-    if status == _simplex.INFEASIBLE:
+    kkt = _KKT(cs)
+    rhs = np.concatenate([np.zeros(cs.dimension), cs.b_eq[cs.independent_eq]])
+    x = kkt.solver(kkt.identity())(rhs)[:cs.dimension]
+    if np.max(np.abs(cs.a_eq @ x - cs.b_eq)) > EQ_TOL:
         return Infeasible(
             reason="equalities_inconsistent",
             message="the equality constraints have no solution",
         )
-    if status != _simplex.OPTIMAL:
-        raise RuntimeError(f"max-slack LP ended with status {status}")
+    if cs.rank < cs.dimension:
+        x = _max_slack(cs, kkt, x)
+    s = float(np.min(cs.h_ineq - cs.g_ineq @ x))
     if s > FEASIBLE_SLACK:
-        # tableau elimination leaves ~1e-12 equality residue; a least-squares
-        # correction (far below the slack scale) removes it
-        res = a_eq @ x - cs.b_eq
-        x = x - np.linalg.lstsq(a_eq, res, rcond=None)[0]
         return AngleSystem(x)
     degenerate = " (polytope is nonempty but has empty relative interior)" if s > 0 else ""
     return Infeasible(
@@ -284,30 +459,3 @@ def tangent_basis(cs: ConstraintSystem):
     _, sv, vh = np.linalg.svd(a, full_matrices=True)
     tol = np.amax(sv, initial=0.0) * TANGENT_RCOND
     return vh[int(np.sum(sv > tol)):].T
-
-
-def sample_coherent(cs: ConstraintSystem, rng, n=1):
-    """Random strictly coherent angle systems (empty list if infeasible).
-
-    Starts from the max-slack point and perturbs within the tangent space,
-    capping each step so that every strict inequality keeps at least
-    ``1 - SAMPLE_SPREAD`` of the center's slack.
-    """
-    center = find_coherent(cs)
-    if isinstance(center, Infeasible):
-        return []
-    basis = tangent_basis(cs)
-    out = []
-    x0 = center.values
-    slack0 = cs.h_ineq - cs.g_ineq @ x0
-    for _ in range(n):
-        if basis.shape[1] == 0:
-            out.append(AngleSystem(x0.copy()))
-            continue
-        d = basis @ rng.standard_normal(basis.shape[1])
-        drop = cs.g_ineq @ d
-        with np.errstate(divide="ignore"):
-            caps = np.where(drop > 0.0, SAMPLE_SPREAD * slack0 / drop, np.inf)
-        step = rng.uniform(0.0, 1.0) * min(1.0, float(np.min(caps)))
-        out.append(AngleSystem(x0 + step * d))
-    return out

@@ -88,6 +88,8 @@ def read_solution(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"solution file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError("solution file must be a JSON object")
     if "problem" not in doc:
         raise SchemaError("solution file is missing the embedded 'problem'")
     tri, data = parse_problem(json.dumps(doc["problem"]))

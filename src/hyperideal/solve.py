@@ -19,6 +19,7 @@ from .coherent import (
     AngleSystem,
     ConstraintSystem,
     Infeasible,
+    _KKT,
     build_constraints,
     find_coherent,
     is_coherent,
@@ -35,12 +36,6 @@ DEFAULT_MAX_ITERS = 200
 ARMIJO_C1 = 1e-4
 ARMIJO_SHRINK = 0.5
 SLACK_KEEP = 1e-2
-# KKT systems with at most this many unknowns (angles plus multipliers) are
-# factorized densely, larger ones with a sparse LU.  One factorization alone
-# is cheaper sparse from about 250 unknowns on, but the first sparse solve in
-# a process also imports scipy.sparse.linalg (~0.1 s, ~9 MB); for a single
-# cold solve the two break even between 450 and 650 unknowns.
-DENSE_KKT_MAX = 600
 # When the increase a Newton step predicts, half the step times the slope, is
 # at most this many float spacings of F, objective differences are rounding
 # noise and an Armijo test can stall on it; the capped Newton step is then
@@ -82,64 +77,6 @@ def _hess_blocks(x: AngleSystem) -> np.ndarray:
     return tet_volume_hess(x.alphas(), x.gammas())
 
 
-class _KKT:
-    """KKT matrices [H A^T; A 0] over the independent equality rows A of a
-    constraint system, with H block-diagonal, one 6x6 block per triangle.
-
-    The matrix is factorized as a whole, since a block of H is definite only
-    on its triangle's gamma-sum plane.  Systems of at most ``DENSE_KKT_MAX``
-    unknowns go to a dense LU, larger ones to a sparse LU.
-    """
-
-    def __init__(self, cs: ConstraintSystem):
-        n = self.n = cs.dimension
-        size = n + cs.rank
-        self.pad = np.zeros(cs.rank)
-        first = np.arange(0, n, 6)[:, None, None]
-        self.h_rows = np.broadcast_to(first + np.arange(6)[:, None], (n // 6, 6, 6))
-        self.h_cols = np.broadcast_to(first + np.arange(6), (n // 6, 6, 6))
-        self.dense = size <= DENSE_KKT_MAX
-        if self.dense:
-            a = cs.a_eq.toarray()[cs.independent_eq]
-            self.template = np.zeros((size, size))
-            self.template[n:, :n] = a
-            self.template[:n, n:] = a.T
-        else:
-            a = cs.a_eq[cs.independent_eq].tocoo()
-            self.rows = np.concatenate([self.h_rows.ravel(), n + a.row, a.col])
-            self.cols = np.concatenate([self.h_cols.ravel(), a.col, n + a.row])
-            self.a_vals = np.concatenate([a.data, a.data])
-            self.size = size
-
-    def projector(self):
-        """Returns g -> the orthogonal projection of g onto the null space
-        of A: a reduced QR of A^T when dense, else the KKT system with
-        H = I, factorized once."""
-        if self.dense:
-            q = np.linalg.qr(self.template[self.n:, :self.n].T)[0]
-            return lambda g: g - q @ (q.T @ g)
-        return self.solver(np.broadcast_to(np.eye(6), self.h_rows.shape))
-
-    def solver(self, blocks):
-        """Factorize with H = ``blocks``; returns r -> d solving
-        [H A^T; A 0] [d; lam] = [r; 0].  Raises ``numpy.linalg.LinAlgError``
-        or ``RuntimeError`` if the matrix is singular."""
-        n, pad = self.n, self.pad
-        if self.dense:
-            kkt = self.template.copy()
-            kkt[self.h_rows, self.h_cols] = blocks
-            return lambda r: np.linalg.solve(kkt, np.concatenate([r, pad]))[:n]
-        from scipy.sparse import csc_matrix
-        from scipy.sparse.linalg import splu
-
-        vals = np.concatenate([np.ravel(blocks), self.a_vals])
-        # minimum-degree ordering of A^T A: about half the fill of the default
-        # COLAMD ordering on lattice disks of 512 to 2048 triangles
-        lu = splu(csc_matrix((vals, (self.rows, self.cols)), shape=(self.size, self.size)),
-                  permc_spec="MMD_ATA")
-        return lambda r: lu.solve(np.concatenate([r, pad]))[:n]
-
-
 def _max_step(cs, x, d):
     """Largest step along d keeping every strict slack >= SLACK_KEEP of itself."""
     slack = cs.h_ineq - cs.g_ineq @ x
@@ -160,8 +97,10 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
     the independent equality rows.  A projected-gradient step replaces it
     when the factorization fails, gives a non-finite direction, or gives no
     ascent.  Stationarity is the sup norm of the gradient projected
-    orthogonally onto the tangent space of the equality constraints.
-    ``callback(iteration, x, f)`` is invoked after every accepted step.
+    orthogonally onto the tangent space of the equality constraints, or a
+    full Newton step whose predicted increase is at most
+    ``NEWTON_TRUST_ULPS`` float spacings of F.  ``callback(iteration, x, f)``
+    is invoked after every accepted step.
     """
     if cs is None:
         cs = build_constraints(tri, data)
@@ -191,6 +130,10 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
 
     kkt = _KKT(cs)
     project = kkt.projector()
+
+    def projected_norm(v):
+        return float(np.max(np.abs(project(objective_grad(AngleSystem(v))))))
+
     fx = objective_f(AngleSystem(x))
     for it in range(max_iters):
         g = objective_grad(AngleSystem(x))
@@ -203,21 +146,27 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
             # -pg differs from -g by a combination of equality rows, which
             # only moves the multipliers; its size bounds the solve's rounding
             d = kkt.solver(_hess_blocks(AngleSystem(x)))(-pg)
-            use_newton = bool(np.all(np.isfinite(d)))
+            newton = bool(np.all(np.isfinite(d)) and d @ g > 0.0)
         except (np.linalg.LinAlgError, RuntimeError):
-            use_newton = False
-        if not use_newton or d @ g <= 0.0:
+            newton = False
+        if not newton:
             # no Newton direction, or not an ascent direction (concavity
             # must have failed numerically)
             d = pg
 
         step = _max_step(cs, x, d)
         slope = float(g @ d)
-        if use_newton and 0.5 * step * slope <= NEWTON_TRUST_ULPS * np.spacing(abs(fx)):
+        if newton and 0.5 * step * slope <= NEWTON_TRUST_ULPS * np.spacing(abs(fx)):
             x = x + step * d
             fx = objective_f(AngleSystem(x))
             if callback is not None:
                 callback(it, AngleSystem(x.copy()), fx)
+            if step == 1.0:
+                # the Newton decrement g.d, which is affine-invariant, puts F
+                # within rounding of its maximum; the projected gradient
+                # itself can floor above tol on thin polytopes, where it is
+                # formed from differences of O(1) angles
+                return report(CONVERGED, it + 1, projected_norm(x))
             continue
 
         accepted = False
@@ -236,7 +185,7 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
         if callback is not None:
             callback(it, AngleSystem(x.copy()), fx)
 
-    pgn = float(np.max(np.abs(project(objective_grad(AngleSystem(x))))))
+    pgn = projected_norm(x)
     status = CONVERGED if pgn <= tol else MAX_ITERS
     return report(status, max_iters, pgn)
 

@@ -264,16 +264,16 @@ def parse_header(text, what, keys):
     for key in keys:
         if key not in doc:
             raise SchemaError(f"{what} file is missing key {key!r}")
-    try:
-        count = int(doc["triangles"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("'triangles' must be an integer") from exc
+    count = doc["triangles"]
+    # type, not isinstance: a JSON true is a bool, which is an int subclass
+    if type(count) is not int:
+        raise SchemaError("'triangles' must be an integer")
     form = "each gluing needs 'a': [t, s] and 'b': [t2, s2]"
     try:
         gluings = [(tuple(g["a"]), tuple(g["b"])) for g in doc["gluings"]]
     except (TypeError, KeyError) as exc:
         raise SchemaError(form) from exc
-    if not all(len(side) == 2 and all(isinstance(i, int) for i in side)
+    if not all(len(side) == 2 and all(type(i) is int for i in side)
                for pair in gluings for side in pair):
         raise SchemaError(form)
     return GluedTriangulation(count, gluings), doc

@@ -5,7 +5,7 @@ Lobachevsky oracles integrate the defining integral (singular parts split off
 in closed form, Gauss-Legendre for the smooth remainder) or sum its series
 term by term with coefficients from exact Bernoulli numbers, derivatives come
 from central differences, and feasibility of pinned instances from the
-closed-form slack analysis.
+closed-form slack analysis, and max-slack optima from HiGHS.
 """
 
 import math
@@ -13,15 +13,25 @@ from collections import deque
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 from scipy.spatial import Delaunay
 
-from hyperideal.coherent import AngleSystem, build_constraints, is_coherent
+from hyperideal.coherent import (
+    AngleSystem,
+    Infeasible,
+    build_constraints,
+    find_coherent,
+    is_coherent,
+    tangent_basis,
+)
 from hyperideal.energy import in_delta
 from hyperideal.errors import PreconditionError
 from hyperideal.pattern import DecoratedMetric, PatternReport, probe, verify_pattern
 from hyperideal.surface import INTERIOR, AngleData, GluedTriangulation
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+SAMPLE_SPREAD = 0.8  # share of the center's slack a sample may use up
 
 
 def lob_quadrature(x):
@@ -127,6 +137,54 @@ def single_triangle_feasible(theta, xi, eq_tol=1e-8, slack_tol=1e-9):
         slacks.append(math.pi - theta[c])  # alpha positivity
         slacks.append(theta[c] + theta[(c + 2) % 3] - math.pi - xi[c])  # Delta bound
     return min(slacks) > slack_tol
+
+
+def max_slack_highs(cs):
+    """The max-slack LP of ``cs`` solved by HiGHS on its sparse rows: the
+    optimal s*, or None when the equalities are inconsistent."""
+    n = cs.dimension
+    cost = np.zeros(n + 1)
+    cost[-1] = -1.0
+    res = linprog(
+        cost,
+        A_ub=sparse.hstack([cs.g_ineq, np.ones((cs.g_ineq.shape[0], 1))]).tocsr(),
+        b_ub=cs.h_ineq,
+        A_eq=sparse.hstack([cs.a_eq, sparse.csr_matrix((cs.a_eq.shape[0], 1))]).tocsr(),
+        b_eq=cs.b_eq,
+        bounds=(None, None),
+        method="highs",
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return float(res.x[-1])
+
+
+def sample_coherent(cs, rng, n=1):
+    """Random strictly coherent angle systems (empty list if infeasible).
+
+    Starts from the max-slack point and perturbs within the tangent space,
+    capping each step so that every strict inequality keeps at least
+    ``1 - SAMPLE_SPREAD`` of the center's slack.
+    """
+    center = find_coherent(cs)
+    if isinstance(center, Infeasible):
+        return []
+    basis = tangent_basis(cs)
+    out = []
+    x0 = center.values
+    slack0 = cs.h_ineq - cs.g_ineq @ x0
+    for _ in range(n):
+        if basis.shape[1] == 0:
+            out.append(AngleSystem(x0.copy()))
+            continue
+        d = basis @ rng.standard_normal(basis.shape[1])
+        drop = cs.g_ineq @ d
+        with np.errstate(divide="ignore"):
+            caps = np.where(drop > 0.0, SAMPLE_SPREAD * slack0 / drop, np.inf)
+        step = rng.uniform(0.0, 1.0) * min(1.0, float(np.min(caps)))
+        out.append(AngleSystem(x0 + step * d))
+    return out
 
 
 def symmetric_torus(rho, side=1.0):

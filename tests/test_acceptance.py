@@ -9,13 +9,7 @@ import time
 import numpy as np
 
 from hyperideal import energy
-from hyperideal.coherent import (
-    AngleSystem,
-    build_constraints,
-    find_coherent,
-    sample_coherent,
-    tangent_basis,
-)
+from hyperideal.coherent import AngleSystem, build_constraints, find_coherent, tangent_basis
 from hyperideal.lob import lob
 from hyperideal.pattern import (
     compat_residuals,
@@ -33,6 +27,7 @@ from .oracles import (
     fd_jacobian,
     lob_quadrature,
     random_disk,
+    sample_coherent,
     single_triangle_feasible,
     symmetric_torus,
 )

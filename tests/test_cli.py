@@ -169,8 +169,10 @@ def test_solve_flag_validation(torus_file):
     assert main(["solve", torus_file, "--max-iters", "0"]) == 3
 
 
-def test_solver_non_convergence_exit_code(torus_file):
-    assert main(["solve", torus_file, "--max-iters", "1"]) == 4
+def test_solver_non_convergence_exit_code(tmp_path):
+    p = tmp_path / "disk2.json"
+    p.write_text(bundled_text("disk2.json"))
+    assert main(["solve", str(p), "--max-iters", "1"]) == 4
 
 
 def test_layout_rejects_non_finite_metric(tmp_path):
@@ -219,3 +221,27 @@ def test_malformed_fields_exit_code(torus_file, tmp_path, capsys):
         capsys.readouterr()
         assert main([command, str(path)]) == 3, doc
         assert capsys.readouterr().err.startswith("error: "), doc
+
+
+@pytest.mark.parametrize("count", [2.7, "2", True])
+def test_non_integer_triangle_count_exit_code(tmp_path, count):
+    doc = json.loads(bundled_text("torus.json"))
+    doc["triangles"] = count
+    p = tmp_path / "problem.json"
+    p.write_text(json.dumps(doc))
+    assert main(["check", str(p)]) == 3
+
+
+def test_boolean_gluing_index_exit_code(tmp_path):
+    doc = json.loads(bundled_text("torus.json"))
+    doc["gluings"][0]["a"] = [False, False]  # would read as [0, 0]
+    p = tmp_path / "problem.json"
+    p.write_text(json.dumps(doc))
+    assert main(["check", str(p)]) == 3
+
+
+@pytest.mark.parametrize("doc", ["problem", 5])
+def test_non_object_solution_exit_code(tmp_path, doc):
+    p = tmp_path / "solution.json"
+    p.write_text(json.dumps(doc))
+    assert main(["layout", str(p)]) == 3

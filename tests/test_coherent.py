@@ -8,12 +8,11 @@ from hyperideal.coherent import (
     build_constraints,
     find_coherent,
     is_coherent,
-    sample_coherent,
     tangent_basis,
 )
 from hyperideal.surface import AngleData, GluedTriangulation
 
-from .oracles import single_triangle_feasible
+from .oracles import sample_coherent, single_triangle_feasible
 
 PI = math.pi
 TORUS = GluedTriangulation(2, [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))])

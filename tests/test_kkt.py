@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+import hyperideal.coherent as coherent_mod
 import hyperideal.solve as solve_mod
 from hyperideal.cli import main
 from hyperideal.coherent import AngleSystem, build_constraints, find_coherent, is_coherent
@@ -57,15 +58,15 @@ def _kkt_parts(name):
     tri, data = bundled_instance(name)
     cs = build_constraints(tri, data)
     x = find_coherent(cs)
-    return cs, solve_mod._hess_blocks(x), solve_mod._KKT(cs).projector()(objective_grad(x))
+    return cs, solve_mod._hess_blocks(x), coherent_mod._KKT(cs).projector()(objective_grad(x))
 
 
 def test_dense_and_sparse_newton_directions_agree(monkeypatch):
     cs, blocks, pg = _kkt_parts("fan3.json")
-    monkeypatch.setattr(solve_mod, "DENSE_KKT_MAX", 10**9)
-    dense = solve_mod._KKT(cs)
-    monkeypatch.setattr(solve_mod, "DENSE_KKT_MAX", 0)
-    sparse = solve_mod._KKT(cs)
+    monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", 10**9)
+    dense = coherent_mod._KKT(cs)
+    monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", 0)
+    sparse = coherent_mod._KKT(cs)
     assert dense.dense and not sparse.dense
     d_dense = dense.solver(blocks)(-pg)
     d_sparse = sparse.solver(blocks)(-pg)
@@ -83,8 +84,8 @@ def test_projection_is_orthogonal(monkeypatch):
     basis = tangent_basis(cs)
     expected = basis @ (basis.T @ g)
     for limit in (10**9, 0):
-        monkeypatch.setattr(solve_mod, "DENSE_KKT_MAX", limit)
-        assert np.max(np.abs(solve_mod._KKT(cs).projector()(g) - expected)) <= 1e-13
+        monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", limit)
+        assert np.max(np.abs(coherent_mod._KKT(cs).projector()(g) - expected)) <= 1e-13
 
 
 def test_lattice_disk_through_sparse_branch():
@@ -93,7 +94,7 @@ def test_lattice_disk_through_sparse_branch():
     assert tri.triangle_count >= 128
     data, probed = probe(tri, dm)
     cs = build_constraints(tri, data)
-    assert cs.dimension + cs.rank > solve_mod.DENSE_KKT_MAX
+    assert cs.dimension + cs.rank > coherent_mod.DENSE_KKT_MAX
 
     # move the known answer along a few edge vectors of the tangent space
     span = tangent_span_vectors(tri)
@@ -121,7 +122,7 @@ def _fail_every_trial_step(monkeypatch):
 
 def test_line_search_failure_has_its_own_status(monkeypatch):
     _fail_every_trial_step(monkeypatch)
-    tri, data = bundled_instance("torus.json")
+    tri, data = bundled_instance("disk2.json")
     x, rep = solve_problem(tri, data)
     assert rep.status == LINE_SEARCH_FAILED
     assert rep.iterations == 0
@@ -129,8 +130,8 @@ def test_line_search_failure_has_its_own_status(monkeypatch):
 
 def test_cli_reports_line_search_failure(monkeypatch, tmp_path, capsys):
     _fail_every_trial_step(monkeypatch)
-    p = tmp_path / "torus.json"
-    p.write_text(bundled_text("torus.json"))
+    p = tmp_path / "disk2.json"
+    p.write_text(bundled_text("disk2.json"))
     assert main(["solve", str(p)]) == 4
     err = capsys.readouterr().err
     assert "line search failed at iteration 0" in err

@@ -1,0 +1,106 @@
+"""The max-slack interior point against HiGHS, and its failure statuses."""
+
+import math
+
+import numpy as np
+import pytest
+
+import hyperideal.coherent as coherent_mod
+from hyperideal.cli import main
+from hyperideal.coherent import (
+    FEASIBLE_SLACK,
+    AngleSystem,
+    Infeasible,
+    build_constraints,
+    find_coherent,
+    is_coherent,
+)
+from hyperideal.errors import ConvergenceError
+from hyperideal.pattern import probe
+from hyperideal.surface import AngleData, GluedTriangulation
+
+from .conftest import bundled_instance, bundled_text
+from .oracles import lattice_disk, max_slack_highs, random_disk
+
+PI = math.pi
+TORUS = GluedTriangulation(2, [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))])
+BUNDLED = ("torus.json", "disk2.json", "fan3.json", "triangle.json", "triangle_infeasible.json")
+
+
+def _probed_constraints(tri, dm):
+    return build_constraints(tri, probe(tri, dm)[0])
+
+
+def _assert_agrees_with_highs(cs):
+    found = find_coherent(cs)
+    reference = max_slack_highs(cs)
+    if isinstance(found, Infeasible):
+        assert reference <= FEASIBLE_SLACK
+        assert abs(found.s_star - reference) <= 1e-9
+    else:
+        assert reference > FEASIBLE_SLACK
+        assert is_coherent(found, cs).ok
+        assert abs(float(np.min(cs.h_ineq - cs.g_ineq @ found.values)) - reference) <= 1e-9
+
+
+def test_max_slack_matches_highs(rng):
+    systems = [build_constraints(*bundled_instance(name)) for name in BUNDLED]
+    systems += [_probed_constraints(*random_disk(rng)) for _ in range(6)]
+    # s* = eps: on both sides of the feasibility threshold and below zero
+    for eps in (-1e-10, 1e-10, 1e-8):
+        data = AngleData(theta=np.full(3, PI / 3 + eps), xi=np.array([2 * PI]))
+        systems.append(build_constraints(TORUS, data))
+    systems += [
+        cs.permuted(rng.permutation(len(cs.b_eq)), rng.permutation(len(cs.h_ineq)))
+        for cs in systems
+    ]
+    for cs in systems:
+        _assert_agrees_with_highs(cs)
+
+
+def test_max_slack_matches_highs_through_sparse_branch():
+    cs = _probed_constraints(*lattice_disk(np.random.default_rng(7), 16))
+    assert cs.dimension == 6 * 512
+    assert cs.dimension + cs.rank > coherent_mod.DENSE_KKT_MAX
+    _assert_agrees_with_highs(cs)
+
+
+def _fail_factorizations_after(monkeypatch, calls):
+    """Every KKT factorization after the first ``calls`` raises."""
+    real = coherent_mod._KKT.solver
+    count = []
+
+    def solver(self, blocks):
+        count.append(1)
+        if len(count) > calls:
+            raise np.linalg.LinAlgError("singular matrix")
+        return real(self, blocks)
+
+    monkeypatch.setattr(coherent_mod._KKT, "solver", solver)
+
+
+def test_interior_point_failure_is_a_convergence_error(monkeypatch, tmp_path):
+    cs = build_constraints(*bundled_instance("disk2.json"))
+    monkeypatch.setattr(coherent_mod, "LP_MAX_ITERS", 2)
+    with pytest.raises(ConvergenceError):
+        find_coherent(cs)
+    p = tmp_path / "disk2.json"
+    p.write_text(bundled_text("disk2.json"))
+    assert main(["check", str(p)]) == 4
+
+    monkeypatch.undo()
+    _fail_factorizations_after(monkeypatch, 3)  # the min-norm solve, two steps
+    with pytest.raises(ConvergenceError):
+        find_coherent(cs)
+
+
+def test_failed_factorization_near_the_optimum_keeps_the_primal_point(monkeypatch):
+    cs = build_constraints(*bundled_instance("disk2.json"))
+    exact = find_coherent(cs).values
+    _fail_factorizations_after(monkeypatch, 5)
+    monkeypatch.setattr(coherent_mod, "LP_RESCUE_GAP", math.inf)
+    found = find_coherent(cs)
+    assert isinstance(found, AngleSystem)
+    assert np.all(np.isfinite(found.values))
+    assert is_coherent(found, cs).ok
+    assert not np.array_equal(found.values, exact)

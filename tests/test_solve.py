@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperideal.coherent import (
-    AngleSystem,
-    build_constraints,
-    find_coherent,
-    sample_coherent,
-    tangent_basis,
-)
+from hyperideal.coherent import AngleSystem, build_constraints, find_coherent, tangent_basis
 from hyperideal.errors import NotCoherentError
 from hyperideal.solve import (
     CONVERGED,
@@ -22,7 +16,7 @@ from hyperideal.solve import (
 from hyperideal.surface import AngleData, GluedTriangulation
 
 from .conftest import bundled_instance
-from .oracles import fd_gradient, tangent_span_vectors
+from .oracles import fd_gradient, sample_coherent, tangent_span_vectors
 
 PI = math.pi
 TORUS = GluedTriangulation(2, [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))])
@@ -170,7 +164,7 @@ def test_iterates_monotone_and_strictly_interior(rng):
 
 
 def test_max_iters_status_when_budget_exhausted():
-    x, rep = solve_problem(TORUS, TORUS_DATA, max_iters=1)
+    x, rep = solve_problem(*bundled_instance("disk2.json"), max_iters=1)
     assert rep.status == "max_iters"
     assert rep.iterations == 1
 
@@ -255,6 +249,19 @@ def test_thin_polytope_still_converges():
         assert np.max(np.abs(x.alphas() - (PI - theta) / 2)) <= 1e-10
         assert np.max(np.abs(x.gammas() - PI / 3)) <= 1e-10
         assert 0.0 < rep.min_slack < 2 * eps
+
+
+def test_thin_polytope_sweep_converges():
+    # below ~2e-7 of slack the projected gradient floors near 1e-9, formed
+    # from differences of O(1) angles; the Newton decrement still resolves
+    # the maximizer
+    for eps in np.logspace(-8, -4, 41):
+        theta = PI / 3 + eps
+        data = AngleData(theta=np.full(3, theta), xi=np.array([2 * PI]))
+        x, rep = solve_problem(TORUS, data)
+        assert rep.status == CONVERGED, eps
+        assert np.max(np.abs(x.alphas() - (PI - theta) / 2)) <= 1e-10, eps
+        assert np.max(np.abs(x.gammas() - PI / 3)) <= 1e-10, eps
 
 
 def test_objective_zero_when_all_triangles_badly_degenerate():
