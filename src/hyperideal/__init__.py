@@ -25,7 +25,6 @@ from .coherent import (
     is_coherent,
 )
 from .energy import (
-    TetAngles,
     classify,
     five_tetra,
     tet_volume,
@@ -60,7 +59,6 @@ __all__ = [
     "GluedTriangulation",
     "Infeasible",
     "SolveReport",
-    "TetAngles",
     "TruncatedLengths",
     "backend",
     "build_constraints",

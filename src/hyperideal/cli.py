@@ -6,10 +6,15 @@ Subcommands: check, solve, layout, probe, volume, selftest.  Exit codes:
 """
 
 import argparse
+import contextlib
+import io
 import logging
 import math
 import re
 import sys
+import tempfile
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -26,15 +31,8 @@ from .errors import (
     SurfaceError,
 )
 from .files import canonical_json, parse_geometry, read_solution, solution_dict
-from .layout import export_svg, lay_out, layout_to_dict
-from .lob import LOB_PI_3, LOB_PI_4, LOB_PI_6, lob
-from .pattern import (
-    DecoratedMetric,
-    metric_from_lengths,
-    probe,
-    truncated_lengths,
-    verify_pattern,
-)
+from .layout import export_svg, lay_out, layout_to_json
+from .pattern import metric_from_lengths, probe, truncated_lengths, verify_pattern
 from .solve import CONVERGED, INFEASIBLE, LINE_SEARCH_FAILED, solve_problem
 from .surface import parse_problem, problem_dict
 
@@ -151,7 +149,7 @@ def _run_layout(args):
     if args.format == "svg":
         _emit(export_svg(tri, cl), args.output)
     else:
-        _emit(canonical_json(layout_to_dict(cl)), args.output)
+        _emit(layout_to_json(cl), args.output)
     return EXIT_OK
 
 
@@ -180,23 +178,12 @@ def _run_volume(args):
     return EXIT_OK
 
 
-def _selftest_lob_oracle(x):
-    """Quadrature of the defining integral (singular parts in closed form)."""
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    if x == 0.0:
-        return 0.0
-    pi = math.pi
-    px = (pi - x) * math.log(pi - x) if x != pi else 0.0
-    closed = -x * math.log(2.0 / pi) - x * math.log(x) + px + 2.0 * x - pi * math.log(pi)
-    t = 0.5 * x * (nodes + 1.0)
-    smooth = np.log(np.sinc(t / pi)) + np.log(pi / (pi - t))
-    return closed - 0.5 * x * float(weights @ smooth)
+FEASIBLE = ("torus", "disk2", "fan3", "triangle")
 
 
 def _run_selftest(args):
-    from .surface import AngleData, GluedTriangulation
-
-    rng = np.random.default_rng(20240901)
+    """Run the subcommands on the bundled instances, as a user would: each
+    feasible one has a pattern, the infeasible one gets a certificate."""
     failures = 0
 
     def check(name, ok, detail=""):
@@ -204,60 +191,62 @@ def _run_selftest(args):
         print(f"{'PASS' if ok else 'FAIL'}  {name}{'  ' + detail if detail else ''}")
         failures += 0 if ok else 1
 
-    refs = [(math.pi / 6, LOB_PI_6), (math.pi / 3, LOB_PI_3), (math.pi / 4, LOB_PI_4)]
-    check("lob special values", all(abs(lob(x) - v) < 1e-14 for x, v in refs))
-    grid = np.linspace(0.0, math.pi, 201)
-    worst = max(abs(lob(g) - _selftest_lob_oracle(g)) for g in grid)
-    check("lob vs quadrature oracle", worst <= 1e-12, f"max err {worst:.2e}")
-    xs = rng.uniform(-10, 10, 2000)
-    check("lob periodicity/oddness",
-          np.max(np.abs(lob(xs + math.pi) - lob(xs))) <= 1e-13
-          and np.max(np.abs(lob(-xs) + lob(xs))) <= 1e-13)
+    def run(*argv):
+        """Exit code of ``hyperideal argv`` and a detail naming it, with the
+        subcommand's last message when it fails."""
+        said = io.StringIO()
+        with contextlib.redirect_stdout(said), contextlib.redirect_stderr(said):
+            code = main([str(a) for a in argv])
+        last = said.getvalue().strip().splitlines()[-1:] if code else []
+        return code, ": ".join([f"exit {code}"] + last)
 
-    a, g = energy.sample_delta(20000, rng)
-    v = energy.tet_volume(a, g)
-    five = lob(energy.five_tetra(a, g)).sum(axis=(-1, -2))
-    check("five-tetrahedra identity", np.max(np.abs(2 * v - five)) <= 1e-12)
-    alt = lob(energy.lob_arguments(a, g)[..., np.array(energy.FIVE_TRIPLES_ALT)]).sum(axis=(-1, -2))
-    check("alternative decomposition", np.max(np.abs(2 * v - alt)) <= 1e-12)
-    p4 = (energy.vol_p4(a[:, 0], a[:, 2], g[:, 0])
-          + energy.vol_p4(a[:, 1], a[:, 0], g[:, 1])
-          + energy.vol_p4(a[:, 2], a[:, 1], g[:, 2]))
-    check("pyramid identity", np.max(np.abs(v - p4)) <= 1e-12)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for item in (resources.files("hyperideal") / "instances").iterdir():
+            (tmp / item.name).write_bytes(item.read_bytes())
 
-    ab = rng.uniform(0.1, 1.0, (200, 3))
-    ab = ab[ab.sum(axis=1) < math.pi - 0.05]
-    al, be, ga = ab[:, 0], ab[:, 1], ab[:, 2]
-    gp = 0.5 * (math.pi - al - be + ga)
-    ap = 0.5 * (math.pi + al - be - ga)
-    bp = 0.5 * (math.pi - al + be - ga)
-    lam = 0.5 * (math.pi - al - be - ga)
-    mu = math.pi - gp
-    sub = (energy.v0(np.stack([al, bp, gp], axis=-1))
-           + energy.v0(np.stack([be, gp, ap], axis=-1))
-           + energy.v0(np.stack([ga, lam, mu], axis=-1)))
-    check("prism subdivision identity",
-          np.max(np.abs(energy.vol_prism(al, be, ga) - sub)) <= 1e-12)
+        expected = {**dict.fromkeys(FEASIBLE, EXIT_OK), "triangle_infeasible": EXIT_INFEASIBLE}
+        for name, want in expected.items():
+            code, detail = run("check", tmp / f"{name}.json")
+            check(f"check {name}", code == want, detail)
+        for name in ("torus", "disk2"):
+            outs = [tmp / f"{name}.check{k}.json" for k in (1, 2)]
+            codes = [run("check", tmp / f"{name}.json", "-o", out)[0] for out in outs]
+            check(f"check -o {name} is deterministic",
+                  codes == [EXIT_OK] * 2 and outs[0].read_bytes() == outs[1].read_bytes())
 
-    torus = GluedTriangulation(2, [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))])
-    data = AngleData(theta=np.full(3, math.pi / 2), xi=np.array([2 * math.pi]))
-    x, rep = solve_problem(torus, data)
-    ok = (rep.status == CONVERGED
-          and np.max(np.abs(x.alphas() - math.pi / 4)) < 1e-8
-          and np.max(np.abs(x.gammas() - math.pi / 3)) < 1e-8)
-    check("symmetric torus solve", ok, f"{rep.iterations} iterations")
-    dm = metric_from_lengths(truncated_lengths(x, torus), torus)
-    vr = verify_pattern(torus, data, dm)
-    check("torus pattern residuals",
-          max(vr.max_theta_residual, vr.max_xi_residual) <= 1e-7)
+        solutions = {}
+        for name in FEASIBLE:
+            sol, svg = tmp / f"{name}.solution.json", tmp / f"{name}.svg"
+            code, detail = run("solve", tmp / f"{name}.json", "-o", sol)
+            residual = math.inf
+            if code == EXIT_OK:
+                tri, data, values, dm = read_solution(sol.read_text(encoding="utf-8"))
+                report = verify_pattern(tri, data, dm)
+                residual = max(report.max_theta_residual, report.max_xi_residual)
+                solutions[name] = values.reshape(-1, 6), dm
+            check(f"solve {name}", residual <= 1e-8, f"{detail}, theta/xi residual {residual:.1e}")
+            code, detail = run("layout", sol, "-o", svg)
+            drawn = code == EXIT_OK and "<path" in svg.read_text(encoding="utf-8")
+            check(f"layout {name}", drawn, detail)
 
-    data2, x2 = probe(torus, DecoratedMetric(lengths=np.full(3, 2.0), radii=np.array([0.55])))
-    x3, rep3 = solve_problem(torus, data2)
-    dm3 = metric_from_lengths(truncated_lengths(x3, torus), torus)
-    scale = 2.0 / dm3.lengths[0]
-    ok = (np.max(np.abs(dm3.lengths * scale - 2.0)) < 1e-6
-          and abs(dm3.radii[0] * scale - 0.55) < 1e-6)
-    check("probe/solve round trip", ok)
+        error = math.inf
+        if "torus" in solutions:
+            error = np.max(np.abs(solutions["torus"][0] - np.repeat([math.pi / 4, math.pi / 3], 3)))
+        check("torus angles pi/4, pi/3", error <= 1e-8, f"max error {error:.1e}")
+
+        probed = tmp / "disk2.probed.json"
+        code, detail = run("probe", tmp / "disk2_geometry.json", "-o", probed)
+        check("probe disk2_geometry gives disk2",
+              code == EXIT_OK and probed.read_bytes() == (tmp / "disk2.json").read_bytes(), detail)
+        error = math.inf
+        if "disk2" in solutions:
+            truth = parse_geometry((tmp / "disk2_geometry.json").read_text(encoding="utf-8"))[1]
+            dm = solutions["disk2"][1]
+            scale = truth.lengths[0] / dm.lengths[0]
+            error = max(np.max(np.abs(dm.lengths * scale - truth.lengths)),
+                        np.max(np.abs(dm.radii * scale - truth.radii)))
+        check("disk2 solution gives back disk2_geometry", error <= 1e-6, f"max error {error:.1e}")
 
     print("selftest:", "all passed" if failures == 0 else f"{failures} failed")
     return EXIT_OK if failures == 0 else 1
@@ -302,7 +291,7 @@ def build_parser():
     v.add_argument("--p4", nargs=3, metavar="A")
     v.set_defaults(func=_run_volume)
 
-    t = sub.add_parser("selftest", help="run the bundled identity suite")
+    t = sub.add_parser("selftest", help="run the subcommands on the bundled instances")
     t.set_defaults(func=_run_selftest)
     return p
 

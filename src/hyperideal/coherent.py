@@ -14,6 +14,7 @@ g_corner2); side ``s`` runs between corners ``s`` and ``s+1``.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -96,6 +97,12 @@ class ConstraintSystem:
     @property
     def dimension(self):
         return self.a_eq.shape[1]
+
+    @cached_property
+    def kkt(self):
+        """The KKT matrices of this system (``_KKT``), built on first use and
+        shared by ``find_coherent`` and ``maximize``."""
+        return _KKT(self)
 
     def permuted(self, perm_eq, perm_ineq):
         """Row-permuted copy (same polytope, different solver path)."""
@@ -284,18 +291,19 @@ class _KKT:
             self.cols = np.concatenate([self.h_cols.ravel(), a.col, n + a.row])
             self.a_vals = np.concatenate([a.data, a.data])
 
-    def identity(self):
-        """The blocks of H = I."""
-        return np.broadcast_to(np.eye(6), self.h_rows.shape)
+    @cached_property
+    def identity_solve(self):
+        """``solver`` with H = I, factorized on first use and kept: the
+        min-norm start of ``find_coherent`` and the sparse projector."""
+        return self.solver(np.broadcast_to(np.eye(6), self.h_rows.shape))
 
     def projector(self):
         """Returns g -> the orthogonal projection of g onto the null space
-        of A: a reduced QR of A^T when dense, else the KKT system with
-        H = I, factorized once."""
+        of A: a reduced QR of A^T when dense, else ``identity_solve``."""
         if self.dense:
             q = np.linalg.qr(self.template[self.n:, :self.n].T)[0]
             return lambda g: g - q @ (q.T @ g)
-        return self.solver(self.identity())
+        return self.identity_solve
 
     def solver(self, blocks):
         """Factorize with H = ``blocks``; returns rhs -> the leading
@@ -318,8 +326,12 @@ class _KKT:
             solve = splu(csc_matrix((vals, (self.rows, self.cols)), shape=(self.size, self.size)),
                          permc_spec="MMD_ATA").solve
 
+        # run must not hold self: identity_solve keeps it on self, and the
+        # cycle would keep the factorization until the cyclic collector ran
+        size = self.size
+
         def run(rhs):
-            full = np.zeros((self.size,) + rhs.shape[1:])
+            full = np.zeros((size,) + rhs.shape[1:])
             full[:len(rhs)] = rhs
             return solve(full)[:len(rhs)]
 
@@ -351,7 +363,7 @@ def _fraction_to_boundary(v, dv):
     return float(min(1.0, LP_STEP_KEEP * np.min(-v[shrink] / dv[shrink])))
 
 
-def _max_slack(cs: ConstraintSystem, kkt: _KKT, x):
+def _max_slack(cs: ConstraintSystem, x):
     """Maximize s over {A x = b, G x + s <= h} from a solution x of A x = b.
 
     Mehrotra's predictor-corrector on the slacks w = h - G x - s and their
@@ -401,7 +413,7 @@ def _max_slack(cs: ConstraintSystem, kkt: _KKT, x):
             return (dxy[:n], ds, dxy[n:], dw, (r_c - z * dw) / w), q
 
         try:
-            solve = kkt.solver(gram(d))
+            solve = cs.kkt.solver(gram(d))
             (_, _, _, dw, dz), q = direction(-w * z)
             mu = gap / m
             step_p, step_d = _fraction_to_boundary(w, dw), _fraction_to_boundary(z, dz)
@@ -428,16 +440,15 @@ def find_coherent(cs: ConstraintSystem):
     coherent point), reported as Infeasible together with s*.  A pinned
     system (rank = dimension) reads its slack off the unique solution.
     """
-    kkt = _KKT(cs)
     rhs = np.concatenate([np.zeros(cs.dimension), cs.b_eq[cs.independent_eq]])
-    x = kkt.solver(kkt.identity())(rhs)[:cs.dimension]
+    x = cs.kkt.identity_solve(rhs)[:cs.dimension]
     if np.max(np.abs(cs.a_eq @ x - cs.b_eq)) > EQ_TOL:
         return Infeasible(
             reason="equalities_inconsistent",
             message="the equality constraints have no solution",
         )
     if cs.rank < cs.dimension:
-        x = _max_slack(cs, kkt, x)
+        x = _max_slack(cs, x)
     s = float(np.min(cs.h_ineq - cs.g_ineq @ x))
     if s > FEASIBLE_SLACK:
         return AngleSystem(x)

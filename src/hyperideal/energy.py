@@ -19,8 +19,6 @@ All evaluators broadcast over leading axes: ``alpha``/``gamma`` have shape
 (..., 3) and results have shape (...) or (..., k).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, SingularityError
@@ -52,26 +50,8 @@ ARG_COEF = np.array(
 )
 ARG_CONST = np.array([0.0] * 3 + [0.5 * np.pi] * 12)
 
-# args-row indices of the five ideal triples of the decomposition 2V = sum V0,
-# and of the alternative regrouping noted alongside it.
+# args-row indices of the five ideal triples of the decomposition 2V = sum V0
 FIVE_TRIPLES = ((3, 4, 5), (6, 7, 8), (0, 9, 12), (1, 10, 13), (2, 11, 14))
-FIVE_TRIPLES_ALT = ((0, 1, 2), (6, 7, 8), (3, 10, 14), (4, 11, 12), (5, 9, 13))
-
-
-@dataclass(frozen=True)
-class TetAngles:
-    """Angles of one decorated triangle / truncated tetrahedron."""
-
-    alpha: tuple
-    gamma: tuple
-
-    def __post_init__(self):
-        if len(self.alpha) != 3 or len(self.gamma) != 3:
-            raise DomainError("TetAngles needs 3 alpha and 3 gamma entries")
-
-    @property
-    def vector(self):
-        return np.array(tuple(self.alpha) + tuple(self.gamma), dtype=float)
 
 
 def _stack(alpha, gamma):
@@ -280,29 +260,3 @@ def vol_p4(alpha, beta, gamma):
     )
     out = 0.5 * (_P4_SIGNS * lob(args)).sum(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def sample_delta(n, rng, margin=0.0):
-    """Draw ``n`` points uniformly from Delta (rejection sampling).
-
-    With ``margin > 0`` every positivity and triangle-bound constraint is
-    required to hold with at least that slack.
-    """
-    alphas = np.empty((n, 3))
-    gammas = np.empty((n, 3))
-    got = 0
-    while got < n:
-        m = max(2 * (n - got), 64)
-        g = rng.dirichlet((1.0, 1.0, 1.0), size=m) * np.pi
-        a = rng.uniform(0.0, np.pi, size=(m, 3))
-        tri = g + a + np.roll(a, 1, axis=-1)
-        ok = (
-            (g > margin).all(axis=1)
-            & (a > margin).all(axis=1)
-            & (tri < np.pi - margin).all(axis=1)
-        )
-        k = min(int(ok.sum()), n - got)
-        alphas[got:got + k] = a[ok][:k]
-        gammas[got:got + k] = g[ok][:k]
-        got += k
-    return alphas, gammas

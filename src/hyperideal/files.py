@@ -94,9 +94,11 @@ def read_solution(text):
         raise SchemaError("solution file is missing the embedded 'problem'")
     tri, data = parse_problem(json.dumps(doc["problem"]))
     try:
-        alpha = np.array(doc["angles"]["alpha"], dtype=float)
-        gamma = np.array(doc["angles"]["gamma"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        alpha, gamma = (
+            np.array([float_array(row, f"angles.{key}", 3) for row in doc["angles"][key]])
+            for key in ("alpha", "gamma")
+        )
+    except (KeyError, TypeError) as exc:
         raise SchemaError(f"solution file has invalid 'angles': {exc}") from exc
     if alpha.shape != (tri.triangle_count, 3) or gamma.shape != (tri.triangle_count, 3):
         raise SchemaError("solution angles have the wrong shape")

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, SchemaError
+from .files import canonical_json
 from .pattern import (
     DecoratedMetric,
     _corner_angles,
@@ -319,12 +320,14 @@ def layout_to_dict(cl: ChartLayout):
 
 
 def layout_to_json(cl: ChartLayout) -> str:
-    return json.dumps(layout_to_dict(cl), indent=2) + "\n"
+    """The canonical JSON text of ``cl``, as ``hyperideal layout --format json`` writes it."""
+    return canonical_json(layout_to_dict(cl))
 
 
 def layout_from_json(text: str) -> ChartLayout:
     try:
-        doc = json.loads(text)
+        # canonical JSON writes -0.0 as "-0", which json reads as the int 0
+        doc = json.loads(text, parse_int=float)
         charts = [
             TriangleChart(
                 triangle=int(c["triangle"]),

@@ -131,11 +131,3 @@ def lob_deriv(x):
 def lob_second(x):
     """Second derivative -cot x; singular at integer multiples of pi."""
     return _elementwise("lob_second", _neg_cot, x)
-
-
-# Frozen high-precision references (25-digit arithmetic), used by the self test.
-LOB_PI_6 = 0.5074708032048268
-LOB_PI_3 = 0.3383138688032179
-LOB_PI_4 = 0.4579827970886095
-
-assert math.isclose(3 * LOB_PI_3, 1.0149416064096536, rel_tol=0, abs_tol=1e-15)

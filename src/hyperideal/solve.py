@@ -19,7 +19,6 @@ from .coherent import (
     AngleSystem,
     ConstraintSystem,
     Infeasible,
-    _KKT,
     build_constraints,
     find_coherent,
     is_coherent,
@@ -128,8 +127,7 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
     if cs.rank == cs.dimension:
         return report(CONVERGED, 0, 0.0)
 
-    kkt = _KKT(cs)
-    project = kkt.projector()
+    project = cs.kkt.projector()
 
     def projected_norm(v):
         return float(np.max(np.abs(project(objective_grad(AngleSystem(v))))))
@@ -145,7 +143,7 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
         try:
             # -pg differs from -g by a combination of equality rows, which
             # only moves the multipliers; its size bounds the solve's rounding
-            d = kkt.solver(_hess_blocks(AngleSystem(x)))(-pg)
+            d = cs.kkt.solver(_hess_blocks(AngleSystem(x)))(-pg)
             newton = bool(np.all(np.isfinite(d)) and d @ g > 0.0)
         except (np.linalg.LinAlgError, RuntimeError):
             newton = False

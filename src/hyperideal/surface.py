@@ -281,15 +281,15 @@ def parse_header(text, what, keys):
 
 def float_array(value, name, count):
     """``value``, a JSON list of ``count`` numbers, as a float array."""
-    try:
-        numbers = np.array([float(x) for x in value]) if isinstance(value, list) else None
-    except (TypeError, ValueError):
-        numbers = None
-    if numbers is None:
+    # type, not isinstance: a JSON true is a bool, which is an int subclass
+    if not isinstance(value, list) or any(type(x) not in (int, float) for x in value):
         raise SchemaError(f"{name} must be a list of numbers")
-    if len(numbers) != count:
-        raise SchemaError(f"{name} has {len(numbers)} entries, expected {count}")
-    return numbers
+    if len(value) != count:
+        raise SchemaError(f"{name} has {len(value)} entries, expected {count}")
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        raise SchemaError(f"{name} holds a number out of range") from None
 
 
 def parse_problem(text):

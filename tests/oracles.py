@@ -46,6 +46,37 @@ def lob_quadrature(x):
     return closed - 0.5 * x * float(_GL_WEIGHTS @ smooth)
 
 
+# args-row indices (``energy.lob_arguments``) of the alternative regrouping
+# of 2V into five ideal triples, an independent check of ``FIVE_TRIPLES``
+FIVE_TRIPLES_ALT = ((0, 1, 2), (6, 7, 8), (3, 10, 14), (4, 11, 12), (5, 9, 13))
+
+
+def sample_delta(n, rng, margin=0.0):
+    """Draw ``n`` points uniformly from Delta (rejection sampling).
+
+    With ``margin > 0`` every positivity and triangle-bound constraint is
+    required to hold with at least that slack.
+    """
+    alphas = np.empty((n, 3))
+    gammas = np.empty((n, 3))
+    got = 0
+    while got < n:
+        m = max(2 * (n - got), 64)
+        g = rng.dirichlet((1.0, 1.0, 1.0), size=m) * np.pi
+        a = rng.uniform(0.0, np.pi, size=(m, 3))
+        tri = g + a + np.roll(a, 1, axis=-1)
+        ok = (
+            (g > margin).all(axis=1)
+            & (a > margin).all(axis=1)
+            & (tri < np.pi - margin).all(axis=1)
+        )
+        k = min(int(ok.sum()), n - got)
+        alphas[got:got + k] = a[ok][:k]
+        gammas[got:got + k] = g[ok][:k]
+        got += k
+    return alphas, gammas
+
+
 def series_coefficients(count=40):
     """c_n = zeta(2n) / (n (2n+1) pi^(2n)) = |B_2n| 4^n / (2 n (2n+1) (2n)!),
     n = 1..count, from exact Bernoulli numbers; no zeta table involved."""

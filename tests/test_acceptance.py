@@ -24,10 +24,12 @@ from hyperideal.surface import AngleData, GluedTriangulation
 
 from .conftest import bundled_instance
 from .oracles import (
+    FIVE_TRIPLES_ALT,
     fd_jacobian,
     lob_quadrature,
     random_disk,
     sample_coherent,
+    sample_delta,
     single_triangle_feasible,
     symmetric_torus,
 )
@@ -58,7 +60,7 @@ def test_criterion_01_lob_oracle():
 
 def _delta_samples():
     rng = np.random.default_rng(987654321)
-    return energy.sample_delta(100000, rng)
+    return sample_delta(100000, rng)
 
 
 def test_criterion_02_five_tetrahedra_identity():
@@ -67,7 +69,7 @@ def test_criterion_02_five_tetrahedra_identity():
     v2 = 2.0 * energy.tet_volume(a, g)
     five = lob(energy.five_tetra(a, g)).sum(axis=(-1, -2))
     err_main = float(np.max(np.abs(v2 - five)))
-    idx = np.array(energy.FIVE_TRIPLES_ALT)
+    idx = np.array(FIVE_TRIPLES_ALT)
     alt = lob(energy.lob_arguments(a, g)[..., idx]).sum(axis=(-1, -2))
     err_alt = float(np.max(np.abs(v2 - alt)))
     elapsed = time.perf_counter() - t0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hyperideal.cli import main, parse_angle
+from hyperideal.coherent import Infeasible
 from hyperideal.files import canonical_json, read_solution
 
 from .conftest import bundled_text
@@ -163,6 +164,19 @@ def test_selftest(capsys):
     assert out.count("PASS") >= 8
 
 
+@pytest.mark.parametrize("module, failing", [
+    ("hyperideal.cli", "FAIL  check torus"),  # what `check` calls
+    ("hyperideal.solve", "FAIL  disk2 solution gives back"),  # every later stage lacks a solution
+])
+def test_selftest_reports_a_broken_stage(monkeypatch, capsys, module, failing):
+    monkeypatch.setattr(f"{module}.find_coherent",
+                        lambda cs: Infeasible(reason="max_slack_nonpositive", message="broken"))
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert failing in out
+    assert "PASS" in out and out.rstrip().endswith("failed")
+
+
 def test_solve_flag_validation(torus_file):
     assert main(["solve", torus_file, "--tol", "1e-3"]) == 3
     assert main(["solve", torus_file, "--tol", "0"]) == 3
@@ -214,6 +228,14 @@ def test_malformed_fields_exit_code(torus_file, tmp_path, capsys):
         ("probe", changed(geometry, lambda d: d["gluings"][0].pop("b"))),
         ("probe", changed(geometry, lambda d: d["lengths"].__setitem__(0, "x"))),
         ("layout", changed(solution, lambda d: d["radii"].__setitem__(0, "x"))),
+        # numbers spelled as strings, JSON booleans, integers beyond the float range
+        ("check", changed(problem, lambda d: d["theta"].update(
+            interior=[repr(v) for v in d["theta"]["interior"]]))),
+        ("check", changed(problem, lambda d: d["xi"].__setitem__(0, True))),
+        ("check", changed(problem, lambda d: d["xi"].__setitem__(0, 10**400))),
+        ("probe", changed(geometry, lambda d: d["lengths"].__setitem__(0, repr(d["lengths"][0])))),
+        ("layout", changed(solution, lambda d: d["angles"]["alpha"][0].__setitem__(
+            0, repr(d["angles"]["alpha"][0][0])))),
     ]
     for command, doc in cases:
         path = tmp_path / "malformed.json"

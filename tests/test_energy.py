@@ -7,7 +7,7 @@ from hyperideal import energy
 from hyperideal.errors import DomainError
 from hyperideal.lob import lob
 
-from .oracles import fd_gradient, fd_jacobian, lob_quadrature
+from .oracles import FIVE_TRIPLES_ALT, fd_gradient, fd_jacobian, lob_quadrature, sample_delta
 
 PI = math.pi
 
@@ -16,7 +16,7 @@ BAD_GAMMA = np.array([PI, 0.0, 0.0])
 
 
 def sample(rng, n, margin=0.0):
-    return energy.sample_delta(n, rng, margin=margin)
+    return sample_delta(n, rng, margin=margin)
 
 
 # -- v0 -------------------------------------------------------------------------
@@ -106,7 +106,7 @@ def test_five_tetra_decomposition(rng):
 def test_alternative_decomposition(rng):
     a, g = sample(rng, 100000)
     v = energy.tet_volume(a, g)
-    idx = np.array(energy.FIVE_TRIPLES_ALT)
+    idx = np.array(FIVE_TRIPLES_ALT)
     alt = lob(energy.lob_arguments(a, g)[..., idx]).sum(axis=(-1, -2))
     assert np.max(np.abs(2 * v - alt)) <= 1e-12
 
@@ -176,7 +176,7 @@ def _directional_derivative(p, q, t):
 
 
 def test_boundary_derivative_dichotomy(rng):
-    qa, qg = energy.sample_delta(1, rng, margin=0.3)
+    qa, qg = sample_delta(1, rng, margin=0.3)
     q = np.concatenate([qa[0], qg[0]])
     # mildly degenerate: log-divergent derivative, so each decade toward the
     # boundary adds about the same increment (no tapering off)

@@ -1,6 +1,8 @@
 """The sparse solve path: combinatorial rank, KKT Newton steps, statuses."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 
@@ -107,6 +109,43 @@ def test_lattice_disk_through_sparse_branch():
     assert np.max(np.abs(x.values - probed.values)) <= 1e-7
     report = verify_pattern(tri, data, metric_from_lengths(truncated_lengths(x, tri), tri))
     assert report.max_theta_residual <= 1e-8
+
+
+def test_one_identity_factorization_per_solve(monkeypatch):
+    tri, dm = lattice_disk(np.random.default_rng(2024), 8)
+    data, probed = probe(tri, dm)
+    real = coherent_mod._KKT.solver
+    identity = []
+
+    def solver(self, blocks):
+        assert not self.dense
+        identity.append(np.array_equal(blocks, np.broadcast_to(np.eye(6), np.shape(blocks))))
+        return real(self, blocks)
+
+    monkeypatch.setattr(coherent_mod._KKT, "solver", solver)
+    x, rep = solve_problem(tri, data)
+    assert rep.status == CONVERGED
+    assert np.max(np.abs(x.values - probed.values)) <= 1e-7
+    # the min-norm start of the max-slack LP and Newton's projector share it
+    assert sum(identity) == 1 and len(identity) > 1
+
+
+def test_kkt_is_freed_with_its_system(monkeypatch):
+    # a reference cycle through the kept H = I solve would hold every
+    # factorization until the cyclic collector ran
+    tri, data = bundled_instance("disk2.json")
+    gc.disable()
+    try:
+        for limit in (10**9, 0):
+            monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", limit)
+            cs = build_constraints(tri, data)
+            maximize(tri, data, find_coherent(cs), cs=cs)
+            kkt = weakref.ref(cs.kkt)
+            assert kkt().dense == (limit > 0)
+            del cs
+            assert kkt() is None
+    finally:
+        gc.enable()
 
 
 def _fail_every_trial_step(monkeypatch):

@@ -89,7 +89,7 @@ def test_interior_point_failure_is_a_convergence_error(monkeypatch, tmp_path):
     assert main(["check", str(p)]) == 4
 
     monkeypatch.undo()
-    _fail_factorizations_after(monkeypatch, 3)  # the min-norm solve, two steps
+    _fail_factorizations_after(monkeypatch, 3)  # three steps: cs keeps its min-norm solve
     with pytest.raises(ConvergenceError):
         find_coherent(cs)
 
