@@ -15,6 +15,7 @@ g_corner2); side ``s`` runs between corners ``s`` and ``s+1``.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -28,10 +29,13 @@ SLACK_TOL = 1e-10
 FEASIBLE_SLACK = 1e-9
 TANGENT_RCOND = 1e-10  # relative singular-value cut of tangent_basis
 # KKT systems with at most this many unknowns (angles plus multipliers) are
-# factorized densely, larger ones with a sparse LU.  One factorization alone
-# is cheaper sparse from about 250 unknowns on, but the first sparse solve in
-# a process also imports scipy.sparse.linalg (~0.1 s, ~9 MB); for a single
-# cold solve the two break even between 450 and 650 unknowns.
+# solved densely by the null-space method, larger ones with a sparse LU.  In
+# a warm process the sparse LU is already faster at 449 unknowns (a whole
+# 50-triangle torus solve: 24 against 34 ms on 2 cores, one BLAS thread),
+# but the first sparse solve in a process also imports scipy.sparse.linalg
+# (~50 ms, ~7 MB).  A single cold solve takes 33 ms dense and 77 ms sparse
+# at 449 unknowns and about breaks even near 650 (a 72-triangle torus, 647
+# unknowns: 80 against 84 ms).
 DENSE_KKT_MAX = 600
 # The max-slack interior point stops once the duality gap is at most
 # LP_GAP_TOL and every residual at most LP_RESIDUAL_TOL.  The dual residual
@@ -264,58 +268,75 @@ class Infeasible:
         return False
 
 
+class _RowFactor(NamedTuple):
+    """Per-triangle row factor F of shape (T, r, 6) standing for the block
+    diagonal H = F^T F, as ``_KKT.gram`` hands it to the dense solver."""
+
+    rows: np.ndarray
+
+
 class _KKT:
     """KKT matrices [H A^T; A 0] over the independent equality rows A of a
     constraint system, with H block-diagonal, one 6x6 block per triangle.
 
-    The matrix is factorized as a whole, since a block of H need only be
-    definite on its triangle's gamma-sum plane.  Systems of at most
-    ``DENSE_KKT_MAX`` unknowns go to a dense LU, larger ones to a sparse LU.
+    A block of H need only be definite on its triangle's gamma-sum plane,
+    so H is never factorized alone.  Systems of at most ``DENSE_KKT_MAX``
+    unknowns are solved by the null-space method: one complete QR of A^T,
+    taken here, gives the range basis Q1, an orthonormal null basis Z of A
+    (k = n - rank columns) and the pseudo-inverse A+ = Q1 R^-T, and each
+    ``solver`` call factorizes only the k x k reduced matrix Z^T H Z.
+    Larger systems go to a sparse LU of the whole matrix.
     """
 
     def __init__(self, cs: ConstraintSystem):
-        n = self.n = cs.dimension
+        n = cs.dimension
         self.size = n + cs.rank
-        first = np.arange(0, n, 6)[:, None, None]
-        self.h_rows = np.broadcast_to(first + np.arange(6)[:, None], (n // 6, 6, 6))
-        self.h_cols = np.broadcast_to(first + np.arange(6), (n // 6, 6, 6))
+        self.block_shape = (n // 6, 6, 6)
         self.dense = self.size <= DENSE_KKT_MAX
         if self.dense:
-            a = cs.a_eq.toarray()[cs.independent_eq]
-            self.template = np.zeros((self.size, self.size))
-            self.template[n:, :n] = a
-            self.template[:n, n:] = a.T
+            q, r = np.linalg.qr(cs.a_eq.toarray()[cs.independent_eq].T, mode="complete")
+            self.range_basis, self.null_basis = q[:, :cs.rank], q[:, cs.rank:]
+            self.pinv_t = np.linalg.solve(r[:cs.rank], self.range_basis.T)  # (A+)^T = R^-1 Q1^T
         else:
+            first = np.arange(0, n, 6)[:, None, None]
+            h_rows = np.broadcast_to(first + np.arange(6)[:, None], self.block_shape)
+            h_cols = np.broadcast_to(first + np.arange(6), self.block_shape)
             a = cs.a_eq[cs.independent_eq].tocoo()
-            self.rows = np.concatenate([self.h_rows.ravel(), n + a.row, a.col])
-            self.cols = np.concatenate([self.h_cols.ravel(), a.col, n + a.row])
+            self.rows = np.concatenate([h_rows.ravel(), n + a.row, a.col])
+            self.cols = np.concatenate([h_cols.ravel(), a.col, n + a.row])
             self.a_vals = np.concatenate([a.data, a.data])
 
     @cached_property
     def identity_solve(self):
         """``solver`` with H = I, factorized on first use and kept: the
         min-norm start of ``find_coherent`` and the sparse projector."""
-        return self.solver(np.broadcast_to(np.eye(6), self.h_rows.shape))
+        return self.solver(np.broadcast_to(np.eye(6), self.block_shape))
 
     def projector(self):
         """Returns g -> the orthogonal projection of g onto the null space
-        of A: a reduced QR of A^T when dense, else ``identity_solve``."""
+        of A: by the range basis Q1 when dense, else ``identity_solve``."""
         if self.dense:
-            q = np.linalg.qr(self.template[self.n:, :self.n].T)[0]
+            q = self.range_basis
             return lambda g: g - q @ (q.T @ g)
         return self.identity_solve
 
-    def solver(self, blocks):
-        """Factorize with H = ``blocks``; returns rhs -> the leading
-        ``len(rhs)`` rows of the solution of [H A^T; A 0] sol = rhs padded
-        with zeros, so ``r`` gives d of [r; 0] and a full [r; e] gives
-        [d; lam].  ``rhs`` may hold several columns.  Raises
-        ``numpy.linalg.LinAlgError`` or ``RuntimeError`` if the matrix is
-        singular."""
+    def gram(self, factor):
+        """What ``solver`` takes for H = F^T F, F a (T, r, 6) per-triangle
+        row factor: F itself when dense, where a QR of F Z reduces it without
+        squaring the conditioning of H, else the formed 6x6 blocks."""
         if self.dense:
-            kkt = self.template.copy()
-            kkt[self.h_rows, self.h_cols] = blocks
-            solve = lambda full: np.linalg.solve(kkt, full)  # noqa: E731
+            return _RowFactor(factor)
+        return np.einsum("tri,trj->tij", factor, factor)
+
+    def solver(self, blocks):
+        """Factorize with H = ``blocks``, (T, 6, 6) diagonal blocks or a
+        ``gram`` row factor; returns rhs -> the leading ``len(rhs)`` rows of
+        the solution of [H A^T; A 0] sol = rhs padded with zeros, so ``r``
+        gives d of [r; 0] and a full [r; e] gives [d; lam].  ``rhs`` may
+        hold several columns.  Raises ``numpy.linalg.LinAlgError`` or
+        ``RuntimeError`` if the matrix is singular."""
+        if self.dense:
+            solve = _null_space_solve(blocks, self.null_basis, self.pinv_t)
         else:
             from scipy.sparse import csc_matrix
             from scipy.sparse.linalg import splu
@@ -338,20 +359,52 @@ class _KKT:
         return run
 
 
-def _block_gram(g):
-    """Returns d -> the 6x6 diagonal blocks of G^T diag(d) G, shape (T, 6, 6),
-    for a CSR matrix G each of whose rows lies within one triangle's six
-    columns (true of every inequality row)."""
-    lens = np.diff(g.indptr)
-    row = np.repeat(np.arange(len(lens)), lens)
-    # every ordered pair (left, right) of entries that share a row
-    left = np.repeat(np.arange(g.nnz), lens[row])
-    offset = np.arange(len(left)) - np.repeat(np.cumsum(lens[row]) - lens[row], lens[row])
-    right = g.indptr[row[left]] + offset
-    flat = 6 * g.indices[left] + g.indices[right] % 6  # (triangle, i, j) of a (T, 6, 6) array
-    pair_row, pair_val = row[left], g.data[left] * g.data[right]
-    size = 6 * g.shape[1]
-    return lambda d: np.bincount(flat, d[pair_row] * pair_val, size).reshape(-1, 6, 6)
+def _null_space_solve(blocks, null, pinv_t):
+    """Returns [r; e] -> [x; lam] solving [H A^T; A 0] [x; lam] = [r; e] by
+    the null-space method: x = A+ e + Z u with Z^T H Z u = Z^T (r - H A+ e),
+    then lam = (A+)^T (r - H x)."""
+    n, k = null.shape
+    z = null.reshape(n // 6, 6, k)
+    if isinstance(blocks, _RowFactor):
+        # Z^T H Z = R^T R from a QR of F Z, never formed
+        f = blocks.rows
+        upper = np.linalg.qr((f @ z).reshape(-1, k), mode="r")
+
+        def reduced(v):
+            return np.linalg.solve(upper, np.linalg.solve(upper.T, v))
+
+        blocks = f.transpose(0, 2, 1) @ f  # only for products H x
+    else:
+        m = null.T @ (blocks @ z).reshape(n, k)
+
+        def reduced(v):
+            return np.linalg.solve(m, v)
+
+    def h_times(v):
+        return (blocks @ v.reshape(len(z), 6, -1)).reshape(v.shape)
+
+    def solve(full):
+        r, e = full[:n], full[n:]
+        x = pinv_t.T @ e
+        x += null @ reduced(null.T @ (r - h_times(x)))
+        return np.concatenate([x, pinv_t @ (r - h_times(x))])
+
+    return solve
+
+
+def _triangle_rows(g):
+    """The rows of a CSR matrix G each of whose rows lies within one
+    triangle's six columns (true of every inequality row), grouped by
+    triangle: (T, r) row indices and their (T, r, 6) entries, for r rows
+    per triangle."""
+    row_triangle = g.indices[g.indptr[:-1]] // 6
+    rows = np.argsort(row_triangle, kind="stable").reshape(g.shape[1] // 6, -1)
+    slot = np.empty(g.shape[0], dtype=int)
+    slot[rows] = np.arange(rows.shape[1])
+    entry_row = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
+    local = np.zeros(rows.shape + (6,))
+    local[row_triangle[entry_row], slot[entry_row], g.indices % 6] = g.data
+    return rows, local
 
 
 def _fraction_to_boundary(v, dv):
@@ -370,14 +423,15 @@ def _max_slack(cs: ConstraintSystem, x):
     multipliers z (sum z = 1).  The barrier Hessian G^T diag(z/w) G has the
     block pattern of the Hessian of F, so each step factorizes the same KKT
     matrix as a Newton step of ``maximize``, with the scalar s eliminated by
-    one more solve.  Returns the last primal x.
+    one more solve.  The Hessian is handed over as its per-triangle row
+    factor diag(z/w)^(1/2) G (``_KKT.gram``).  Returns the last primal x.
     """
     a = cs.a_eq[cs.independent_eq]
     b = cs.b_eq[cs.independent_eq]
     g, h = cs.g_ineq, cs.h_ineq
-    a_t, g_t = a.T.tocsr(), g.T.tocsr()  # a CSR transpose is rebuilt on every .T
+    a_t, g_t = a.T, g.T  # CSC views, built once: .T makes a new one on every call
     n, m = cs.dimension, len(h)
-    gram = _block_gram(g)
+    rows, local = _triangle_rows(g)
     slack = h - g @ x
     s = float(np.min(slack)) - 1.0
     w = slack - s
@@ -413,7 +467,7 @@ def _max_slack(cs: ConstraintSystem, x):
             return (dxy[:n], ds, dxy[n:], dw, (r_c - z * dw) / w), q
 
         try:
-            solve = cs.kkt.solver(gram(d))
+            solve = cs.kkt.solver(cs.kkt.gram(np.sqrt(d)[rows][..., None] * local))
             (_, _, _, dw, dz), q = direction(-w * z)
             mu = gap / m
             step_p, step_d = _fraction_to_boundary(w, dw), _fraction_to_boundary(z, dz)

@@ -324,13 +324,21 @@ def layout_to_json(cl: ChartLayout) -> str:
     return canonical_json(layout_to_dict(cl))
 
 
+def _index(value):
+    # type, not isinstance: a JSON true is a bool, which is an int subclass
+    if type(value) is not int:
+        raise SchemaError(f"index {value!r} is not an integer")
+    return value
+
+
 def layout_from_json(text: str) -> ChartLayout:
     try:
-        # canonical JSON writes -0.0 as "-0", which json reads as the int 0
-        doc = json.loads(text, parse_int=float)
+        # canonical JSON writes -0.0 as "-0", which json reads as the int 0;
+        # every other integer literal stays an int for the index fields
+        doc = json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t))
         charts = [
             TriangleChart(
-                triangle=int(c["triangle"]),
+                triangle=_index(c["triangle"]),
                 vertices=np.array(c["vertices"], dtype=float),
                 face_center=np.array(c["face_center"], dtype=float),
                 face_radius=float(c["face_radius"]),
@@ -340,11 +348,11 @@ def layout_from_json(text: str) -> ChartLayout:
         ]
         transitions = [
             Transition(
-                edge=int(t["edge"]),
-                source=int(t["source"]),
-                target=int(t["target"]),
-                source_side=int(t["source_side"]),
-                target_side=int(t["target_side"]),
+                edge=_index(t["edge"]),
+                source=_index(t["source"]),
+                target=_index(t["target"]),
+                source_side=_index(t["source_side"]),
+                target_side=_index(t["target_side"]),
                 rotation=np.array(t["rotation"], dtype=float),
                 translation=np.array(t["translation"], dtype=float),
             )

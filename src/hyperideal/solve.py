@@ -98,8 +98,11 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
     ascent.  Stationarity is the sup norm of the gradient projected
     orthogonally onto the tangent space of the equality constraints, or a
     full Newton step whose predicted increase is at most
-    ``NEWTON_TRUST_ULPS`` float spacings of F.  ``callback(iteration, x, f)``
-    is invoked after every accepted step.
+    ``NEWTON_TRUST_ULPS`` float spacings of F.  A point that passes the
+    gradient test still takes such a full Newton step if it has one: the
+    test bounds the distance to the maximizer only by tol over the smallest
+    curvature.  ``callback(iteration, x, f)`` is invoked after every
+    accepted step.
     """
     if cs is None:
         cs = build_constraints(tri, data)
@@ -137,9 +140,6 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
         g = objective_grad(AngleSystem(x))
         pg = project(g)
         pgn = float(np.max(np.abs(pg)))
-        if pgn <= tol:
-            return report(CONVERGED, it, pgn)
-
         try:
             # -pg differs from -g by a combination of equality rows, which
             # only moves the multipliers; its size bounds the solve's rounding
@@ -154,7 +154,12 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
 
         step = _max_step(cs, x, d)
         slope = float(g @ d)
-        if newton and 0.5 * step * slope <= NEWTON_TRUST_ULPS * np.spacing(abs(fx)):
+        trusted = newton and 0.5 * step * slope <= NEWTON_TRUST_ULPS * np.spacing(abs(fx))
+        # a passed gradient test bounds the distance to the maximizer only by
+        # tol over the smallest curvature, so a trusted full step goes first
+        if pgn <= tol and not (trusted and step == 1.0):
+            return report(CONVERGED, it, pgn)
+        if trusted:
             x = x + step * d
             fx = objective_f(AngleSystem(x))
             if callback is not None:

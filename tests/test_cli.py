@@ -6,7 +6,9 @@ import pytest
 
 from hyperideal.cli import main, parse_angle
 from hyperideal.coherent import Infeasible
+from hyperideal.errors import SchemaError
 from hyperideal.files import canonical_json, read_solution
+from hyperideal.layout import layout_from_json
 
 from .conftest import bundled_text
 
@@ -260,6 +262,21 @@ def test_boolean_gluing_index_exit_code(tmp_path):
     p = tmp_path / "problem.json"
     p.write_text(json.dumps(doc))
     assert main(["check", str(p)]) == 3
+
+
+@pytest.mark.parametrize("group, key, value", [
+    ("charts", "triangle", 1.7), ("charts", "triangle", True), ("transitions", "edge", True),
+    ("transitions", "source", 0.5), ("transitions", "target_side", 1.0),
+])
+def test_layout_json_rejects_non_integer_indices(torus_file, tmp_path, group, key, value):
+    sol, js = tmp_path / "solution.json", tmp_path / "layout.json"
+    assert main(["solve", torus_file, "-o", str(sol)]) == 0
+    assert main(["layout", str(sol), "--format", "json", "-o", str(js)]) == 0
+    doc = json.loads(js.read_text())
+    layout_from_json(json.dumps(doc))
+    doc[group][0][key] = value
+    with pytest.raises(SchemaError):  # the CLI's exit 3
+        layout_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("doc", ["problem", 5])

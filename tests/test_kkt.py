@@ -9,6 +9,7 @@ import numpy as np
 import hyperideal.coherent as coherent_mod
 import hyperideal.solve as solve_mod
 from hyperideal.cli import main
+from hyperideal.files import canonical_json, geometry_dict
 from hyperideal.coherent import AngleSystem, build_constraints, find_coherent, is_coherent
 from hyperideal.pattern import metric_from_lengths, probe, truncated_lengths, verify_pattern
 from hyperideal.solve import (
@@ -187,3 +188,24 @@ def test_import_loads_no_dense_scipy_modules():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_dense_branch_solves_with_numpy_alone():
+    # a cold 50-triangle solve stays on the dense branch, which needs neither
+    # splu nor scipy.linalg
+    import subprocess
+    import sys
+
+    tri, dm = lattice_disk(np.random.default_rng(5), 5)
+    cs = build_constraints(tri, probe(tri, dm)[0])
+    assert tri.triangle_count == 50 and cs.dimension + cs.rank <= coherent_mod.DENSE_KKT_MAX
+    code = (
+        "import sys\n"
+        "from hyperideal import files, pattern, solve\n"
+        "tri, dm = files.parse_geometry(sys.stdin.read())\n"
+        "x, rep = solve.solve_problem(tri, pattern.probe(tri, dm)[0])\n"
+        "print(rep.status, [m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], input=canonical_json(geometry_dict(tri, dm)),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["converged", "[]"]

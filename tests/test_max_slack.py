@@ -16,7 +16,7 @@ from hyperideal.coherent import (
     is_coherent,
 )
 from hyperideal.errors import ConvergenceError
-from hyperideal.pattern import probe
+from hyperideal.pattern import DecoratedMetric, probe
 from hyperideal.surface import AngleData, GluedTriangulation
 
 from .conftest import bundled_instance, bundled_text
@@ -24,6 +24,15 @@ from .oracles import lattice_disk, max_slack_highs, random_disk
 
 PI = math.pi
 TORUS = GluedTriangulation(2, [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))])
+# one-vertex tori of TORUS's gluing as (lengths, radius, s*); forming
+# Z^T G^T D G Z explicitly made the dense step on both exactly singular
+# near the optimum
+ENDGAME_TORI = [
+    ([0.85714303057747188, 1.1468918543224431, 1.1427977654366173], 0.23691028274999731,
+     0.10516040765),
+    ([1.0341375073141306, 0.85078922608789, 1.1231221534197513], 0.25394386387218043,
+     0.13622127624),
+]
 BUNDLED = ("torus.json", "disk2.json", "fan3.json", "triangle.json", "triangle_infeasible.json")
 
 
@@ -63,6 +72,22 @@ def test_max_slack_matches_highs_through_sparse_branch():
     assert cs.dimension == 6 * 512
     assert cs.dimension + cs.rank > coherent_mod.DENSE_KKT_MAX
     _assert_agrees_with_highs(cs)
+
+
+@pytest.mark.parametrize("lengths, radius, s_star", ENDGAME_TORI)
+def test_max_slack_endgame_needs_no_rescue(monkeypatch, lengths, radius, s_star):
+    # near the optimum z/w spans up to 1e19; both branches must still reach
+    # the gap tolerance rather than keep the point of a failed factorization
+    data = probe(TORUS, DecoratedMetric(lengths=np.array(lengths), radii=np.array([radius])))[0]
+    monkeypatch.setattr(coherent_mod, "LP_RESCUE_GAP", 0.0)
+    for limit in (10**9, 0):
+        monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", limit)
+        cs = build_constraints(TORUS, data)
+        found = find_coherent(cs)
+        assert cs.kkt.dense == (limit > 0)
+        found_s = float(np.min(cs.h_ineq - cs.g_ineq @ found.values))
+        assert abs(found_s - s_star) <= 1e-9
+        assert abs(found_s - max_slack_highs(cs)) <= 1e-9
 
 
 def _fail_factorizations_after(monkeypatch, calls):

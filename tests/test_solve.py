@@ -7,6 +7,7 @@ from hyperideal.coherent import AngleSystem, build_constraints, find_coherent, t
 from hyperideal.errors import NotCoherentError
 from hyperideal.solve import (
     CONVERGED,
+    DEFAULT_TOL,
     INFEASIBLE,
     maximize,
     objective_f,
@@ -262,6 +263,35 @@ def test_thin_polytope_sweep_converges():
         assert rep.status == CONVERGED, eps
         assert np.max(np.abs(x.alphas() - (PI - theta) / 2)) <= 1e-10, eps
         assert np.max(np.abs(x.gammas() - PI / 3)) <= 1e-10, eps
+
+
+def test_gradient_test_still_takes_a_trusted_newton_step():
+    # along the flattest tangent direction of a thin polytope a point whose
+    # projected gradient passes tol lies tol / |lambda| from the maximizer,
+    # above the sweep's 1e-10; one full Newton step resolves it
+    from hyperideal.solve import _hess_blocks
+
+    from .oracles import _reduced_hessian
+
+    theta = PI / 3 + 5.01e-6
+    data = AngleData(theta=np.full(3, theta), xi=np.array([2 * PI]))
+    cs = build_constraints(TORUS, data)
+    exact = np.tile(np.r_[np.full(3, (PI - theta) / 2), np.full(3, PI / 3)], 2)
+    basis = tangent_basis(cs)
+    red = _reduced_hessian(_hess_blocks(AngleSystem(exact)), basis)
+    lam, vec = np.linalg.eigh(0.5 * (red + red.T))
+    flat = basis @ vec[:, np.argmax(lam)]
+    project = cs.kkt.projector()
+
+    def pgn(v):
+        return np.max(np.abs(project(objective_grad(AngleSystem(v)))))
+
+    x0 = exact + 0.4 * DEFAULT_TOL / (pgn(exact + 1e-6 * flat) / 1e-6) * flat
+    assert pgn(x0) <= DEFAULT_TOL
+    assert np.max(np.abs(x0 - exact)) > 1e-10
+    x, rep = maximize(TORUS, data, AngleSystem(x0), cs=cs)
+    assert rep.status == CONVERGED and rep.iterations == 1
+    assert np.max(np.abs(x.values - exact)) <= 1e-13
 
 
 def test_objective_zero_when_all_triangles_badly_degenerate():
