@@ -130,25 +130,6 @@ def _csr(row_lengths, cols, n_cols, vals=None):
     return sparse.csr_matrix((vals, cols, indptr), shape=(len(row_lengths), n_cols))
 
 
-def _component_roots(tri: GluedTriangulation):
-    """Smallest triangle index of every connected component of the
-    triangle/vertex-class incidence graph."""
-    parent = list(range(tri.triangle_count))
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    for corners in tri.vertices:
-        for t, _ in corners[1:]:
-            a, b = find(corners[0][0]), find(t)
-            if a != b:
-                parent[max(a, b)] = min(a, b)  # roots stay the smallest index
-    return sorted({find(t) for t in range(tri.triangle_count)})
-
-
 def build_constraints(tri: GluedTriangulation, data: AngleData) -> ConstraintSystem:
     """Assemble the coherence constraints for (tri, data), deterministically.
 
@@ -207,8 +188,9 @@ def build_constraints(tri: GluedTriangulation, data: AngleData) -> ConstraintSys
     # the unsigned incidence matrix of the bipartite triangle/vertex-class
     # graph, of rank (nodes - components): per component, the triangle rows
     # and the vertex rows sum to the same row, and dropping any one of them
-    # leaves independent rows.
-    roots = _component_roots(tri)
+    # leaves independent rows.  The components of that graph are the gluing
+    # components, so the dropped rows are their smallest triangles.
+    roots = np.flatnonzero(tri.component == np.arange(n_t))
     independent = np.ones(a_eq.shape[0], dtype=bool)
     independent[roots] = False
     return ConstraintSystem(

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .pattern import DecoratedMetric
-from .surface import float_array, parse_header, parse_problem, problem_dict
+from .surface import GluedTriangulation, float_array, parse_header, parse_problem, problem_dict
 
 
 def _canon(value, out):
@@ -102,7 +102,10 @@ def read_solution(text):
         raise SchemaError(f"solution file has invalid 'angles': {exc}") from exc
     if alpha.shape != (tri.triangle_count, 3) or gamma.shape != (tri.triangle_count, 3):
         raise SchemaError("solution angles have the wrong shape")
-    dm = _metric(tri, doc) if "lengths" in doc and "radii" in doc else None
+    dm = None
+    if "lengths" in doc and "radii" in doc:
+        dm = DecoratedMetric(lengths=float_array(doc["lengths"], "lengths", len(tri.edges)),
+                             radii=float_array(doc["radii"], "radii", len(tri.vertices)))
     return tri, data, np.hstack([alpha, gamma]).reshape(-1), dm
 
 
@@ -115,13 +118,11 @@ def geometry_dict(tri, dm):
     }
 
 
-def _metric(tri, doc):
-    """The decorated metric of a geometry or solution document on ``tri``."""
-    return DecoratedMetric(lengths=float_array(doc["lengths"], "lengths", len(tri.edges)),
-                           radii=float_array(doc["radii"], "radii", len(tri.vertices)))
-
-
 def parse_geometry(text):
     """Parse a geometry file; returns (GluedTriangulation, DecoratedMetric)."""
-    tri, doc = parse_header(text, "geometry", ("triangles", "gluings", "lengths", "radii"))
-    return tri, _metric(tri, doc)
+    count, gluings, doc = parse_header(text, "geometry",
+                                       ("triangles", "gluings", "lengths", "radii"))
+    lengths = float_array(doc["lengths"], "lengths", 3 * count - len(gluings))
+    tri = GluedTriangulation(count, gluings)
+    return tri, DecoratedMetric(lengths=lengths,
+                                radii=float_array(doc["radii"], "radii", len(tri.vertices)))

@@ -212,10 +212,7 @@ def lay_out(tri: GluedTriangulation, dm: DecoratedMetric) -> ChartLayout:
     dm.validate(tri)
     positions = _chart_positions(tri, dm)
     cone = _vertex_sums(tri, _corner_angles(positions))
-    flat_interior = all(
-        tri.vertex_is_boundary(v) or abs(cone[v] - 2.0 * math.pi) <= FLAT_TOL
-        for v in range(len(tri.vertices))
-    )
+    flat_interior = np.all(tri.boundary_vertex | (np.abs(cone - 2.0 * math.pi) <= FLAT_TOL))
     mode = GLOBAL if tri.is_disk() and flat_interior else ATLAS
     rot, trans = _transitions(tri, positions)
     if mode == GLOBAL:

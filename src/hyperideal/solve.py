@@ -24,7 +24,7 @@ from .coherent import (
     is_coherent,
 )
 from .energy import tet_volume, tet_volume_grad, tet_volume_hess
-from .errors import DomainError, NotCoherentError
+from .errors import DomainError, NotCoherentError, PreconditionError
 from .pattern import compat_residuals
 from .surface import AngleData, GluedTriangulation
 
@@ -212,6 +212,8 @@ def _flip_diagnostics(tri, data, x: AngleSystem):
 def solve_problem(tri: GluedTriangulation, data: AngleData,
                   tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     """find_coherent + maximize; returns (x, report) with x None when infeasible."""
+    if tri.component.any():
+        raise PreconditionError("surface is disconnected")
     cs = build_constraints(tri, data)
     start = find_coherent(cs)
     if isinstance(start, Infeasible):

@@ -11,8 +11,11 @@ Combinatorial conventions:
 
 Vertices are equivalence classes of corners and are always derived from the
 gluings, never user-supplied; this is what makes non-regular triangulations
-(such as the one-vertex torus) unproblematic.  Instances should be treated as
-immutable after construction.
+(such as the one-vertex torus) unproblematic.  ``GluedTriangulation`` reads
+the gluings once into one corner-adjacency array (``forward``: the corner
+reached by crossing a side) and derives the edges, the vertex classes, their
+boundary flags and the connected components from it.  Instances should be
+treated as immutable after construction.
 """
 
 import json
@@ -36,82 +39,114 @@ class Edge:
     sides: tuple  # ((t, s),) for boundary, ((t, s), (t2, s2)) for interior
 
 
-class GluedTriangulation:
-    """Triangles plus side gluings, with derived edges and vertex classes."""
+def _min_labels(n, pairs):
+    """The smallest element of each element's class under ``pairs`` of
+    0..n-1, as a list.
 
-    def __init__(self, triangle_count, gluings, vertices=None):
-        if triangle_count < 1:
-            raise SurfaceError("need at least one triangle")
-        self.triangle_count = int(triangle_count)
+    Union-find in which every link points to a smaller element, so each root
+    is its class minimum and one ascending pass leaves every element on its
+    root.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in pairs:
+        a, b = find(a), find(b)
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for x in range(n):
+        parent[x] = parent[parent[x]]
+    return parent
+
+
+def _surface_faults(triangle_count, gluings):
+    """One message per fault of the triangle count and the gluings: no
+    triangle, a side out of range, a side glued to itself, a side in two
+    gluings."""
+    if triangle_count < 1:
+        yield "need at least one triangle"
+    seen = set()
+    for a, b in gluings:
+        for t, s in (a, b):
+            if not (0 <= t < triangle_count) or s not in (0, 1, 2):
+                yield f"gluing references invalid side {(t, s)}"
+        if a == b:
+            yield f"side {a} glued to itself"
+        for side in (a, b):
+            if side in seen:
+                yield f"side {side} appears in two gluings"
+            seen.add(side)
+
+
+class GluedTriangulation:
+    """Triangles plus side gluings, with derived edges and vertex classes.
+
+    Corner ``c`` and side ``s`` of triangle ``t`` are numbered ``3t + c`` and
+    ``3t + s`` in the flat arrays.  ``forward[3t + c]`` is the corner reached
+    by crossing side ``c`` (the next corner counterclockwise around the
+    vertex), -1 where that side is unglued, and ``backward`` is its inverse.
+    Everything combinatorial is read from the gluings once:
+
+    * ``edges``: the gluings in order, then the unglued sides in (t, s) order;
+    * ``vertices``: the corner classes that ``forward`` links, ordered by
+      their smallest corner, each class sorted; ``corner_class`` (T, 3)
+      indexes them and ``boundary_vertex`` (V,) flags the classes with an
+      unglued side;
+    * ``component`` (T,): the smallest triangle index in each triangle's
+      gluing-connected component.
+    """
+
+    def __init__(self, triangle_count, gluings):
+        self.triangle_count = n_t = int(triangle_count)
         self.gluings = tuple(
             (tuple(a), tuple(b)) for a, b in gluings
         )
-        self._check_gluings()
-        self.edges = self._derive_edges()
+        for fault in _surface_faults(n_t, self.gluings):
+            raise SurfaceError(fault)
+        # crossing side s of t from corner s lands on corner (s2+1) % 3 of
+        # the partner side (t2, s2): glued sides run in opposite directions
+        n = 3 * n_t
+        forward = [-1] * n
+        for (t, s), (t2, s2) in self.gluings:
+            forward[3 * t + s] = 3 * t2 + (s2 + 1) % 3
+            forward[3 * t2 + s2] = 3 * t + (s + 1) % 3
+        self.forward = np.array(forward)
+        linked = np.flatnonzero(self.forward >= 0)
+        free = np.flatnonzero(self.forward < 0)
+        self.backward = np.full(n, -1)
+        self.backward[self.forward[linked]] = linked
+
+        self.edges = tuple(Edge(e, INTERIOR, pair) for e, pair in enumerate(self.gluings)) \
+            + tuple(Edge(len(self.gluings) + k, BOUNDARY, (divmod(x, 3),))
+                    for k, x in enumerate(free.tolist()))
         # (E, 2, 2): the sides (t, s) of every edge in edge order, a boundary
         # edge's one side twice; the interior rows are the gluings
         self.edge_sides = np.array([(e.sides * 2)[:2] for e in self.edges])
-        # (T, 3) lookups side (t, s) -> edge and corner (t, c) -> vertex class;
-        # -1 marks a corner that a user-supplied partition leaves out
-        self.side_edge = np.full((self.triangle_count, 3), -1)
+        # (T, 3) lookup side (t, s) -> edge
+        self.side_edge = np.empty((n_t, 3), dtype=int)
         self.side_edge[self.edge_sides[..., 0], self.edge_sides[..., 1]] = \
             np.arange(len(self.edges))[:, None]
-        derived = self._derive_vertices()
-        self.vertices = tuple(tuple(c) for c in (derived if vertices is None else vertices))
-        self.corner_class = np.full((self.triangle_count, 3), -1)
-        for v, corners in enumerate(self.vertices):
-            for c in corners:
-                self.corner_class[c] = v
 
-    # -- construction helpers -------------------------------------------------
-
-    def _check_gluings(self):
-        seen = set()
-        for a, b in self.gluings:
-            for t, s in (a, b):
-                if not (0 <= t < self.triangle_count) or s not in (0, 1, 2):
-                    raise SurfaceError(f"gluing references invalid side {(t, s)}")
-            if a == b:
-                raise SurfaceError(f"side {a} glued to itself")
-            for side in (a, b):
-                if side in seen:
-                    raise SurfaceError(f"side {side} appears in two gluings")
-                seen.add(side)
-
-    def _derive_edges(self):
-        edges = []
-        glued = set()
-        for a, b in self.gluings:
-            edges.append(Edge(len(edges), INTERIOR, (a, b)))
-            glued.add(a)
-            glued.add(b)
-        for t in range(self.triangle_count):
-            for s in range(3):
-                if (t, s) not in glued:
-                    edges.append(Edge(len(edges), BOUNDARY, ((t, s),)))
-        return tuple(edges)
-
-    def _derive_vertices(self):
-        parent = {(t, c): (t, c) for t in range(self.triangle_count) for c in range(3)}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
-        for (t, s), (t2, s2) in self.gluings:
-            union((t, s), (t2, (s2 + 1) % 3))
-            union((t, (s + 1) % 3), (t2, s2))
+        # a label is the smallest corner of its class, so the classes come
+        # out ordered by smallest corner, each class sorted, and a class's
+        # number is the count of class minima below its own
+        labels = _min_labels(n, zip(linked.tolist(), self.forward[linked].tolist()))
         classes = {}
-        for corner in parent:
-            classes.setdefault(find(corner), []).append(corner)
-        return [sorted(classes[root]) for root in sorted(classes)]
+        for x, root in enumerate(labels):
+            classes.setdefault(root, []).append(divmod(x, 3))
+        self.vertices = tuple(map(tuple, classes.values()))
+        first = np.array(labels)
+        corner_class = np.cumsum(first == np.arange(n))[first] - 1
+        self.corner_class = corner_class.reshape(n_t, 3)
+        self.boundary_vertex = np.zeros(len(self.vertices), dtype=bool)
+        self.boundary_vertex[corner_class[free]] = True
+        self.component = np.array(_min_labels(n_t, ((t, t2) for (t, _), (t2, _) in self.gluings)))
 
     # -- queries ---------------------------------------------------------------
 
@@ -125,11 +160,7 @@ class GluedTriangulation:
 
     def vertex_is_boundary(self, v):
         """True if some side incident to vertex class ``v`` is unglued."""
-        for t, c in self.vertices[v]:
-            for s in (c, (c + 2) % 3):
-                if self.edges[self.side_edge[(t, s)]].kind == BOUNDARY:
-                    return True
-        return False
+        return bool(self.boundary_vertex[v])
 
     def euler_characteristic(self):
         return len(self.vertices) - len(self.edges) + self.triangle_count
@@ -137,41 +168,7 @@ class GluedTriangulation:
     def is_disk(self):
         """Connected, genus 0, one boundary component (checked via chi = 1)."""
         return self.euler_characteristic() == 1 and len(self.boundary_edges) > 0 \
-            and self._is_connected()
-
-    def _is_connected(self):
-        seen = {0}
-        stack = [0]
-        adj = {}
-        for (t, _), (t2, _) in self.gluings:
-            adj.setdefault(t, set()).add(t2)
-            adj.setdefault(t2, set()).add(t)
-        while stack:
-            t = stack.pop()
-            for t2 in adj.get(t, ()):
-                if t2 not in seen:
-                    seen.add(t2)
-                    stack.append(t2)
-        return len(seen) == self.triangle_count
-
-    def _cross(self, out_side, from_first):
-        """Corner reached by crossing ``out_side``; None at the boundary."""
-        edge = self.edges[self.side_edge[out_side]]
-        if edge.kind == BOUNDARY:
-            return None
-        a, b = edge.sides
-        t2, s2 = b if out_side == a else a
-        return (t2, (s2 + 1) % 3) if from_first else (t2, s2)
-
-    def step_forward(self, corner):
-        """Next corner counterclockwise around the vertex (cross side ``c``)."""
-        t, c = corner
-        return self._cross((t, c), from_first=True)
-
-    def step_back(self, corner):
-        """Previous corner around the vertex (cross side ``(c+2) % 3``)."""
-        t, c = corner
-        return self._cross((t, (c + 2) % 3), from_first=False)
+            and not self.component.any()
 
     def boundary_cycles(self):
         """Directed boundary sides grouped into cycles (surface on the left).
@@ -204,28 +201,19 @@ class GluedTriangulation:
         For a boundary vertex the chain starts at the boundary, so it covers
         the class in order; for an interior vertex the cycle starts at (t, c).
         """
-        start = (t, c)
+        start = cur = int(3 * t + c)
         closed = False
-        cur = start
-        while True:
-            prev = self.step_back(cur)
-            if prev is None:
-                break
-            if prev == start:
-                cur = start
+        while self.backward[cur] >= 0:
+            cur = int(self.backward[cur])
+            if cur == start:
                 closed = True
                 break
-            cur = prev
         chain = [cur]
-        while True:
-            nxt = self.step_forward(chain[-1])
-            if nxt is None:
-                return chain, False
-            if closed and nxt == chain[0]:
-                return chain, True
-            chain.append(nxt)
-            if len(chain) > 3 * self.triangle_count:
-                raise SurfaceError("corner walk failed to terminate")
+        nxt = self.forward[cur]
+        while nxt >= 0 and nxt != chain[0]:
+            chain.append(int(nxt))
+            nxt = self.forward[nxt]
+        return [divmod(x, 3) for x in chain], closed
 
 
 @dataclass(frozen=True)
@@ -253,8 +241,13 @@ class AngleData:
 
 
 def parse_header(text, what, keys):
-    """The JSON object of a ``what`` file, checked for ``keys``, and the
-    triangulation of its "triangles" and "gluings"; returns (tri, doc)."""
+    """The JSON object of a ``what`` file, checked for ``keys``, with its
+    "triangles" count and "gluings"; returns (count, gluings, doc).
+
+    Callers check the list lengths that count and gluings fix before they
+    build the triangulation, whose cost grows with the count: a huge count
+    in a small file then fails at once.  Faulty gluings are reported first,
+    since they make those lengths meaningless."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -276,7 +269,9 @@ def parse_header(text, what, keys):
     if not all(len(side) == 2 and all(type(i) is int for i in side)
                for pair in gluings for side in pair):
         raise SchemaError(form)
-    return GluedTriangulation(count, gluings), doc
+    for fault in _surface_faults(count, gluings):
+        raise SurfaceError(fault)
+    return count, gluings, doc
 
 
 def float_array(value, name, count):
@@ -294,15 +289,16 @@ def float_array(value, name, count):
 
 def parse_problem(text):
     """Parse a problem file; returns (GluedTriangulation, AngleData)."""
-    tri, doc = parse_header(text, "problem", ("triangles", "gluings", "theta", "xi"))
+    count, gluings, doc = parse_header(text, "problem", ("triangles", "gluings", "theta", "xi"))
     theta_doc = doc["theta"]
     if not isinstance(theta_doc, dict) or set(theta_doc) - {"interior", "boundary"}:
         raise SchemaError("theta must be {'interior': [...], 'boundary': [...]}")
-    n_int = len(tri.gluings)
+    n_int = len(gluings)
     theta = np.concatenate([
         float_array(theta_doc.get("interior", []), "theta.interior", n_int),
-        float_array(theta_doc.get("boundary", []), "theta.boundary", len(tri.edges) - n_int),
+        float_array(theta_doc.get("boundary", []), "theta.boundary", 3 * count - 2 * n_int),
     ])
+    tri = GluedTriangulation(count, gluings)
     data = AngleData(theta=theta, xi=float_array(doc["xi"], "xi", len(tri.vertices)))
     data.validate(tri)
     return tri, data
@@ -324,15 +320,7 @@ def problem_dict(tri, data):
 
 def validate_surface(tri):
     """Diagnostics report: list of invariant violations (empty iff valid)."""
-    violations = []
-    seen = set()
-    for a, b in tri.gluings:
-        if a == b:
-            violations.append(f"side {a} glued to itself")
-        for side in (a, b):
-            if side in seen:
-                violations.append(f"side {side} appears in two gluings")
-            seen.add(side)
+    violations = list(_surface_faults(tri.triangle_count, tri.gluings))
     corners = [(t, c) for t in range(tri.triangle_count) for c in range(3)]
     claimed = [c for cls in tri.vertices for c in cls]
     if sorted(claimed) != corners:

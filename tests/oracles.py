@@ -226,6 +226,114 @@ def symmetric_torus(rho, side=1.0):
     return tri, dm
 
 
+def derive_vertices_loop(tri):
+    """Vertex classes by a union-find over (t, c) corner tuples, ordered by
+    their smallest corner, each class sorted: the reference for
+    ``GluedTriangulation.vertices``."""
+    parent = {(t, c): (t, c) for t in range(tri.triangle_count) for c in range(3)}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    for (t, s), (t2, s2) in tri.gluings:
+        union((t, s), (t2, (s2 + 1) % 3))
+        union((t, (s + 1) % 3), (t2, s2))
+    classes = {}
+    for corner in parent:
+        classes.setdefault(find(corner), []).append(corner)
+    return [sorted(classes[root]) for root in sorted(classes)]
+
+
+def component_roots_loop(tri):
+    """Per triangle, the smallest triangle index of its connected component
+    of the triangle/vertex-class incidence graph, over ``derive_vertices_loop``."""
+    parent = list(range(tri.triangle_count))
+
+    def find(t):
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    for corners in derive_vertices_loop(tri):
+        for t, _ in corners[1:]:
+            a, b = find(corners[0][0]), find(t)
+            if a != b:
+                parent[max(a, b)] = min(a, b)  # roots stay the smallest index
+    return [find(t) for t in range(tri.triangle_count)]
+
+
+def is_connected_loop(tri):
+    """Depth-first search over the gluings from triangle 0."""
+    seen = {0}
+    stack = [0]
+    adj = {}
+    for (t, _), (t2, _) in tri.gluings:
+        adj.setdefault(t, set()).add(t2)
+        adj.setdefault(t2, set()).add(t)
+    while stack:
+        t = stack.pop()
+        for t2 in adj.get(t, ()):
+            if t2 not in seen:
+                seen.add(t2)
+                stack.append(t2)
+    return len(seen) == tri.triangle_count
+
+
+def boundary_flags_loop(tri, vertices):
+    """Per vertex class: True if a side incident to one of its corners is in
+    no gluing."""
+    glued = {side for pair in tri.gluings for side in pair}
+    return [any((t, s) not in glued for t, c in corners for s in (c, (c + 2) % 3))
+            for corners in vertices]
+
+
+def corner_walks_loop(tri):
+    """``GluedTriangulation.corner_walk`` at every corner, keyed by (t, c),
+    by crossing sides through a side -> partner dict of the gluings."""
+    partner = {}
+    for a, b in tri.gluings:
+        partner[a], partner[b] = b, a
+
+    def step_forward(corner):  # cross side c, land on its far end
+        t2, s2 = partner.get(corner, (None, None))
+        return None if t2 is None else (t2, (s2 + 1) % 3)
+
+    def step_back(corner):  # cross side (c+2) % 3, land on its near end
+        return partner.get((corner[0], (corner[1] + 2) % 3))
+
+    def walk(start):
+        closed = False
+        cur = start
+        while True:
+            prev = step_back(cur)
+            if prev is None:
+                break
+            if prev == start:
+                cur = start
+                closed = True
+                break
+            cur = prev
+        chain = [cur]
+        while True:
+            nxt = step_forward(chain[-1])
+            if nxt is None:
+                return chain, False
+            if closed and nxt == chain[0]:
+                return chain, True
+            chain.append(nxt)
+
+    return {(t, c): walk((t, c)) for t in range(tri.triangle_count) for c in range(3)}
+
+
 def tangent_span_vectors(tri: GluedTriangulation):
     """The edge and cycle tangent vectors that span the coherent tangent space.
 

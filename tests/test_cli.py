@@ -1,9 +1,12 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from hyperideal import solve as solve_mod
 from hyperideal.cli import main, parse_angle
 from hyperideal.coherent import Infeasible
 from hyperideal.errors import SchemaError
@@ -284,3 +287,32 @@ def test_non_object_solution_exit_code(tmp_path, doc):
     p = tmp_path / "solution.json"
     p.write_text(json.dumps(doc))
     assert main(["layout", str(p)]) == 3
+
+
+def test_huge_triangle_count_fails_fast(tmp_path):
+    # the list lengths that the count and the gluings fix are checked before
+    # the triangulation, whose construction grows with the count, is built
+    count = 10**9
+    problem = {"triangles": count, "gluings": [],
+               "theta": {"interior": [], "boundary": [1.0] * 3}, "xi": [1.0] * 3}
+    geometry = {"triangles": count, "gluings": [], "lengths": [1.0] * 3, "radii": [0.2] * 3}
+    code = "import sys\nfrom hyperideal.cli import main\nsys.exit(main(sys.argv[1:]))"
+    for command, doc in (("check", problem), ("solve", problem), ("probe", geometry)):
+        p = tmp_path / f"{command}.json"
+        p.write_text(json.dumps(doc))
+        out = subprocess.run([sys.executable, "-c", code, command, str(p)],
+                             capture_output=True, text=True, timeout=30)
+        assert out.returncode == 3, (command, out.stderr)
+
+
+def test_solve_rejects_disconnected_surface_before_feasibility(monkeypatch, tmp_path, capsys):
+    def no_feasibility(cs):
+        raise AssertionError("find_coherent ran on a disconnected surface")
+
+    monkeypatch.setattr(solve_mod, "find_coherent", no_feasibility)
+    doc = {"triangles": 2, "gluings": [],
+           "theta": {"interior": [], "boundary": [5 * math.pi / 6] * 6}, "xi": [math.pi / 3] * 6}
+    p = tmp_path / "two_triangles.json"
+    p.write_text(json.dumps(doc))
+    assert main(["solve", str(p)]) == 5
+    assert "surface is disconnected" in capsys.readouterr().err

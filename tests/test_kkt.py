@@ -184,7 +184,8 @@ def test_import_loads_no_dense_scipy_modules():
 
     code = (
         "import sys, hyperideal; "
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.sparse.csgraph') "
+        "if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -204,7 +205,8 @@ def test_dense_branch_solves_with_numpy_alone():
         "from hyperideal import files, pattern, solve\n"
         "tri, dm = files.parse_geometry(sys.stdin.read())\n"
         "x, rep = solve.solve_problem(tri, pattern.probe(tri, dm)[0])\n"
-        "print(rep.status, [m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])"
+        "print(rep.status, [m for m in ('scipy.sparse.linalg', 'scipy.linalg', "
+        "'scipy.sparse.csgraph') if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", code], input=canonical_json(geometry_dict(tri, dm)),
                          capture_output=True, text=True, check=True)

@@ -1,15 +1,22 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hyperideal.coherent import build_constraints
 from hyperideal.errors import SchemaError, SurfaceError
 from hyperideal.surface import (
+    AngleData,
     GluedTriangulation,
     parse_problem,
     problem_dict,
     validate_surface,
 )
+
+from . import oracles
 
 TORUS_GLUINGS = [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))]
 
@@ -126,7 +133,8 @@ def test_validate_surface_clean():
 def test_validate_surface_bad_partition():
     base = GluedTriangulation(2, [((0, 0), (1, 0))])
     merged = [base.vertices[0] + base.vertices[1]] + list(base.vertices[2:])
-    bad = GluedTriangulation(2, [((0, 0), (1, 0))], vertices=merged)
+    bad = GluedTriangulation(2, [((0, 0), (1, 0))])
+    bad.vertices = merged
     report = validate_surface(bad)
     assert any("non-manifold" in line for line in report)
 
@@ -171,3 +179,62 @@ def test_boundary_cycles():
     assert len(disk2) == 1 and len(disk2[0]) == 4
     two_parts = GluedTriangulation(2, []).boundary_cycles()
     assert len(two_parts) == 2
+
+
+def _load_perfbench_generators():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GEN = _load_perfbench_generators()
+
+
+def _triangulations(instances):
+    return [tri for tri, _ in instances]
+
+
+def _lattice(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "disk":
+        return GEN.lattice_disk(rng, n)
+    return GEN.lattice_torus(rng, n, cone=kind == "cone torus")
+
+
+# name -> builder of a list of triangulations: the benchmark's instance kinds
+# and lattice ladder (T = 50, 512, 4608), random disks, a fold and two
+# disjoint triangles
+FAMILIES = {
+    **{f"tiny_set seed {seed}": lambda seed=seed: _triangulations(
+        GEN.tiny_set(np.random.default_rng(seed), 1)) for seed in range(1, 9)},
+    **{f"{kind} n={n}": lambda kind=kind, n=n: _triangulations([_lattice(kind, n)])
+       for n in (5, 16, 48) for kind in ("flat torus", "cone torus", "disk")},
+    "random_disk": lambda rng=np.random.default_rng(3): _triangulations(
+        oracles.random_disk(rng) for _ in range(4)),
+    "fold and two parts": lambda: [GluedTriangulation(1, [((0, 0), (0, 1))]),
+                                   GluedTriangulation(2, [])],
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_combinatorics_match_loop_references(family):
+    for tri in FAMILIES[family]():
+        vertices = oracles.derive_vertices_loop(tri)
+        assert tri.vertices == tuple(map(tuple, vertices))
+        flags = oracles.boundary_flags_loop(tri, vertices)
+        for v, corners in enumerate(vertices):
+            assert all(tri.corner_class[corner] == v for corner in corners)
+            assert tri.vertex_is_boundary(v) == flags[v]
+        component = oracles.component_roots_loop(tri)
+        assert tri.component.tolist() == component
+        roots = sorted(set(component))
+        assert tri.is_disk() == (tri.euler_characteristic() == 1 and len(tri.boundary_edges) > 0
+                                 and oracles.is_connected_loop(tri))
+        for (t, c), walk in oracles.corner_walks_loop(tri).items():
+            assert tri.corner_walk(t, c) == walk
+        data = AngleData(theta=np.full(len(tri.edges), 1.0), xi=np.full(len(vertices), 1.0))
+        cs = build_constraints(tri, data)
+        assert cs.rank == tri.triangle_count + len(tri.edges) + len(vertices) - len(roots)
+        assert np.flatnonzero(~cs.independent_eq).tolist() == roots
