@@ -30,7 +30,7 @@ from .errors import (
     SingularityError,
     SurfaceError,
 )
-from .files import canonical_json, parse_geometry, read_solution, solution_dict
+from .files import angle_system_dict, canonical_json, parse_geometry, read_solution, solution_dict
 from .layout import export_svg, lay_out, layout_to_json
 from .pattern import metric_from_lengths, probe, truncated_lengths, verify_pattern
 from .solve import CONVERGED, INFEASIBLE, LINE_SEARCH_FAILED, solve_problem
@@ -56,6 +56,8 @@ def parse_angle(text: str) -> float:
         factor = float(num) if num not in ("", "+", "-") else float(num + "1")
         value = factor * math.pi
         if m.group(2):
+            if float(m.group(2)) == 0.0:
+                raise SchemaError(f"angle literal {text!r} divides by zero")
             value /= float(m.group(2))
         return value
     try:
@@ -96,14 +98,7 @@ def _run_check(args):
     report = is_coherent(found, cs)
     print(f"feasible: coherent angle system found (min slack {report.min_slack:.6g})")
     if args.output:
-        doc = {
-            "problem": problem_dict(tri, data),
-            "angles": {
-                "alpha": [list(map(float, r)) for r in found.alphas()],
-                "gamma": [list(map(float, r)) for r in found.gammas()],
-            },
-        }
-        _emit(canonical_json(doc), args.output)
+        _emit(canonical_json(angle_system_dict(tri, data, found)), args.output)
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from scipy import sparse
 
 from .energy import in_delta
 from .errors import ConvergenceError, NotCoherentError
-from .surface import BOUNDARY, AngleData, GluedTriangulation
+from .surface import AngleData, GluedTriangulation
 
 EQ_TOL = 1e-10
 SLACK_TOL = 1e-10
@@ -139,13 +139,15 @@ def build_constraints(tri: GluedTriangulation, data: AngleData) -> ConstraintSys
     data.validate(tri)
     n_t = tri.triangle_count
     n = 6 * n_t
-    n_e = len(tri.edges)
+    n_e = len(tri.edge_sides)
+    n_int = len(tri.gluings)
     n_v = len(tri.vertices)
 
-    sides = np.array([(t, s) for e in tri.edges for t, s in e.sides])
+    # an interior edge row holds both sides, a boundary edge row its one side
+    sides = np.concatenate([tri.edge_sides[:n_int].reshape(-1, 2), tri.edge_sides[n_int:, 0]])
     corners = np.array([corner for cls in tri.vertices for corner in cls])
     a_eq = _csr(
-        [3] * n_t + [len(e.sides) for e in tri.edges] + [len(cls) for cls in tri.vertices],
+        [3] * n_t + [2] * n_int + [1] * (n_e - n_int) + [len(cls) for cls in tri.vertices],
         np.concatenate([
             np.arange(n).reshape(n_t, 6)[:, 3:].ravel(),
             6 * sides[:, 0] + sides[:, 1],
@@ -159,10 +161,8 @@ def build_constraints(tri: GluedTriangulation, data: AngleData) -> ConstraintSys
         np.asarray(data.xi, dtype=float),
     ])
     labels = [f"triangle {t} gamma sum" for t in range(n_t)]
-    labels += [
-        f"edge {e.index} boundary alpha" if e.kind == BOUNDARY else f"edge {e.index} alpha sum"
-        for e in tri.edges
-    ]
+    labels += [f"edge {e} alpha sum" for e in range(n_int)]
+    labels += [f"edge {e} boundary alpha" for e in range(n_int, n_e)]
     labels += [f"vertex {v} gamma sum" for v in range(n_v)]
 
     # rows 6t+k: x[6t+k] > 0; rows n + 3t + c: Delta bound at corner c of t,

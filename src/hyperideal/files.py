@@ -56,14 +56,20 @@ def canonical_json(value) -> str:
     return "".join(out)
 
 
-def solution_dict(tri, data, x, report, tl=None, dm=None):
-    doc = {
+def angle_system_dict(tri, data, x):
+    """The "problem" and "angles" blocks of an angle system ``x`` of (tri,
+    data): what ``check -o`` writes, and how a solution file starts."""
+    return {
         "problem": problem_dict(tri, data),
         "angles": {
             "alpha": [list(map(float, row)) for row in x.alphas()],
             "gamma": [list(map(float, row)) for row in x.gammas()],
         },
     }
+
+
+def solution_dict(tri, data, x, report, tl=None, dm=None):
+    doc = angle_system_dict(tri, data, x)
     if tl is not None:
         doc["a_edge"] = [float(v) for v in tl.a_edge]
         doc["a_vertex"] = [float(v) for v in tl.a_vertex]
@@ -104,7 +110,7 @@ def read_solution(text):
         raise SchemaError("solution angles have the wrong shape")
     dm = None
     if "lengths" in doc and "radii" in doc:
-        dm = DecoratedMetric(lengths=float_array(doc["lengths"], "lengths", len(tri.edges)),
+        dm = DecoratedMetric(lengths=float_array(doc["lengths"], "lengths", len(tri.edge_sides)),
                              radii=float_array(doc["radii"], "radii", len(tri.vertices)))
     return tri, data, np.hstack([alpha, gamma]).reshape(-1), dm
 

@@ -4,7 +4,8 @@ Every triangle is placed once, in its own chart, and each interior edge gets
 the orientation-preserving isometry (transition) that moves the neighbor
 chart into abutting position.  A simply connected flat instance (disk
 topology, interior cone angles 2pi) is developed into the plane by composing
-the transitions breadth-first; everything else is drawn as the atlas.  Both
+the transitions along the one spanning forest of the gluings that
+``GluedTriangulation`` derives; everything else is drawn as the atlas.  Both
 forms carry the face circle and the vertex circles and are exportable as SVG
 and JSON.
 """
@@ -13,7 +14,6 @@ import io
 import json
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,22 +187,18 @@ def _across(rot, shift, rotation, translation, near_is_target):
 
 
 def _develop(tri, positions, rot, trans):
-    """The charts of a flat disk moved into one plane: breadth-first from
-    triangle 0, whose chart stays, each chart moved by the transitions
-    composed along the tree."""
+    """The charts of a flat disk moved into one plane: triangle 0, the root
+    of the spanning forest, keeps its chart, and each other chart is moved
+    by the transitions composed along the forest, parents first."""
     moves = [None] * tri.triangle_count
     moves[0] = (np.eye(2), np.zeros(2))
-    queue = deque([0])
-    while queue:
-        t = queue.popleft()
-        for s, e in enumerate(tri.side_edge[t].tolist()):
-            if e >= len(tri.gluings):
-                continue
-            near_is_target = tri.gluings[e][0] == (t, s)
-            t2 = tri.gluings[e][1 if near_is_target else 0][0]
-            if moves[t2] is None:
-                moves[t2] = _across(*moves[t], rot[e], trans[e], near_is_target)
-                queue.append(t2)
+    # side 3t + s of every edge's target, the first side of its gluing
+    target = (3 * tri.edge_sides[:, 0, 0] + tri.edge_sides[:, 0, 1]).tolist()
+    side_edge, parent = tri.side_edge.ravel().tolist(), tri.parent_corner.tolist()
+    for t in tri.forest_order[1:].tolist():
+        x = parent[t]
+        e = side_edge[x]
+        moves[t] = _across(*moves[x // 3], rot[e], trans[e], target[e] == x)
     rotation, translation = map(np.array, zip(*moves))
     return positions @ np.swapaxes(rotation, 1, 2) + translation[:, None, :]
 

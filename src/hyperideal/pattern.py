@@ -3,8 +3,10 @@
 From a critical angle system, Schlaefli-type derivative identities give
 truncated hyperbolic lengths: ``a_edge = -2 dF/dalpha`` (agreeing from both
 sides of each interior edge) and vertex potentials ``a_vertex`` integrated
-from the gamma-partial differences over the vertex/triangle incidence graph.
-These convert to euclidean data by
+from the gamma-partial differences along the one spanning forest of the
+gluings that ``GluedTriangulation`` derives.  The compat2 residual is the
+largest mismatch of those differences over all corners; it vanishes exactly
+when the potentials exist.  These convert to euclidean data by
 
     r_i = exp(-a_i)       (up to the gauge a = 0, r = 1 at vertex class 0),
     l_ij^2 = r_i^2 + r_j^2 + 2 r_i r_j cosh(a_ij).
@@ -16,7 +18,6 @@ the three vertex circles, centered at their radical center).
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,44 +34,30 @@ CROSS_CHECK_TOL = 1e-10  # theta from the alphas vs the face circles
 # -- compatibility residuals and potentials ----------------------------------
 
 
-def _potential_walk(tri, gp):
-    """BFS potentials on the vertex-class/triangle incidence graph.
+def _potentials(tri, gp):
+    """Vertex potentials from the gamma-partials ``gp`` (T, 3), and the
+    mismatch per corner (3T,).
 
-    Returns (psi_vertex, max_cycle_residual) where psi differences along a
-    class->triangle->class path accumulate the gamma-partial differences; the
-    residual is the largest mismatch over non-tree incidences (one per
-    fundamental cycle of the graph).
-    """
-    n_v = len(tri.vertices)
-    n_t = tri.triangle_count
-    psi_v = np.full(n_v, np.nan)
-    psi_t = np.full(n_t, np.nan)
-    psi_v[0] = 0.0
-    queue = deque([("v", 0)])
-    residual = 0.0
-    corners_of_class = {v: cls for v, cls in enumerate(tri.vertices)}
-    while queue:
-        kind, i = queue.popleft()
-        if kind == "v":
-            for t, c in corners_of_class[i]:
-                cand = psi_v[i] - gp[t, c]
-                if math.isnan(psi_t[t]):
-                    psi_t[t] = cand
-                    queue.append(("t", t))
-                else:
-                    residual = max(residual, abs(psi_t[t] - cand))
-        else:
-            for c in range(3):
-                v = tri.corner_class[(i, c)]
-                cand = psi_t[i] + gp[i, c]
-                if math.isnan(psi_v[v]):
-                    psi_v[v] = cand
-                    queue.append(("v", v))
-                else:
-                    residual = max(residual, abs(psi_v[v] - cand))
-    if np.any(np.isnan(psi_v)) or np.any(np.isnan(psi_t)):
+    Crossing side x of triangle t to corner y = forward[x] of t2 steps the
+    triangle potential by psi[t2] = psi[t] + gp[x] - gp[y]; the spanning
+    forest fixes psi, the mismatch is how far each glued corner's step
+    misses (exactly 0 on the forest), and each class's potential is
+    psi[t] + gp[t, c] at its smallest corner, 0 for class 0."""
+    if tri.component.any():
         raise PreconditionError("surface is disconnected")
-    return psi_v, residual
+    g = gp.ravel()
+    linked = np.flatnonzero(tri.forward >= 0)
+    step = np.zeros(len(g))
+    step[linked] = g[linked] - g[tri.forward[linked]]
+    psi = [-float(g[0])] * tri.triangle_count
+    parent, steps = tri.parent_corner.tolist(), step.tolist()
+    for t in tri.forest_order[1:].tolist():
+        psi[t] = psi[parent[t] // 3] + steps[parent[t]]
+    psi = np.array(psi)
+    mismatch = np.zeros(len(g))
+    mismatch[linked] = np.abs(psi[tri.forward[linked] // 3] - (psi[linked // 3] + step[linked]))
+    _, smallest = np.unique(tri.corner_class, return_index=True)
+    return psi[smallest // 3] + g[smallest], mismatch
 
 
 def _at_sides(tri, per_side):
@@ -86,13 +73,12 @@ def _end_radii(tri, radii):
 
 
 def compat_residuals(tri, x: AngleSystem):
-    """(max |compat_1| over interior edges, max |compat_2| over fundamental cycles)."""
+    """(max |compat_1| over interior edges, max |compat_2| over corners)."""
     grads = tet_volume_grad(x.alphas(), x.gammas())
     ap, gp = grads[:, :3], grads[:, 3:]
     across = _at_sides(tri, ap)
     c1 = float(np.max(np.abs(across[:, 0] - across[:, 1])))
-    _, c2 = _potential_walk(tri, gp)
-    return c1, c2
+    return c1, float(np.max(_potentials(tri, gp)[1]))
 
 
 # -- truncated lengths and the decorated metric -------------------------------
@@ -120,7 +106,8 @@ def truncated_lengths(x: AngleSystem, tri: GluedTriangulation) -> TruncatedLengt
             f"({one[e]:.12g} vs {two[e]:.12g}); angle system is not critical"
         )
     a_edge = 0.5 * (one + two)
-    psi_v, cycle_res = _potential_walk(tri, gp)
+    psi_v, mismatch = _potentials(tri, gp)
+    cycle_res = float(np.max(mismatch))
     if cycle_res > COMPAT_TOL:
         raise NotCriticalError(
             f"gamma-potential cycle residual {cycle_res:.3e} too large; "

@@ -13,14 +13,17 @@ Vertices are equivalence classes of corners and are always derived from the
 gluings, never user-supplied; this is what makes non-regular triangulations
 (such as the one-vertex torus) unproblematic.  ``GluedTriangulation`` reads
 the gluings once into one corner-adjacency array (``forward``: the corner
-reached by crossing a side) and derives the edges, the vertex classes, their
-boundary flags and the connected components from it.  Instances should be
-treated as immutable after construction.
+reached by crossing a side) and derives the edge sides, the vertex classes,
+their boundary flags and one spanning forest of the gluings from it.  The
+forest gives the connected components; the vertex potentials (``pattern``)
+and the flat-disk development (``layout``) are integrated along it.
+Instances should be treated as immutable after construction.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +88,8 @@ def _surface_faults(triangle_count, gluings):
 
 
 class GluedTriangulation:
-    """Triangles plus side gluings, with derived edges and vertex classes.
+    """Triangles plus side gluings, with derived edges, vertex classes and one
+    spanning forest.
 
     Corner ``c`` and side ``s`` of triangle ``t`` are numbered ``3t + c`` and
     ``3t + s`` in the flat arrays.  ``forward[3t + c]`` is the corner reached
@@ -93,13 +97,20 @@ class GluedTriangulation:
     vertex), -1 where that side is unglued, and ``backward`` is its inverse.
     Everything combinatorial is read from the gluings once:
 
-    * ``edges``: the gluings in order, then the unglued sides in (t, s) order;
+    * ``edge_sides`` (E, 2, 2): the sides (t, s) of every edge, the gluings
+      in order, then every unglued side, twice, in (t, s) order;
+      ``side_edge`` (T, 3) is its inverse; the ``Edge`` objects of ``edges``
+      are made from it on first use;
     * ``vertices``: the corner classes that ``forward`` links, ordered by
       their smallest corner, each class sorted; ``corner_class`` (T, 3)
       indexes them and ``boundary_vertex`` (V,) flags the classes with an
       unglued side;
-    * ``component`` (T,): the smallest triangle index in each triangle's
-      gluing-connected component.
+    * one spanning forest of the gluings, breadth-first across sides 0, 1, 2
+      from each triangle not yet reached, in ascending order: the visit
+      order ``forest_order`` (T,), parents first; ``parent_corner`` (T,),
+      the corner ``x = 3p + s`` of the parent p whose side leads to the
+      triangle ``forward[x] // 3``, -1 at a root; ``component`` (T,), the
+      root of each tree, which is the smallest triangle of its component.
     """
 
     def __init__(self, triangle_count, gluings):
@@ -113,25 +124,22 @@ class GluedTriangulation:
         # the partner side (t2, s2): glued sides run in opposite directions
         n = 3 * n_t
         forward = [-1] * n
+        glued = []  # both sides 3t + s of every gluing
         for (t, s), (t2, s2) in self.gluings:
             forward[3 * t + s] = 3 * t2 + (s2 + 1) % 3
             forward[3 * t2 + s2] = 3 * t + (s + 1) % 3
+            glued += (3 * t + s, 3 * t2 + s2)
         self.forward = np.array(forward)
         linked = np.flatnonzero(self.forward >= 0)
         free = np.flatnonzero(self.forward < 0)
         self.backward = np.full(n, -1)
         self.backward[self.forward[linked]] = linked
 
-        self.edges = tuple(Edge(e, INTERIOR, pair) for e, pair in enumerate(self.gluings)) \
-            + tuple(Edge(len(self.gluings) + k, BOUNDARY, (divmod(x, 3),))
-                    for k, x in enumerate(free.tolist()))
-        # (E, 2, 2): the sides (t, s) of every edge in edge order, a boundary
-        # edge's one side twice; the interior rows are the gluings
-        self.edge_sides = np.array([(e.sides * 2)[:2] for e in self.edges])
-        # (T, 3) lookup side (t, s) -> edge
-        self.side_edge = np.empty((n_t, 3), dtype=int)
-        self.side_edge[self.edge_sides[..., 0], self.edge_sides[..., 1]] = \
-            np.arange(len(self.edges))[:, None]
+        edge_side = np.concatenate([np.array(glued, dtype=int), np.repeat(free, 2)]).reshape(-1, 2)
+        self.edge_sides = np.stack(np.divmod(edge_side, 3), axis=-1)
+        side_edge = np.empty(n, dtype=int)
+        side_edge[edge_side] = np.arange(len(edge_side))[:, None]
+        self.side_edge = side_edge.reshape(n_t, 3)
 
         # a label is the smallest corner of its class, so the classes come
         # out ordered by smallest corner, each class sorted, and a class's
@@ -146,7 +154,30 @@ class GluedTriangulation:
         self.corner_class = corner_class.reshape(n_t, 3)
         self.boundary_vertex = np.zeros(len(self.vertices), dtype=bool)
         self.boundary_vertex[corner_class[free]] = True
-        self.component = np.array(_min_labels(n_t, ((t, t2) for (t, _), (t2, _) in self.gluings)))
+
+        # the spanning forest: each queue is read while it grows
+        order, parent, component = [], [-1] * n_t, [-1] * n_t
+        for root in range(n_t):
+            if component[root] < 0:
+                component[root] = root
+                queue = [root]
+                for t in queue:
+                    for x in range(3 * t, 3 * t + 3):
+                        child = forward[x] // 3  # -1 at an unglued side
+                        if child >= 0 and component[child] < 0:
+                            component[child], parent[child] = root, x
+                            queue.append(child)
+                order += queue
+        self.forest_order = np.array(order)
+        self.parent_corner = np.array(parent)
+        self.component = np.array(component)
+
+    @cached_property
+    def edges(self):
+        """One ``Edge`` per row of ``edge_sides``; a boundary row repeats its side."""
+        rows = [tuple(map(tuple, row)) for row in self.edge_sides.tolist()]
+        return tuple(Edge(e, INTERIOR, (a, b)) if a != b else Edge(e, BOUNDARY, (a,))
+                     for e, (a, b) in enumerate(rows))
 
     # -- queries ---------------------------------------------------------------
 
@@ -163,11 +194,11 @@ class GluedTriangulation:
         return bool(self.boundary_vertex[v])
 
     def euler_characteristic(self):
-        return len(self.vertices) - len(self.edges) + self.triangle_count
+        return len(self.vertices) - len(self.edge_sides) + self.triangle_count
 
     def is_disk(self):
         """Connected, genus 0, one boundary component (checked via chi = 1)."""
-        return self.euler_characteristic() == 1 and len(self.boundary_edges) > 0 \
+        return self.euler_characteristic() == 1 and len(self.edge_sides) > len(self.gluings) \
             and not self.component.any()
 
     def boundary_cycles(self):
@@ -176,7 +207,7 @@ class GluedTriangulation:
         The successor of a boundary side is found by walking the corner chain
         around its head vertex to the corner whose forward side is unglued.
         """
-        remaining = {e.sides[0] for e in self.edges if e.kind == BOUNDARY}
+        remaining = {divmod(x, 3) for x in np.flatnonzero(self.forward < 0).tolist()}
         cycles = []
         while remaining:
             start = min(remaining)
@@ -224,18 +255,21 @@ class AngleData:
     xi: np.ndarray  # per vertex class, radians
 
     def validate(self, tri: GluedTriangulation):
-        if len(self.theta) != len(tri.edges):
+        n_e, n_int = len(tri.edge_sides), len(tri.gluings)
+        if len(self.theta) != n_e:
             raise SchemaError("theta must have one entry per edge")
         if len(self.xi) != len(tri.vertices):
             raise SchemaError("xi must have one entry per vertex class")
-        for e in tri.edges:
-            th = self.theta[e.index]
-            if not np.isfinite(th):
-                raise SchemaError(f"theta at edge {e.index} is not finite")
-            if e.kind == INTERIOR and not 0.0 <= th < math.pi:
-                raise SchemaError(f"interior theta at edge {e.index} outside [0, pi)")
-            if e.kind == BOUNDARY and not 0.0 < th < math.pi:
-                raise SchemaError(f"boundary theta at edge {e.index} outside (0, pi)")
+        theta = np.asarray(self.theta, dtype=float)
+        in_range = np.where(np.arange(n_e) < n_int, 0.0 <= theta, 0.0 < theta) & (theta < math.pi)
+        bad = np.flatnonzero(~(np.isfinite(theta) & in_range))
+        if bad.size:
+            e = bad[0]
+            if not np.isfinite(theta[e]):
+                raise SchemaError(f"theta at edge {e} is not finite")
+            if e < n_int:
+                raise SchemaError(f"interior theta at edge {e} outside [0, pi)")
+            raise SchemaError(f"boundary theta at edge {e} outside (0, pi)")
         if not np.all(np.isfinite(self.xi)) or np.any(self.xi <= 0.0):
             raise SchemaError("xi entries must be finite and positive")
 
@@ -306,7 +340,7 @@ def parse_problem(text):
 
 def problem_dict(tri, data):
     """JSON-able problem document for (tri, data), inverse of parse_problem."""
-    n_int = len(tri.interior_edges)
+    n_int = len(tri.gluings)
     return {
         "triangles": tri.triangle_count,
         "gluings": [{"a": list(a), "b": list(b)} for a, b in tri.gluings],

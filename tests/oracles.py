@@ -334,6 +334,46 @@ def corner_walks_loop(tri):
     return {(t, c): walk((t, c)) for t in range(tri.triangle_count) for c in range(3)}
 
 
+def _potential_walk(tri, gp):
+    """BFS potentials on the vertex-class/triangle incidence graph.
+
+    Returns (psi_vertex, max_cycle_residual) where psi differences along a
+    class->triangle->class path accumulate the gamma-partial differences; the
+    residual is the largest mismatch over non-tree incidences (one per
+    fundamental cycle of the graph).
+    """
+    n_v = len(tri.vertices)
+    n_t = tri.triangle_count
+    psi_v = np.full(n_v, np.nan)
+    psi_t = np.full(n_t, np.nan)
+    psi_v[0] = 0.0
+    queue = deque([("v", 0)])
+    residual = 0.0
+    corners_of_class = {v: cls for v, cls in enumerate(tri.vertices)}
+    while queue:
+        kind, i = queue.popleft()
+        if kind == "v":
+            for t, c in corners_of_class[i]:
+                cand = psi_v[i] - gp[t, c]
+                if math.isnan(psi_t[t]):
+                    psi_t[t] = cand
+                    queue.append(("t", t))
+                else:
+                    residual = max(residual, abs(psi_t[t] - cand))
+        else:
+            for c in range(3):
+                v = tri.corner_class[(i, c)]
+                cand = psi_t[i] + gp[i, c]
+                if math.isnan(psi_v[v]):
+                    psi_v[v] = cand
+                    queue.append(("v", v))
+                else:
+                    residual = max(residual, abs(psi_v[v] - cand))
+    if np.any(np.isnan(psi_v)) or np.any(np.isnan(psi_t)):
+        raise PreconditionError("surface is disconnected")
+    return psi_v, residual
+
+
 def tangent_span_vectors(tri: GluedTriangulation):
     """The edge and cycle tangent vectors that span the coherent tangent space.
 

@@ -98,6 +98,7 @@ def test_parse_error_exit_code(tmp_path):
 def test_usage_error_exit_code():
     assert main(["volume"]) == 3
     assert main(["volume", "--ideal", "x", "y", "z"]) == 3
+    assert main(["volume", "--p1", "pi/0"]) == 3
 
 
 def test_layout_svg_and_json(torus_file, tmp_path):

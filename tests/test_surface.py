@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 from hyperideal.coherent import build_constraints
+from hyperideal.energy import tet_volume_grad
 from hyperideal.errors import SchemaError, SurfaceError
+from hyperideal.pattern import (
+    COMPAT_TOL,
+    _potentials,
+    compat_residuals,
+    probe,
+    truncated_lengths,
+)
+from hyperideal.solve import solve_problem
 from hyperideal.surface import (
     AngleData,
     GluedTriangulation,
@@ -17,6 +26,7 @@ from hyperideal.surface import (
 )
 
 from . import oracles
+from .conftest import bundled_instance
 
 TORUS_GLUINGS = [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))]
 
@@ -230,6 +240,20 @@ def test_combinatorics_match_loop_references(family):
         component = oracles.component_roots_loop(tri)
         assert tri.component.tolist() == component
         roots = sorted(set(component))
+        # the spanning forest: every triangle once, parents first, each
+        # parent corner leading to its child, one tree per component
+        order = tri.forest_order.tolist()
+        assert sorted(order) == list(range(tri.triangle_count))
+        assert np.flatnonzero(tri.parent_corner < 0).tolist() == roots
+        tree_root = {}
+        for t in order:
+            x = tri.parent_corner[t]
+            if x >= 0:
+                assert tri.forward[x] // 3 == t
+                tree_root[t] = tree_root[x // 3]  # KeyError if the parent comes later
+            else:
+                tree_root[t] = t
+        assert [tree_root[t] for t in range(tri.triangle_count)] == component
         assert tri.is_disk() == (tri.euler_characteristic() == 1 and len(tri.boundary_edges) > 0
                                  and oracles.is_connected_loop(tri))
         for (t, c), walk in oracles.corner_walks_loop(tri).items():
@@ -238,3 +262,34 @@ def test_combinatorics_match_loop_references(family):
         cs = build_constraints(tri, data)
         assert cs.rank == tri.triangle_count + len(tri.edges) + len(vertices) - len(roots)
         assert np.flatnonzero(~cs.independent_eq).tolist() == roots
+
+
+CRITICAL = {
+    **{name: lambda name=name: bundled_instance(name)
+       for name in ("disk2.json", "fan3.json", "triangle.json", "torus.json")},
+    "disk T=128": lambda: GEN.lattice_disk(np.random.default_rng(1), 8),
+    "cone torus T=50": lambda: GEN.lattice_torus(np.random.default_rng(5), 5, cone=True),
+}
+
+
+@pytest.mark.parametrize("name", list(CRITICAL))
+def test_forest_potentials_match_the_walk(name):
+    """The bundled instances solved, a lattice disk and a cone torus probed:
+    the vertex potentials integrated along the spanning forest agree with
+    the breadth-first walk over the vertex/triangle incidence graph."""
+    tri, given = CRITICAL[name]()
+    x = solve_problem(tri, given)[0] if isinstance(given, AngleData) else probe(tri, given)[1]
+    gp = tet_volume_grad(x.alphas(), x.gammas())[:, 3:]
+    psi_v, walk_residual = oracles._potential_walk(tri, gp)
+    reference = -2.0 * psi_v
+    reference -= reference[0]
+    tl = truncated_lengths(x, tri)
+    assert np.max(np.abs(tl.a_vertex - reference)) <= 1e-12
+    assert max(walk_residual, tl.max_cycle_residual, compat_residuals(tri, x)[1]) <= COMPAT_TOL
+    # off the critical point: exact on the forest, and a mismatch where the
+    # walk finds a cycle that does not close (the walk's own residual
+    # carries rounding even where the graph has no cycle)
+    gp = np.random.default_rng(0).normal(size=gp.shape)
+    _, mismatch = _potentials(tri, gp)
+    assert np.all(mismatch[tri.parent_corner[tri.parent_corner >= 0]] == 0.0)
+    assert (np.max(mismatch) > 1e-9) == (oracles._potential_walk(tri, gp)[1] > 1e-9)
