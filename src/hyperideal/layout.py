@@ -324,6 +324,13 @@ def _index(value):
     return value
 
 
+def _array(value, shape):
+    out = np.array(value, dtype=float)
+    if out.shape != shape:
+        raise SchemaError(f"array of shape {out.shape} where {shape} is required")
+    return out
+
+
 def layout_from_json(text: str) -> ChartLayout:
     try:
         # canonical JSON writes -0.0 as "-0", which json reads as the int 0;
@@ -332,10 +339,10 @@ def layout_from_json(text: str) -> ChartLayout:
         charts = [
             TriangleChart(
                 triangle=_index(c["triangle"]),
-                vertices=np.array(c["vertices"], dtype=float),
-                face_center=np.array(c["face_center"], dtype=float),
+                vertices=_array(c["vertices"], (3, 2)),
+                face_center=_array(c["face_center"], (2,)),
                 face_radius=float(c["face_radius"]),
-                vertex_radii=np.array(c["vertex_radii"], dtype=float),
+                vertex_radii=_array(c["vertex_radii"], (3,)),
             )
             for c in doc["charts"]
         ]
@@ -346,11 +353,13 @@ def layout_from_json(text: str) -> ChartLayout:
                 target=_index(t["target"]),
                 source_side=_index(t["source_side"]),
                 target_side=_index(t["target_side"]),
-                rotation=np.array(t["rotation"], dtype=float),
-                translation=np.array(t["translation"], dtype=float),
+                rotation=_array(t["rotation"], (2, 2)),
+                translation=_array(t["translation"], (2,)),
             )
             for t in doc["transitions"]
         ]
+        if doc["mode"] not in (GLOBAL, ATLAS):
+            raise SchemaError(f"layout mode {doc['mode']!r} is neither {GLOBAL!r} nor {ATLAS!r}")
         return ChartLayout(mode=doc["mode"], charts=charts, transitions=transitions)
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise SchemaError(f"invalid layout JSON: {exc}") from exc
@@ -366,97 +375,77 @@ def _fmt(x):
 def export_svg(tri: GluedTriangulation, cl: ChartLayout) -> str:
     """Well-formed SVG 1.1: one path per triangle, circle elements for vertex
     and face circles; atlas charts are arranged on a grid, labeled, with their
-    transitions annotated."""
-    if not cl.charts:
-        raise PreconditionError("layout has no charts")
+    transitions annotated.  A global drawing shows each vertex circle once,
+    at the first corner of its class in chart order."""
+    ids = [chart.triangle for chart in cl.charts]
+    if sorted(ids) != list(range(tri.triangle_count)):
+        raise PreconditionError(
+            f"layout charts must be triangles 0..{tri.triangle_count - 1}, once each"
+        )
+    atlas = cl.mode == ATLAS
+    vertices = np.array([chart.vertices for chart in cl.charts], dtype=float)
+    center = np.array([chart.face_center for chart in cl.charts], dtype=float)
+    radius = np.array([chart.face_radius for chart in cl.charts], dtype=float)
+    vertex_radii = np.array([chart.vertex_radii for chart in cl.charts], dtype=float)
 
-    def chart_bbox(chart):
-        rad = max(float(chart.face_radius), float(np.max(chart.vertex_radii)))
-        lo = np.minimum(chart.vertices.min(axis=0), chart.face_center - chart.face_radius)
-        hi = np.maximum(chart.vertices.max(axis=0), chart.face_center + chart.face_radius)
-        lo = np.minimum(lo, (chart.vertices - rad).min(axis=0))
-        hi = np.maximum(hi, (chart.vertices + rad).max(axis=0))
-        return lo, hi
-
-    shifts = {}
-    if cl.mode == ATLAS:
-        boxes = [chart_bbox(c) for c in cl.charts]
-        cell = np.max([hi - lo for lo, hi in boxes], axis=0) * 1.1
-        cols = max(1, math.ceil(math.sqrt(len(cl.charts))))
-        for k, chart in enumerate(cl.charts):
-            lo, _ = boxes[k]
-            cellpos = np.array([(k % cols) * cell[0], (k // cols) * cell[1]])
-            shifts[chart.triangle] = cellpos - lo
-    else:
-        for chart in cl.charts:
-            shifts[chart.triangle] = np.zeros(2)
-
-    lo = np.full(2, np.inf)
-    hi = np.full(2, -np.inf)
-    for chart in cl.charts:
-        blo, bhi = chart_bbox(chart)
-        lo = np.minimum(lo, blo + shifts[chart.triangle])
-        hi = np.maximum(hi, bhi + shifts[chart.triangle])
+    # per chart: the box of its vertices, face circle and vertex circles
+    rad = np.maximum(radius, vertex_radii.max(axis=1))[:, None, None]
+    lo = np.minimum(vertices.min(axis=1), center - radius[:, None])
+    hi = np.maximum(vertices.max(axis=1), center + radius[:, None])
+    lo = np.minimum(lo, (vertices - rad).min(axis=1))
+    hi = np.maximum(hi, (vertices + rad).max(axis=1))
+    shift = np.zeros_like(lo)
+    if atlas:  # chart k's box moves to the corner of grid cell k
+        cell = np.max(hi - lo, axis=0) * 1.1
+        cols = math.ceil(math.sqrt(len(ids)))
+        k = np.arange(len(ids))
+        shift = np.stack([k % cols * cell[0], k // cols * cell[1]], axis=1) - lo
+    lo, hi = (lo + shift).min(axis=0), (hi + shift).max(axis=0)
     width = (hi[0] - lo[0]) * SCALE + 2 * MARGIN
     height = (hi[1] - lo[1]) * SCALE + 2 * MARGIN
 
-    def to_px(p, shift):
-        q = (np.asarray(p) + shift - lo) * SCALE
-        return q[0] + MARGIN, height - MARGIN - q[1]
+    # pixel coordinates of the three vertices, the face center and the label
+    points = np.concatenate(
+        [vertices, center[:, None], vertices.mean(axis=1)[:, None]], axis=1)
+    q = (points + shift[:, None] - lo) * SCALE
+    xs, ys = (q[..., 0] + MARGIN).tolist(), (height - MARGIN - q[..., 1]).tolist()
+    vertex_r, face_r = (vertex_radii * SCALE).tolist(), (radius * SCALE).tolist()
+    drawn = np.full((len(ids), 3), atlas)
+    if not atlas:  # each vertex circle at the first corner of its class
+        drawn.flat[np.unique(tri.corner_class[ids], return_index=True)[1]] = True
+    drawn = drawn.tolist()
 
+    stroke = _fmt(STROKE_WIDTH)
+    indent = "    " if atlas else "  "
     out = io.StringIO()
     out.write(
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
     )
-
-    def chart_elements(chart, indent, drawn_vertices=None):
-        """SVG lines of one chart; with ``drawn_vertices``, a vertex circle
-        whose vertex class is in the set is skipped, otherwise added to it."""
-        shift = shifts[chart.triangle]
-        pts = [to_px(p, shift) for p in chart.vertices]
-        d = (
-            f"M {_fmt(pts[0][0])} {_fmt(pts[0][1])} "
-            f"L {_fmt(pts[1][0])} {_fmt(pts[1][1])} "
-            f"L {_fmt(pts[2][0])} {_fmt(pts[2][1])} Z"
+    for k, triangle in enumerate(ids):
+        x, y = xs[k], ys[k]
+        if atlas:
+            out.write(f'  <g class="chart" id="chart-{triangle}">\n')
+        out.write(
+            f'{indent}<path d="M {_fmt(x[0])} {_fmt(y[0])} L {_fmt(x[1])} {_fmt(y[1])} '
+            f'L {_fmt(x[2])} {_fmt(y[2])} Z" fill="none" stroke="{TRIANGLE_COLOR}" '
+            f'stroke-width="{stroke}"/>\n'
         )
-        lines = [
-            f'{indent}<path d="{d}" fill="none" stroke="{TRIANGLE_COLOR}" '
-            f'stroke-width="{_fmt(STROKE_WIDTH)}"/>'
-        ]
-        for c in range(3):
-            if drawn_vertices is not None:
-                vclass = tri.corner_class[(chart.triangle, c)]
-                if vclass in drawn_vertices:
-                    continue
-                drawn_vertices.add(vclass)
-            cx, cy = pts[c]
-            lines.append(
-                f'{indent}<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                f'r="{_fmt(chart.vertex_radii[c] * SCALE)}" fill="none" '
-                f'stroke="{VERTEX_CIRCLE_COLOR}" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
-            )
-        fx, fy = to_px(chart.face_center, shift)
-        lines.append(
-            f'{indent}<circle cx="{_fmt(fx)}" cy="{_fmt(fy)}" '
-            f'r="{_fmt(chart.face_radius * SCALE)}" fill="none" '
-            f'stroke="{FACE_CIRCLE_COLOR}" stroke-width="{_fmt(STROKE_WIDTH)}" '
-            'stroke-dasharray="4 3"/>'
-        )
-        return lines
-
-    if cl.mode == ATLAS:
-        for chart in cl.charts:
-            out.write(f'  <g class="chart" id="chart-{chart.triangle}">\n')
-            for line in chart_elements(chart, "    "):
-                out.write(line + "\n")
-            sx, sy = to_px(chart.vertices.mean(axis=0), shifts[chart.triangle])
+        circles = [(c, vertex_r[k][c], VERTEX_CIRCLE_COLOR, "") for c in range(3) if drawn[k][c]]
+        circles.append((3, face_r[k], FACE_CIRCLE_COLOR, ' stroke-dasharray="4 3"'))
+        for c, r, color, dash in circles:
             out.write(
-                f'    <text x="{_fmt(sx)}" y="{_fmt(sy)}" font-size="12" '
-                f'text-anchor="middle">t{chart.triangle}</text>\n'
+                f'{indent}<circle cx="{_fmt(x[c])}" cy="{_fmt(y[c])}" r="{_fmt(r)}" '
+                f'fill="none" stroke="{color}" stroke-width="{stroke}"{dash}/>\n'
             )
-            out.write("  </g>\n")
+        if atlas:
+            out.write(
+                f'    <text x="{_fmt(x[4])}" y="{_fmt(y[4])}" font-size="12" '
+                f'text-anchor="middle">t{triangle}</text>\n'
+                "  </g>\n"
+            )
+    if atlas:
         for k, tr in enumerate(cl.transitions):
             deg = math.degrees(tr.angle)
             out.write(
@@ -464,10 +453,5 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout) -> str:
                 f"edge {tr.edge}: chart {tr.source} &#8594; chart {tr.target}, "
                 f"rot {_fmt(deg)}&#176;</text>\n"
             )
-    else:
-        drawn_vertices = set()
-        for chart in cl.charts:
-            for line in chart_elements(chart, "  ", drawn_vertices):
-                out.write(line + "\n")
     out.write("</svg>\n")
     return out.getvalue()

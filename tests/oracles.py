@@ -8,6 +8,7 @@ from central differences, and feasibility of pinned instances from the
 closed-form slack analysis, and max-slack optima from HiGHS.
 """
 
+import io
 import math
 from collections import deque
 from fractions import Fraction
@@ -27,6 +28,16 @@ from hyperideal.coherent import (
 )
 from hyperideal.energy import in_delta
 from hyperideal.errors import PreconditionError
+from hyperideal.layout import (
+    ATLAS,
+    FACE_CIRCLE_COLOR,
+    MARGIN,
+    SCALE,
+    STROKE_WIDTH,
+    TRIANGLE_COLOR,
+    VERTEX_CIRCLE_COLOR,
+    _fmt,
+)
 from hyperideal.pattern import DecoratedMetric, PatternReport, probe, verify_pattern
 from hyperideal.surface import INTERIOR, AngleData, GluedTriangulation
 
@@ -855,3 +866,115 @@ def develop_loop(tri, dm):
             developed[t2] = np.roll(rolled, s2, axis=0)
             queue.append(t2)
     return np.array([developed[t] for t in range(tri.triangle_count)])
+
+
+# -- reference SVG export: one chart at a time ---------------------------------
+
+
+def export_svg_loop(tri, cl):
+    """Reference SVG export, one chart at a time: per-chart bounding boxes
+    and pixel coordinates, and a set of the vertex classes already drawn."""
+    if not cl.charts:
+        raise PreconditionError("layout has no charts")
+
+    def chart_bbox(chart):
+        rad = max(float(chart.face_radius), float(np.max(chart.vertex_radii)))
+        lo = np.minimum(chart.vertices.min(axis=0), chart.face_center - chart.face_radius)
+        hi = np.maximum(chart.vertices.max(axis=0), chart.face_center + chart.face_radius)
+        lo = np.minimum(lo, (chart.vertices - rad).min(axis=0))
+        hi = np.maximum(hi, (chart.vertices + rad).max(axis=0))
+        return lo, hi
+
+    shifts = {}
+    if cl.mode == ATLAS:
+        boxes = [chart_bbox(c) for c in cl.charts]
+        cell = np.max([hi - lo for lo, hi in boxes], axis=0) * 1.1
+        cols = max(1, math.ceil(math.sqrt(len(cl.charts))))
+        for k, chart in enumerate(cl.charts):
+            lo, _ = boxes[k]
+            cellpos = np.array([(k % cols) * cell[0], (k // cols) * cell[1]])
+            shifts[chart.triangle] = cellpos - lo
+    else:
+        for chart in cl.charts:
+            shifts[chart.triangle] = np.zeros(2)
+
+    lo = np.full(2, np.inf)
+    hi = np.full(2, -np.inf)
+    for chart in cl.charts:
+        blo, bhi = chart_bbox(chart)
+        lo = np.minimum(lo, blo + shifts[chart.triangle])
+        hi = np.maximum(hi, bhi + shifts[chart.triangle])
+    width = (hi[0] - lo[0]) * SCALE + 2 * MARGIN
+    height = (hi[1] - lo[1]) * SCALE + 2 * MARGIN
+
+    def to_px(p, shift):
+        q = (np.asarray(p) + shift - lo) * SCALE
+        return q[0] + MARGIN, height - MARGIN - q[1]
+
+    out = io.StringIO()
+    out.write(
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
+    )
+
+    def chart_elements(chart, indent, drawn_vertices=None):
+        """SVG lines of one chart; with ``drawn_vertices``, a vertex circle
+        whose vertex class is in the set is skipped, otherwise added to it."""
+        shift = shifts[chart.triangle]
+        pts = [to_px(p, shift) for p in chart.vertices]
+        d = (
+            f"M {_fmt(pts[0][0])} {_fmt(pts[0][1])} "
+            f"L {_fmt(pts[1][0])} {_fmt(pts[1][1])} "
+            f"L {_fmt(pts[2][0])} {_fmt(pts[2][1])} Z"
+        )
+        lines = [
+            f'{indent}<path d="{d}" fill="none" stroke="{TRIANGLE_COLOR}" '
+            f'stroke-width="{_fmt(STROKE_WIDTH)}"/>'
+        ]
+        for c in range(3):
+            if drawn_vertices is not None:
+                vclass = tri.corner_class[(chart.triangle, c)]
+                if vclass in drawn_vertices:
+                    continue
+                drawn_vertices.add(vclass)
+            cx, cy = pts[c]
+            lines.append(
+                f'{indent}<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
+                f'r="{_fmt(chart.vertex_radii[c] * SCALE)}" fill="none" '
+                f'stroke="{VERTEX_CIRCLE_COLOR}" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
+            )
+        fx, fy = to_px(chart.face_center, shift)
+        lines.append(
+            f'{indent}<circle cx="{_fmt(fx)}" cy="{_fmt(fy)}" '
+            f'r="{_fmt(chart.face_radius * SCALE)}" fill="none" '
+            f'stroke="{FACE_CIRCLE_COLOR}" stroke-width="{_fmt(STROKE_WIDTH)}" '
+            'stroke-dasharray="4 3"/>'
+        )
+        return lines
+
+    if cl.mode == ATLAS:
+        for chart in cl.charts:
+            out.write(f'  <g class="chart" id="chart-{chart.triangle}">\n')
+            for line in chart_elements(chart, "    "):
+                out.write(line + "\n")
+            sx, sy = to_px(chart.vertices.mean(axis=0), shifts[chart.triangle])
+            out.write(
+                f'    <text x="{_fmt(sx)}" y="{_fmt(sy)}" font-size="12" '
+                f'text-anchor="middle">t{chart.triangle}</text>\n'
+            )
+            out.write("  </g>\n")
+        for k, tr in enumerate(cl.transitions):
+            deg = math.degrees(tr.angle)
+            out.write(
+                f'  <text x="{_fmt(MARGIN)}" y="{_fmt(14 * (k + 1))}" font-size="11">'
+                f"edge {tr.edge}: chart {tr.source} &#8594; chart {tr.target}, "
+                f"rot {_fmt(deg)}&#176;</text>\n"
+            )
+    else:
+        drawn_vertices = set()
+        for chart in cl.charts:
+            for line in chart_elements(chart, "  ", drawn_vertices):
+                out.write(line + "\n")
+    out.write("</svg>\n")
+    return out.getvalue()

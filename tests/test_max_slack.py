@@ -50,6 +50,7 @@ def _assert_agrees_with_highs(cs):
         assert reference > FEASIBLE_SLACK
         assert is_coherent(found, cs).ok
         assert abs(float(np.min(cs.h_ineq - cs.g_ineq @ found.values)) - reference) <= 1e-9
+    return found
 
 
 def test_max_slack_matches_highs(rng):
