@@ -103,34 +103,23 @@ def _first_overlap(positions):
     """The first pair (t, t2), t < t2 in lexicographic order, of triangles
     whose interiors overlap, or None.
 
-    Only pairs whose bounding boxes share a cell of a uniform grid, about
-    one mean triangle wide, and overlap are tested, so triangles of similar
-    size cost O(T) tests.
+    Only pairs whose bounding boxes meet are tested, found by one
+    sort-and-sweep: with the boxes sorted by lower x, box k meets in x
+    exactly the run of later boxes whose lower x is at most its upper x,
+    and of those pairs the ones whose boxes also meet in y are kept.
     """
-    pts = np.array([positions[t] for t in range(len(positions))])
+    n = len(positions)
+    pts = np.array([positions[t] for t in range(n)])
     eps = 1e-9 * max(1.0, float(np.max(np.abs(pts))))
     lo, hi = pts.min(axis=1), pts.max(axis=1)
-    cell = float(np.mean(np.max(hi - lo, axis=1))) or 1.0
-    while True:
-        first = np.floor((lo - lo.min(axis=0)) / cell).astype(int)
-        last = np.floor((hi - lo.min(axis=0)) / cell).astype(int)
-        if np.sum(np.prod(last - first + 1, axis=1)) <= 8 * len(pts):
-            break
-        cell *= 2.0  # a few large triangles would cover too many cells
-    buckets = {}
-    for t in range(len(pts)):
-        for ix in range(first[t, 0], last[t, 0] + 1):
-            for iy in range(first[t, 1], last[t, 1] + 1):
-                buckets.setdefault((ix, iy), []).append(t)
-    pairs = sorted({
-        (a, b) for members in buckets.values()
-        for k, a in enumerate(members) for b in members[k + 1:]
-    })
-    if not pairs:
-        return None
-    i, j = np.array(pairs).T
-    boxes_meet = np.all((lo[i] <= hi[j]) & (lo[j] <= hi[i]), axis=1)
-    i, j = i[boxes_meet], j[boxes_meet]
+    order = np.argsort(lo[:, 0], kind="stable")
+    after = np.arange(1, n + 1)  # sorted position where each box's run starts
+    runs = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - after
+    k = np.repeat(np.arange(n), runs)
+    m = np.arange(len(k)) + np.repeat(after - np.cumsum(runs) + runs, runs)
+    i, j = np.sort([order[k], order[m]], axis=0)
+    boxes_meet = (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1])
+    i, j = np.divmod(np.sort(i[boxes_meet] * n + j[boxes_meet]), n)
     hits = np.flatnonzero(_interiors_overlap(pts[i], pts[j], eps))
     return (int(i[hits[0]]), int(j[hits[0]])) if hits.size else None
 
@@ -324,11 +313,18 @@ def _index(value):
     return value
 
 
+def _number(value):
+    # the type rule of surface.float_array: a JSON true is a bool, an int subclass
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise SchemaError(f"{value!r} is not a finite number")
+    return float(value)
+
+
 def _array(value, shape):
-    out = np.array(value, dtype=float)
+    out = np.array(value, dtype=object)
     if out.shape != shape:
         raise SchemaError(f"array of shape {out.shape} where {shape} is required")
-    return out
+    return np.array([_number(x) for x in out.flat]).reshape(shape)
 
 
 def layout_from_json(text: str) -> ChartLayout:
@@ -341,7 +337,7 @@ def layout_from_json(text: str) -> ChartLayout:
                 triangle=_index(c["triangle"]),
                 vertices=_array(c["vertices"], (3, 2)),
                 face_center=_array(c["face_center"], (2,)),
-                face_radius=float(c["face_radius"]),
+                face_radius=_number(c["face_radius"]),
                 vertex_radii=_array(c["vertex_radii"], (3,)),
             )
             for c in doc["charts"]
@@ -361,7 +357,7 @@ def layout_from_json(text: str) -> ChartLayout:
         if doc["mode"] not in (GLOBAL, ATLAS):
             raise SchemaError(f"layout mode {doc['mode']!r} is neither {GLOBAL!r} nor {ATLAS!r}")
         return ChartLayout(mode=doc["mode"], charts=charts, transitions=transitions)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"invalid layout JSON: {exc}") from exc
 
 
@@ -382,6 +378,8 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout) -> str:
         raise PreconditionError(
             f"layout charts must be triangles 0..{tri.triangle_count - 1}, once each"
         )
+    if cl.mode not in (GLOBAL, ATLAS):
+        raise PreconditionError(f"layout mode {cl.mode!r} is neither {GLOBAL!r} nor {ATLAS!r}")
     atlas = cl.mode == ATLAS
     vertices = np.array([chart.vertices for chart in cl.charts], dtype=float)
     center = np.array([chart.face_center for chart in cl.charts], dtype=float)

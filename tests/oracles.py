@@ -568,6 +568,27 @@ def first_overlapping_pair(positions):
     return None
 
 
+def lower_facet_violations(tri, positions, radii, tol=1e-9):
+    """Global weighted-Delaunay check of a developed flat disk, brute force.
+
+    Every vertex class v, at the first corner of its class in ``positions``
+    (T, 3, 2), is lifted to (x, y, x^2 + y^2 - r_v^2).  Returns the
+    triangles whose plane through their three lifted corners has some
+    lifted vertex below it by more than ``tol`` times the squared size of
+    the drawing: none for a weighted Delaunay triangulation, whose
+    triangles are the lower facets of the lifted points.
+    """
+    positions = np.asarray(positions, dtype=float)
+    first = np.unique(tri.corner_class.ravel(), return_index=True)[1]
+    sites = positions.reshape(-1, 2)[first]
+    lifted = np.column_stack([sites, np.sum(sites ** 2, axis=1) - np.asarray(radii) ** 2])
+    p = lifted[tri.corner_class]  # (T, 3, 3)
+    normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    height = np.einsum("tvk,tk->tv", lifted[None] - p[:, :1], normal) / normal[:, 2:]
+    scale = max(1.0, float(np.max(np.abs(sites)))) ** 2
+    return np.flatnonzero(height.min(axis=1) < -tol * scale)
+
+
 def random_disk(rng, n_tri_range=(2, 6), max_attempts=400):
     """A random triangulated disk with a valid decorated metric.
 

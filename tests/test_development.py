@@ -1,10 +1,11 @@
-"""The global development of flat disks against the one-triangle-at-a-time reference."""
+"""The global development of flat disks against the one-triangle-at-a-time
+reference, and solved disks against the lifted weighted-Delaunay check."""
 
 import numpy as np
 
 from hyperideal import layout
 from hyperideal.layout import GLOBAL, lay_out
-from hyperideal.pattern import metric_from_lengths, truncated_lengths
+from hyperideal.pattern import metric_from_lengths, probe, truncated_lengths
 from hyperideal.solve import solve_problem
 
 from . import oracles
@@ -63,3 +64,23 @@ def test_every_triangle_is_placed_once_per_call(monkeypatch):
     monkeypatch.setattr(layout, "place_canonical", counted)
     assert lay_out(tri, dm).mode == GLOBAL
     assert calls == [(tri.triangle_count,)]
+
+
+def solved_lattice_disk():
+    """A probe -> solve round trip of a 128-triangle lattice disk."""
+    tri, dm = oracles.lattice_disk(np.random.default_rng(3), 8)
+    x, _ = solve_problem(tri, probe(tri, dm)[0])
+    return tri, metric_from_lengths(truncated_lengths(x, tri), tri)
+
+
+def test_solved_disks_are_weighted_delaunay():
+    for tri, dm in (solved_metric("disk2.json"), solved_metric("fan3.json"),
+                    solved_lattice_disk()):
+        assert oracles.lower_facet_violations(tri, developed(tri, dm), dm.radii).size == 0
+
+
+def test_weighted_delaunay_oracle_flags_a_grown_vertex_circle():
+    tri, dm = solved_lattice_disk()
+    radii = dm.radii.copy()
+    radii[np.flatnonzero(~tri.boundary_vertex)[0]] *= 6.0
+    assert oracles.lower_facet_violations(tri, developed(tri, dm), radii).size > 0

@@ -1,8 +1,9 @@
-"""The grid-based overlap check of global layouts against the all-pairs reference."""
+"""The sort-and-sweep overlap check of global layouts against the all-pairs reference."""
 
 import math
 
 import numpy as np
+import pytest
 
 from hyperideal.layout import GLOBAL, _first_overlap, lay_out
 from hyperideal.pattern import DecoratedMetric, metric_from_lengths, truncated_lengths
@@ -70,3 +71,48 @@ def test_one_large_triangle_among_small_ones():
     expected = first_overlapping_pair(positions)
     assert expected is not None
     assert _first_overlap(positions) == expected
+
+
+def test_single_triangle_has_no_overlap():
+    tri, data = bundled_instance("triangle.json")
+    x, _ = solve_problem(tri, data)
+    positions = _positions(tri, metric_from_lengths(truncated_lengths(x, tri), tri))
+    assert first_overlapping_pair(positions) is None
+    assert _first_overlap(positions) is None
+
+
+def _unit(x, y):
+    return np.array([[x, y], [x + 1.0, y], [x, y + 1.0]])
+
+
+@pytest.mark.parametrize("positions, expected", [
+    # every lower x is 0: triangles 1 and 3 overlap, 0 and 2 only touch
+    ([_unit(0.0, 0.0), _unit(0.0, 3.0), _unit(0.0, 1.0), _unit(0.0, 3.5)], (1, 3)),
+    # triangles 0 and 2 overlap, ties among the lower x of 0, 1 and 3
+    ([_unit(0.0, 0.0), _unit(0.0, 5.0), _unit(-0.5, 0.2), _unit(0.0, 9.0)], (0, 2)),
+    # equal lower x and no overlap at all
+    ([_unit(1.0, 2.0 * t) for t in range(5)], None),
+])
+def test_equal_lower_x_matches_reference(positions, expected):
+    positions = dict(enumerate(positions))
+    assert first_overlapping_pair(positions) == expected
+    assert _first_overlap(positions) == expected
+
+
+def test_all_triangles_stacked_in_one_place():
+    tri, dm = lattice_disk(np.random.default_rng(11), 6)
+    positions = _positions(tri, dm)
+    stacked = {t: p - p.mean(axis=0) for t, p in positions.items()}
+    assert first_overlapping_pair(stacked) == (0, 1)
+    assert _first_overlap(stacked) == (0, 1)
+
+
+@pytest.mark.parametrize("second", [
+    np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),  # along the hypotenuse
+    np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 1.0]]),  # at the vertex (1, 0)
+    np.array([[1.0, -1.0], [2.0, 0.0], [1.0, 0.0]]),  # at (1, 0), the boxes' one common point
+])
+def test_triangles_that_only_touch_do_not_overlap(second):
+    positions = {0: _unit(0.0, 0.0), 1: second}
+    assert first_overlapping_pair(positions) is None
+    assert _first_overlap(positions) is None

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from hyperideal.errors import PreconditionError, SchemaError
-from hyperideal.layout import export_svg, lay_out, layout_from_json, layout_to_json
+from hyperideal.layout import (
+    ChartLayout,
+    export_svg,
+    lay_out,
+    layout_from_json,
+    layout_to_json,
+)
 
 from .oracles import export_svg_loop, lattice_disk, random_disk, symmetric_torus
 from .test_layout import solved_metric
@@ -47,6 +53,13 @@ def test_svg_rejects_chart_ids_that_are_not_the_triangles(ids):
         export_svg(tri, cl)
 
 
+def test_svg_rejects_an_unknown_mode():
+    tri, dm = solved_metric("torus.json")
+    cl = lay_out(tri, dm)
+    with pytest.raises(PreconditionError):
+        export_svg(tri, ChartLayout(mode="Atlas", charts=cl.charts, transitions=cl.transitions))
+
+
 @pytest.mark.parametrize("mode", ["globl", "Atlas", None])
 def test_layout_json_rejects_unknown_mode(mode):
     tri, dm = solved_metric("disk2.json")
@@ -64,3 +77,24 @@ def test_layout_json_rejects_chart_arrays_of_the_wrong_shape(field, keep):
         chart[field] = chart[field][:keep]
     with pytest.raises(SchemaError):
         layout_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("charts", 0, "face_radius"), "2.5"),
+    (("charts", 1, "vertices", 1, 0), "0.25"),
+    (("charts", 0, "vertex_radii", 2), True),
+    (("charts", 1, "vertices", 2, 1), float("nan")),
+    (("transitions", 0, "rotation", 0, 1), float("inf")),
+    (("charts", 0, "face_radius"), 10 ** 400),  # beyond the float range
+])
+def test_layout_json_rejects_values_that_are_not_finite_numbers(path, value):
+    tri, dm = solved_metric("disk2.json")
+    doc = json.loads(layout_to_json(lay_out(tri, dm)))
+    *keys, last = path
+    field = doc
+    for key in keys:
+        field = field[key]
+    field[last] = value
+    with pytest.raises(SchemaError):
+        layout_from_json(json.dumps(doc))
+
