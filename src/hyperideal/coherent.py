@@ -29,13 +29,16 @@ SLACK_TOL = 1e-10
 FEASIBLE_SLACK = 1e-9
 TANGENT_RCOND = 1e-10  # relative singular-value cut of tangent_basis
 # KKT systems with at most this many unknowns (angles plus multipliers) are
-# solved densely by the null-space method, larger ones with a sparse LU.  In
-# a warm process the sparse LU is already faster at 449 unknowns (a whole
-# 50-triangle torus solve: 24 against 34 ms on 2 cores, one BLAS thread),
-# but the first sparse solve in a process also imports scipy.sparse.linalg
-# (~50 ms, ~7 MB).  A single cold solve takes 33 ms dense and 77 ms sparse
-# at 449 unknowns and about breaks even near 650 (a 72-triangle torus, 647
-# unknowns: 80 against 84 ms).
+# solved densely by the null-space method, larger ones with a sparse LU.
+# Whole torus solves (solve_problem, 2 cores, one BLAS thread):
+# - in a warm process the sparse LU is already faster: 38 against 43-44 ms
+#   at 449 unknowns (50 triangles), 52-53 against 73-85 ms at 647 (72);
+# - but the first sparse solve in a process imports scipy.sparse.linalg:
+#   75-81 ms and 8.7 MB, about 10 % of the 85 MB peak RSS of a cold
+#   50-triangle torus solve;
+# - so a single cold solve takes 44-51 ms dense and 80-131 ms sparse at 449
+#   unknowns, 75-95 against 130-139 ms at 647, and about breaks even near
+#   881 (98 triangles: 106-133 against 135-143 ms).
 DENSE_KKT_MAX = 600
 # The max-slack interior point stops once the duality gap is at most
 # LP_GAP_TOL and every residual at most LP_RESIDUAL_TOL.  The dual residual
@@ -47,6 +50,11 @@ LP_RESIDUAL_TOL = 1e-6
 LP_RESCUE_GAP = 1e-8
 LP_MAX_ITERS = 100
 LP_STEP_KEEP = 0.99  # share of the step to the boundary of w, z >= 0 taken
+# Largest diagonal block that _solve_upper hands to np.linalg.solve, whose LU
+# spends 2/3 b^3 flops on it.  A solve with R^T and then R at k = 151 (the
+# 50-triangle torus) took 400, 340 and 350 us with 32, 48 and 64, against
+# 520 us for two LUs of the whole R (one BLAS thread).
+SUBSTITUTION_BLOCK = 64
 
 
 @dataclass
@@ -263,11 +271,13 @@ class _KKT:
 
     A block of H need only be definite on its triangle's gamma-sum plane,
     so H is never factorized alone.  Systems of at most ``DENSE_KKT_MAX``
-    unknowns are solved by the null-space method: one complete QR of A^T,
-    taken here, gives the range basis Q1, an orthonormal null basis Z of A
-    (k = n - rank columns) and the pseudo-inverse A+ = Q1 R^-T, and each
-    ``solver`` call factorizes only the k x k reduced matrix Z^T H Z.
-    Larger systems go to a sparse LU of the whole matrix.
+    unknowns are solved by the null-space method.  A^T splits into an
+    alpha block (the edge rows) and a gamma block (the triangle and vertex
+    rows); one complete QR of each, taken here, gives the range basis Q1,
+    an orthonormal null basis Z of A (k = n - rank columns) and the
+    pseudo-inverse A+ = Q1 R^-T by block substitution, and each ``solver``
+    call factorizes only the k x k reduced matrix Z^T H Z.  Larger systems
+    go to a sparse LU of the whole matrix.
     """
 
     def __init__(self, cs: ConstraintSystem):
@@ -276,9 +286,25 @@ class _KKT:
         self.block_shape = (n // 6, 6, 6)
         self.dense = self.size <= DENSE_KKT_MAX
         if self.dense:
-            q, r = np.linalg.qr(cs.a_eq.toarray()[cs.independent_eq].T, mode="complete")
-            self.range_basis, self.null_basis = q[:, :cs.rank], q[:, cs.rank:]
-            self.pinv_t = np.linalg.solve(r[:cs.rank], self.range_basis.T)  # (A+)^T = R^-1 Q1^T
+            # A is block diagonal up to the order of rows and columns: the
+            # edge rows hold only alphas, the triangle and vertex rows only
+            # gammas, so each block gets its own complete QR
+            a = cs.a_eq.toarray()[cs.independent_eq]
+            angles = np.arange(n).reshape(-1, 6)
+            alphas, gammas = angles[:, :3].ravel(), angles[:, 3:].ravel()
+            alpha_rows = np.any(a[:, alphas] != 0.0, axis=1)
+            self.range_basis = np.zeros((n, cs.rank))
+            self.null_basis = np.zeros((n, n - cs.rank))
+            self.pinv_t = np.zeros((cs.rank, n))
+            done = 0
+            for rows, cols in ((np.flatnonzero(alpha_rows), alphas),
+                               (np.flatnonzero(~alpha_rows), gammas)):
+                q, r = np.linalg.qr(a[np.ix_(rows, cols)].T, mode="complete")
+                m, k = len(rows), len(cols) - len(rows)
+                self.range_basis[np.ix_(cols, rows)] = q[:, :m]
+                self.null_basis[cols, done:done + k] = q[:, m:]
+                self.pinv_t[np.ix_(rows, cols)] = _solve_upper(r[:m], q[:, :m].T)  # R^-1 Q1^T
+                done += k
         else:
             first = np.arange(0, n, 6)[:, None, None]
             h_rows = np.broadcast_to(first + np.arange(6)[:, None], self.block_shape)
@@ -304,10 +330,11 @@ class _KKT:
 
     def gram(self, factor):
         """What ``solver`` takes for H = F^T F, F a (T, r, 6) per-triangle
-        row factor: F itself when dense, where a QR of F Z reduces it without
-        squaring the conditioning of H, else the formed 6x6 blocks."""
+        row factor: when dense, the (T, 6, 6) R factors of a stacked QR of F
+        (R^T R = F^T F), where a QR of R Z reduces H without squaring its
+        conditioning; else the formed 6x6 blocks."""
         if self.dense:
-            return _RowFactor(factor)
+            return _RowFactor(np.linalg.qr(factor, mode="r"))
         return np.einsum("tri,trj->tij", factor, factor)
 
     def solver(self, blocks):
@@ -341,19 +368,41 @@ class _KKT:
         return run
 
 
+def _solve_upper(r, b, transpose=False):
+    """Solves R x = b, or R^T x = b with ``transpose``, for an upper
+    triangular k x k R and b of k rows, by 2 x 2 block substitution: the
+    off-diagonal blocks are products, and diagonal blocks of at most
+    ``SUBSTITUTION_BLOCK`` rows go to ``np.linalg.solve``, whose LU of an
+    upper triangular matrix does no elimination.  R^-1 is never formed: it
+    costs more flops than the few right-hand sides each factor is used for.
+    Raises ``numpy.linalg.LinAlgError`` on a zero diagonal entry."""
+    k = len(r)
+    if k <= SUBSTITUTION_BLOCK:
+        if transpose:  # R^T reversed in rows and columns is upper triangular
+            return np.linalg.solve(r[::-1, ::-1].T, b[::-1])[::-1]
+        return np.linalg.solve(r, b)
+    h = k // 2
+    if transpose:
+        top = _solve_upper(r[:h, :h], b[:h], True)
+        return np.concatenate([top, _solve_upper(r[h:, h:], b[h:] - r[:h, h:].T @ top, True)])
+    bottom = _solve_upper(r[h:, h:], b[h:])
+    return np.concatenate([_solve_upper(r[:h, :h], b[:h] - r[:h, h:] @ bottom), bottom])
+
+
 def _null_space_solve(blocks, null, pinv_t):
     """Returns [r; e] -> [x; lam] solving [H A^T; A 0] [x; lam] = [r; e] by
     the null-space method: x = A+ e + Z u with Z^T H Z u = Z^T (r - H A+ e),
-    then lam = (A+)^T (r - H x)."""
+    then lam = (A+)^T (r - H x).  For a ``_RowFactor`` R, Z^T H Z = U^T U
+    with U the triangular factor of a QR of R Z (6T x k), solved by block
+    substitution with U^T and then U; other blocks form Z^T H Z."""
     n, k = null.shape
     z = null.reshape(n // 6, 6, k)
     if isinstance(blocks, _RowFactor):
-        # Z^T H Z = R^T R from a QR of F Z, never formed
         f = blocks.rows
         upper = np.linalg.qr((f @ z).reshape(-1, k), mode="r")
 
         def reduced(v):
-            return np.linalg.solve(upper, np.linalg.solve(upper.T, v))
+            return _solve_upper(upper, _solve_upper(upper, v, transpose=True))
 
         blocks = f.transpose(0, 2, 1) @ f  # only for products H x
     else:

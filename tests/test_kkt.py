@@ -5,6 +5,7 @@ import math
 import weakref
 
 import numpy as np
+import pytest
 
 import hyperideal.coherent as coherent_mod
 import hyperideal.solve as solve_mod
@@ -23,6 +24,7 @@ from hyperideal.surface import AngleData, GluedTriangulation
 
 from .conftest import bundled_instance, bundled_text
 from .oracles import lattice_disk, tangent_span_vectors
+from .test_surface import GEN
 
 PI = math.pi
 BUNDLED = ("torus.json", "disk2.json", "fan3.json", "triangle.json", "triangle_infeasible.json")
@@ -76,6 +78,82 @@ def test_dense_and_sparse_newton_directions_agree(monkeypatch):
     assert np.max(np.abs(d_dense - d_sparse)) <= 1e-10
     assert np.max(np.abs(cs.a_eq @ d_dense)) <= 1e-12
     assert d_dense @ pg > 0.0
+
+
+@pytest.mark.parametrize("k", [1, 31, 32, 33, 64, 65, 151])
+@pytest.mark.parametrize("columns", [None, 3])
+def test_block_substitution_matches_lu(rng, k, columns):
+    r = np.linalg.qr(rng.standard_normal((2 * k, k)), mode="r")
+    b = rng.standard_normal(k if columns is None else (k, columns))
+    for transpose in (False, True):
+        x = coherent_mod._solve_upper(r, b, transpose)
+        assert x.shape == b.shape
+        expected = np.linalg.solve(r.T if transpose else r, b)
+        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_block_substitution_is_backward_stable_on_a_wide_diagonal(rng):
+    k = 151
+    u = np.linalg.qr(rng.standard_normal((2 * k, k)), mode="r")
+    diagonal = rng.permutation(np.logspace(-9, 9, k))
+    r = diagonal[:, None] * (u / np.diag(u)[:, None])
+    b = rng.standard_normal((k, 3))
+    for m, transpose in ((r, False), (r.T, True)):
+        x = coherent_mod._solve_upper(r, b, transpose)
+        assert np.linalg.norm(m @ x - b) / (np.linalg.norm(m) * np.linalg.norm(x)) <= 1e-15
+
+
+def _torus50():
+    tri, dm = GEN.lattice_torus(np.random.default_rng(5), 5)
+    return build_constraints(tri, probe(tri, dm)[0])
+
+
+def test_dense_bases_span_the_constraints():
+    systems = [build_constraints(*bundled_instance(name)) for name in BUNDLED]
+    systems.append(build_constraints(GluedTriangulation(2, []),
+                                     AngleData(theta=np.full(6, 5 * PI / 6), xi=np.full(6, PI / 3))))
+    systems.append(_torus50())
+    for cs in systems:
+        kkt = coherent_mod._KKT(cs)
+        assert kkt.dense
+        a = cs.a_eq.toarray()[cs.independent_eq]
+        q1, z = kkt.range_basis, kkt.null_basis
+        assert z.shape == (cs.dimension, cs.dimension - cs.rank)
+        assert np.max(np.abs(a @ z), initial=0.0) <= 1e-13
+        assert np.max(np.abs(z.T @ z - np.eye(z.shape[1])), initial=0.0) <= 1e-13
+        assert np.max(np.abs(q1.T @ q1 - np.eye(cs.rank))) <= 1e-13
+        assert np.max(np.abs(q1.T @ z), initial=0.0) <= 1e-13
+        assert np.max(np.abs(a @ kkt.pinv_t.T - np.eye(cs.rank))) <= 1e-13
+
+
+def test_dense_and_sparse_lp_steps_agree(monkeypatch, rng):
+    # the LP's own row factor D^(1/2) G at its third step, where D spreads
+    # over about two orders of magnitude
+    cs = _torus50()
+    factors = []
+    real = coherent_mod._KKT.gram
+
+    def gram(self, factor):
+        factors.append(factor)
+        return real(self, factor)
+
+    monkeypatch.setattr(coherent_mod._KKT, "gram", gram)
+    find_coherent(cs)
+    monkeypatch.undo()
+    f = factors[2]
+    assert f.shape == (50, 9, 6)
+    monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", 10**9)
+    dense = coherent_mod._KKT(cs)
+    monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", 0)
+    sparse = coherent_mod._KKT(cs)
+    assert dense.dense and not sparse.dense
+    rhs = rng.standard_normal((dense.size, 2))
+    expected = sparse.solver(sparse.gram(f))(rhs)
+    # the per-triangle R factors stand exactly for F
+    unreduced = coherent_mod._null_space_solve(coherent_mod._RowFactor(f), dense.null_basis,
+                                               dense.pinv_t)(rhs)
+    for found in (dense.solver(dense.gram(f))(rhs), unreduced):
+        assert np.linalg.norm(found - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 def test_projection_is_orthogonal(monkeypatch):
