@@ -13,6 +13,7 @@ slice ``6t..6t+5`` as (a_side0, a_side1, a_side2, g_corner0, g_corner1,
 g_corner2); side ``s`` runs between corners ``s`` and ``s+1``.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -29,7 +30,10 @@ SLACK_TOL = 1e-10
 FEASIBLE_SLACK = 1e-9
 TANGENT_RCOND = 1e-10  # relative singular-value cut of tangent_basis
 # KKT systems with at most this many unknowns (angles plus multipliers) are
-# solved densely by the null-space method, larger ones with a sparse LU.
+# solved densely by the null-space method.  In larger ones Newton's formed
+# blocks take the range-space step and the LP's row factor a sparse LU of
+# the whole matrix.  The break-even below was measured with both on that
+# LU; for the faster range-space step it has not been measured again.
 # Whole torus solves (solve_problem, 2 cores, one BLAS thread):
 # - in a warm process the sparse LU is already faster: 38 against 43-44 ms
 #   at 449 unknowns (50 triangles), 52-53 against 73-85 ms at 647 (72);
@@ -55,6 +59,12 @@ LP_STEP_KEEP = 0.99  # share of the step to the boundary of w, z >= 0 taken
 # 50-triangle torus) took 400, 340 and 350 us with 32, 48 and 64, against
 # 520 us for two LUs of the whole R (one BLAS thread).
 SUBSTITUTION_BLOCK = 64
+# An orthonormal basis (6 x 5) of a triangle's gamma-sum plane: its three
+# alphas and two directions along which the gamma sum stays fixed.
+_PLANE = np.zeros((6, 5))
+_PLANE[:3, :3] = np.eye(3)
+_PLANE[3:, 3] = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+_PLANE[3:, 4] = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
 
 
 @dataclass
@@ -260,7 +270,7 @@ class Infeasible:
 
 class _RowFactor(NamedTuple):
     """Per-triangle row factor F of shape (T, r, 6) standing for the block
-    diagonal H = F^T F, as ``_KKT.gram`` hands it to the dense solver."""
+    diagonal H = F^T F, as ``_KKT.gram`` hands it to ``_KKT.solver``."""
 
     rows: np.ndarray
 
@@ -276,8 +286,10 @@ class _KKT:
     rows); one complete QR of each, taken here, gives the range basis Q1,
     an orthonormal null basis Z of A (k = n - rank columns) and the
     pseudo-inverse A+ = Q1 R^-T by block substitution, and each ``solver``
-    call factorizes only the k x k reduced matrix Z^T H Z.  Larger systems
-    go to a sparse LU of the whole matrix.
+    call factorizes only the k x k reduced matrix Z^T H Z.  In larger
+    systems formed blocks (Newton's Hessian, H = I) go to the range-space
+    method (``_RangeSpace``) and a row factor (the LP's barrier Hessian,
+    whose z/w spreads too far for it) to a sparse LU of the whole matrix.
     """
 
     def __init__(self, cs: ConstraintSystem):
@@ -313,6 +325,7 @@ class _KKT:
             self.rows = np.concatenate([h_rows.ravel(), n + a.row, a.col])
             self.cols = np.concatenate([h_cols.ravel(), a.col, n + a.row])
             self.a_vals = np.concatenate([a.data, a.data])
+            self.range_space = _RangeSpace(cs)
 
     @cached_property
     def identity_solve(self):
@@ -330,27 +343,33 @@ class _KKT:
 
     def gram(self, factor):
         """What ``solver`` takes for H = F^T F, F a (T, r, 6) per-triangle
-        row factor: when dense, the (T, 6, 6) R factors of a stacked QR of F
-        (R^T R = F^T F), where a QR of R Z reduces H without squaring its
-        conditioning; else the formed 6x6 blocks."""
+        row factor: a ``_RowFactor``, which sends a sparse solve to the LU
+        of the whole KKT matrix.  When dense it holds the (T, 6, 6) R
+        factors of a stacked QR of F (R^T R = F^T F), where a QR of R Z
+        reduces H without squaring its conditioning; else F itself."""
         if self.dense:
             return _RowFactor(np.linalg.qr(factor, mode="r"))
-        return np.einsum("tri,trj->tij", factor, factor)
+        return _RowFactor(factor)
 
     def solver(self, blocks):
         """Factorize with H = ``blocks``, (T, 6, 6) diagonal blocks or a
         ``gram`` row factor; returns rhs -> the leading ``len(rhs)`` rows of
         the solution of [H A^T; A 0] sol = rhs padded with zeros, so ``r``
-        gives d of [r; 0] and a full [r; e] gives [d; lam].  ``rhs`` may
-        hold several columns.  Raises ``numpy.linalg.LinAlgError`` or
-        ``RuntimeError`` if the matrix is singular."""
+        gives d of [r; 0] and a full [r; e] gives [d; lam].  The sparse
+        range-space path (formed blocks) returns d alone, also for a full
+        [r; e].  ``rhs`` may hold several columns.  Raises
+        ``numpy.linalg.LinAlgError`` or ``RuntimeError`` if the matrix is
+        singular."""
         if self.dense:
             solve = _null_space_solve(blocks, self.null_basis, self.pinv_t)
+        elif not isinstance(blocks, _RowFactor):
+            return self.range_space.solver(blocks)
         else:
             from scipy.sparse import csc_matrix
             from scipy.sparse.linalg import splu
 
-            vals = np.concatenate([np.ravel(blocks), self.a_vals])
+            f = blocks.rows
+            vals = np.concatenate([np.einsum("tri,trj->tij", f, f).ravel(), self.a_vals])
             # minimum-degree ordering of A^T A: about half the fill of the
             # default COLAMD ordering on lattice disks of 512 to 2048 triangles
             solve = splu(csc_matrix((vals, (self.rows, self.cols)), shape=(self.size, self.size)),
@@ -366,6 +385,113 @@ class _KKT:
             return solve(full)[:len(rhs)]
 
         return run
+
+
+class _RangeSpace:
+    """The range-space method (Nocedal-Wright 16.2) for the KKT system of
+    formed blocks H_t, each definite on its triangle's gamma-sum plane.
+
+    Each triangle enforces its own gamma-sum row: x_t = x0_t + P y_t, with
+    P = ``_PLANE`` and the gammas of x0_t a third of the row's right-hand
+    side, so the triangle contributes M_t = P K_t^-1 P^T, K_t = P^T H_t P.
+    The other rows C, the edge rows and all vertex rows but one per gluing
+    component, get their multipliers mu from the definite matrix
+    S = C M C^T, one sparse LU, and x = x0 + M (s - C^T mu), s = r - H x0.
+
+    The row roles are read from ``a_eq``, so a ``permuted`` copy works:
+    every row holds ones, and every angle lies in exactly one edge or
+    vertex row.  In a gluing component the triangle rows and the vertex
+    rows sum to the same row, so the one row that the independent set
+    leaves out gets its right-hand side from the others.
+    """
+
+    def __init__(self, cs: ConstraintSystem):
+        from scipy.sparse.csgraph import connected_components
+
+        a = cs.a_eq
+        m, n = a.shape
+        n_t = n // 6
+        starts = a.indptr[:-1]
+        owner = a.indices // 6
+        gamma = a.indices[starts] % 6 >= 3  # a row holds only alphas or only gammas
+        # a triangle's gamma-sum row holds its own three gammas and no more
+        own = np.flatnonzero(
+            gamma & (np.diff(a.indptr) == 3)
+            & (np.minimum.reduceat(owner, starts) == np.maximum.reduceat(owner, starts)))
+        self.triangle_rows = np.empty(n_t, dtype=int)
+        self.triangle_rows[owner[starts[own]]] = own
+        triangle = np.zeros(m, dtype=bool)
+        triangle[self.triangle_rows] = True
+        # rows linked by shared angles: the gamma rows of a gluing component
+        # are linked, and each edge row is alone
+        _, component = connected_components(a @ a.T, directed=False)
+        vertex = np.flatnonzero(gamma & ~triangle)
+        kept = ~triangle
+        kept[vertex[np.unique(component[vertex], return_index=True)[1]]] = False
+        self.c_rows = c_rows = np.flatnonzero(kept)
+        # within a component the triangle rows (sign +1) and the vertex rows
+        # (sign -1) have a zero signed sum, so the right-hand side of the row
+        # that the independent set leaves out follows from the others
+        sign = np.where(triangle, 1.0, -1.0)
+        self.independent = cs.independent_eq
+        self.implied = []
+        for row in np.flatnonzero(~cs.independent_eq):
+            rows = np.flatnonzero(component == component[row])
+            self.implied.append((row, rows, -sign[row] * sign[rows]))
+
+        self.c = a[c_rows]
+        held = self.c.tocoo()
+        at_c = np.full(n, -1)  # the row of C that holds each angle, if any
+        at_c[held.col] = held.row
+        # S gathers M_t[i, j] at (row of angle i, row of angle j); its CSC
+        # pattern and each entry's slot in it are fixed here
+        at_c = at_c.reshape(n_t, 6)
+        s_row = np.broadcast_to(at_c[:, :, None], (n_t, 6, 6)).ravel()
+        s_col = np.broadcast_to(at_c[:, None, :], (n_t, 6, 6)).ravel()
+        self.entries = np.flatnonzero((s_row >= 0) & (s_col >= 0))
+        key = s_col[self.entries] * len(c_rows) + s_row[self.entries]
+        unique, self.slot = np.unique(key, return_inverse=True)
+        self.indices = unique % len(c_rows)
+        self.indptr = np.searchsorted(unique, np.arange(len(c_rows) + 1) * len(c_rows))
+
+    def solver(self, blocks):
+        """``_KKT.solver`` for formed blocks, returning x alone."""
+        from scipy.sparse.linalg import splu
+
+        m = _PLANE @ np.linalg.solve(_PLANE.T @ blocks @ _PLANE, _PLANE.T)
+        size = len(self.indptr) - 1
+        s = sparse.csc_matrix(
+            (np.bincount(self.slot, m.reshape(-1)[self.entries], len(self.indices)),
+             self.indices, self.indptr), shape=(size, size))
+        # splu's partial pivoting is as fast here as its symmetric mode
+        lu = splu(s, permc_spec="MMD_AT_PLUS_A")
+        c, c_t, n_t = self.c, self.c.T, len(m)
+
+        def blockwise(mats, v):
+            return (mats @ v.reshape(n_t, 6, -1)).reshape(v.shape)
+
+        def run(rhs):
+            r, e = rhs[:6 * n_t], rhs[6 * n_t:]
+            x0, e_c = np.zeros(r.shape), 0.0
+            if len(e):
+                full = self._every_row(e.reshape(len(e), -1)).reshape((-1,) + e.shape[1:])
+                x0.reshape(n_t, 6, -1)[:, 3:] = full[self.triangle_rows].reshape(n_t, 1, -1) / 3.0
+                e_c = full[self.c_rows]
+            y = x0 + blockwise(m, r - blockwise(blocks, x0))
+            return y - blockwise(m, c_t @ lu.solve(c @ y - e_c))
+
+        return run
+
+    def _every_row(self, e):
+        """The right-hand sides (m, k) of all equality rows from those of the
+        independent rows, e (rank, k).  An implied one is rounded exactly:
+        its sum cancels terms of the size of pi times the triangle count,
+        and added one after another they left 5e-9 at T = 8192."""
+        full = np.zeros((len(self.independent), e.shape[1]))
+        full[self.independent] = e
+        for row, rows, signs in self.implied:
+            full[row] = [math.fsum(v) for v in (signs[:, None] * full[rows]).T]
+        return full
 
 
 def _solve_upper(r, b, transpose=False):

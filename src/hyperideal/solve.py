@@ -4,10 +4,10 @@ The objective F is the sum of per-triangle truncated volumes; it is smooth
 and strictly concave on the open polytope, with a +infinity inward derivative
 at the mildly degenerate parts of the boundary, so the maximizer is interior
 and unique.  Newton's method on the affine space of the equality constraints
-(each step a sparse KKT solve) with an Armijo backtracking line search
-reaches it quadratically; steps are capped so every strict inequality keeps
-at least 1% of its current slack, which keeps all Lobachevsky arguments away
-from their singularities.
+(each step one solve of the KKT system of the Hessian, see ``coherent._KKT``)
+with an Armijo backtracking line search reaches it quadratically; steps are
+capped so every strict inequality keeps at least 1% of its current slack,
+which keeps all Lobachevsky arguments away from their singularities.
 """
 
 import logging
@@ -92,17 +92,18 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
     """Maximize F from a strictly coherent start; returns (x*, SolveReport).
 
     Newton with Armijo backtracking on the affine space of the equality
-    constraints: each step solves the sparse KKT system of the Hessian and
-    the independent equality rows.  A projected-gradient step replaces it
-    when the factorization fails, gives a non-finite direction, or gives no
-    ascent.  Stationarity is the sup norm of the gradient projected
-    orthogonally onto the tangent space of the equality constraints, or a
-    full Newton step whose predicted increase is at most
-    ``NEWTON_TRUST_ULPS`` float spacings of F.  A point that passes the
-    gradient test still takes such a full Newton step if it has one: the
-    test bounds the distance to the maximizer only by tol over the smallest
-    curvature.  ``callback(iteration, x, f)`` is invoked after every
-    accepted step.
+    constraints: each step solves the KKT system of the Hessian and the
+    independent equality rows, by the null-space method on small systems
+    and by the range-space method on large ones (``coherent._KKT``).  A
+    projected-gradient step replaces it when the factorization fails,
+    gives a non-finite direction, or gives no ascent.  Stationarity is the
+    sup norm of the gradient projected orthogonally onto the tangent space
+    of the equality constraints, or a full Newton step whose predicted
+    increase is at most ``NEWTON_TRUST_ULPS`` float spacings of F.  A point
+    that passes the gradient test still takes such a full Newton step if it
+    has one: the test bounds the distance to the maximizer only by tol over
+    the smallest curvature.  ``callback(iteration, x, f)`` is invoked after
+    every accepted step.
     """
     if cs is None:
         cs = build_constraints(tri, data)

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.sparse.linalg import spsolve
 from scipy.spatial import Delaunay
 
 from hyperideal.coherent import (
@@ -200,6 +201,17 @@ def max_slack_highs(cs):
         return None
     assert res.status == 0, res.message
     return float(res.x[-1])
+
+
+def kkt_solve_reference(cs, blocks, rhs):
+    """[x; lam] solving [H A^T; A 0] [x; lam] = rhs, padded with zeros, by
+    ``spsolve`` of the whole matrix: H the block diagonal of the (T, 6, 6)
+    ``blocks`` and A the independent equality rows of ``cs``."""
+    a = cs.a_eq[cs.independent_eq]
+    kkt = sparse.bmat([[sparse.block_diag(list(blocks)), a.T], [a, None]], format="csc")
+    full = np.zeros((kkt.shape[0],) + np.shape(rhs)[1:])
+    full[:len(rhs)] = rhs
+    return spsolve(kkt, full)
 
 
 def sample_coherent(cs, rng, n=1):

@@ -23,7 +23,7 @@ from hyperideal.solve import (
 from hyperideal.surface import AngleData, GluedTriangulation
 
 from .conftest import bundled_instance, bundled_text
-from .oracles import lattice_disk, tangent_span_vectors
+from .oracles import kkt_solve_reference, lattice_disk, tangent_span_vectors
 from .test_surface import GEN
 
 PI = math.pi
@@ -198,7 +198,8 @@ def test_one_identity_factorization_per_solve(monkeypatch):
 
     def solver(self, blocks):
         assert not self.dense
-        identity.append(np.array_equal(blocks, np.broadcast_to(np.eye(6), np.shape(blocks))))
+        identity.append(not isinstance(blocks, coherent_mod._RowFactor)
+                        and np.array_equal(blocks, np.broadcast_to(np.eye(6), np.shape(blocks))))
         return real(self, blocks)
 
     monkeypatch.setattr(coherent_mod._KKT, "solver", solver)
@@ -254,6 +255,125 @@ def test_cli_reports_line_search_failure(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line search failed at iteration 0" in err
     assert "did not converge" not in err
+
+
+def _two_disks():
+    """Two probed 50-triangle lattice disks as one surface of two
+    components, and its max-slack point."""
+    (tri1, dm1), (tri2, dm2) = (GEN.lattice_disk(np.random.default_rng(seed), 5) for seed in (3, 4))
+    shift = tri1.triangle_count
+    tri = GluedTriangulation(2 * shift, list(tri1.gluings) + [
+        ((t + shift, s), (u + shift, r)) for (t, s), (u, r) in tri2.gluings])
+    x = np.concatenate([probe(tri1, dm1)[1].values, probe(tri2, dm2)[1].values])
+    alphas, gammas = x.reshape(-1, 6)[:, :3], x.reshape(-1, 6)[:, 3:]
+    sides = tri.edge_sides
+    theta = PI - alphas[sides[:, 0, 0], sides[:, 0, 1]]
+    interior = len(tri.gluings)
+    theta[:interior] -= alphas[sides[:interior, 1, 0], sides[:interior, 1, 1]]
+    xi = np.array([sum(gammas[t, c] for t, c in cls) for cls in tri.vertices])
+    cs = build_constraints(tri, AngleData(theta=theta, xi=xi))
+    return cs, find_coherent(cs)
+
+
+def _range_space_case(case):
+    """(constraint system above DENSE_KKT_MAX, a strictly coherent point)."""
+    if case == "disk-newton start":
+        from perfbench.start import max_slack_start
+
+        tri, dm = GEN.lattice_disk(np.random.default_rng(1), 16)
+        data = probe(tri, dm)[0]
+        return build_constraints(tri, data), AngleSystem(max_slack_start(tri, data)[0])
+    if case == "two components":
+        return _two_disks()
+    tri, dm = GEN.lattice_torus(np.random.default_rng(6), 7, cone=case == "cone torus")
+    cs = build_constraints(tri, probe(tri, dm)[0])
+    if case == "permuted":
+        rng = np.random.default_rng(8)
+        cs = cs.permuted(rng.permutation(len(cs.b_eq)), rng.permutation(len(cs.h_ineq)))
+    return cs, find_coherent(cs)
+
+
+@pytest.mark.parametrize("case", ["disk-newton start", "flat torus", "cone torus",
+                                  "two components", "permuted"])
+def test_range_space_step_matches_the_kkt(case, rng):
+    cs, x = _range_space_case(case)
+    kkt = cs.kkt
+    assert kkt.size > coherent_mod.DENSE_KKT_MAX and not kkt.dense
+    n = cs.dimension
+    blocks = solve_mod._hess_blocks(x)
+    identity = np.broadcast_to(np.eye(6), blocks.shape)
+    g = objective_grad(x)
+    b = cs.b_eq[cs.independent_eq]
+    for h, rhs in ((blocks, -g),  # a Newton step
+                   (identity, np.concatenate([np.zeros(n), b])),  # the min-norm start
+                   (identity, np.concatenate([g, b])),
+                   (blocks, rng.standard_normal((kkt.size, 2)))):
+        found = kkt.solver(h)(rhs)
+        expected = kkt_solve_reference(cs, h, rhs)[:n]  # the range-space step returns x alone
+        assert found.shape == expected.shape
+        assert np.linalg.norm(found - expected) <= 1e-10 * np.linalg.norm(expected)
+    start = kkt.identity_solve(np.concatenate([np.zeros(n), b]))
+    assert np.max(np.abs(cs.a_eq @ start - cs.b_eq)) <= 1e-12
+
+
+def test_range_space_leaves_one_vertex_row_per_component():
+    # the vertex rows of a gluing component sum to its triangle rows, which
+    # each triangle enforces itself: keeping them all in C makes S = C M C^T
+    # singular by one per component
+    cs, x = _two_disks()
+    space = cs.kkt.range_space
+    n_t = cs.dimension // 6
+    left = np.setdiff1d(np.arange(len(cs.b_eq)), np.union1d(space.c_rows, space.triangle_rows))
+    assert len(left) == 2
+    owners = [set(cs.a_eq[row].indices // 6 < n_t // 2) for row in left]
+    assert owners == [{True}, {False}]  # one vertex row of each disk
+    blocks = solve_mod._hess_blocks(x)
+    p = coherent_mod._PLANE
+    m = p @ np.linalg.solve(p.T @ blocks @ p, p.T)
+    c = cs.a_eq[space.c_rows].toarray().reshape(len(space.c_rows), n_t, 6)
+    singular = np.linalg.svd(np.einsum("ati,tij,btj->ab", c, m, c), compute_uv=False)
+    assert singular.min() >= 1e-6 * singular.max()  # 7e-4 here; 1e-17 with every vertex row
+
+
+def test_min_norm_start_at_scale():
+    # the right-hand side of the left-out triangle row is a difference of
+    # two sums of about 25000: summed one term after another it was off by
+    # 5e-9 at T = 8192, above EQ_TOL, and the equalities read inconsistent
+    tri, dm = GEN.lattice_torus(np.random.default_rng(1), 64)
+    cs = build_constraints(tri, probe(tri, dm)[0])
+    assert tri.triangle_count == 8192
+    x = cs.kkt.identity_solve(np.concatenate([np.zeros(cs.dimension), cs.b_eq[cs.independent_eq]]))
+    assert np.max(np.abs(cs.a_eq @ x - cs.b_eq)) <= 1e-11
+
+
+def test_lp_row_factor_reaches_the_kkt_lu(monkeypatch, rng):
+    tri, dm = GEN.lattice_torus(np.random.default_rng(6), 7)
+    cs = build_constraints(tri, probe(tri, dm)[0])
+    factors, range_space = [], []
+    real_gram, real_solver = coherent_mod._KKT.gram, coherent_mod._RangeSpace.solver
+
+    def gram(self, factor):
+        factors.append(factor)
+        return real_gram(self, factor)
+
+    def solver(self, blocks):
+        range_space.append(blocks)
+        return real_solver(self, blocks)
+
+    monkeypatch.setattr(coherent_mod._KKT, "gram", gram)
+    monkeypatch.setattr(coherent_mod._RangeSpace, "solver", solver)
+    find_coherent(cs)
+    monkeypatch.undo()
+    # only the min-norm start took the range-space path, every LP step the LU
+    assert len(range_space) == 1
+    assert np.array_equal(range_space[0], np.broadcast_to(np.eye(6), (98, 6, 6)))
+    assert len(factors) > 2
+    f = factors[2]
+    rhs = rng.standard_normal((cs.kkt.size, 2))
+    found = cs.kkt.solver(cs.kkt.gram(f))(rhs)
+    expected = kkt_solve_reference(cs, np.einsum("tri,trj->tij", f, f), rhs)
+    assert found.shape == expected.shape  # the multipliers too
+    assert np.linalg.norm(found - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_import_loads_no_dense_scipy_modules():
