@@ -4,16 +4,22 @@
         [--out FILE]
 
 Rungs: flat lattice disks, flat lattice tori and cone lattice tori from
-``perfbench/generators.py`` with n = 8, 16, 32, 48 and 64, that is
-T = 2 n^2 = 128 to 8192 triangles, up to ``--max-t``.  Each instance is
+``perfbench/generators.py`` with n = 3, 8, 16, 32, 48 and 64, that is
+T = 2 n^2 = 18 to 8192 triangles, up to ``--max-t``.  Each instance is
 drawn from ``numpy.random.default_rng(n)`` and made into problem data by
 ``probe``, so its answer is known.  Each rung runs in a fresh process,
 which reports the wall seconds of every stage as it finishes it: parse,
-constraint assembly, the max-slack LP, ``maximize``, the reconstruction of
-lengths and radii with its verification, layout and SVG.  It also reports
-the LP's iteration count (calls of ``_KKT.gram``, one per interior-point
-step), Newton's, and its peak RSS so far after each stage, so that a
-rung and its baseline compare at the same stage.  A stage still running
+constraint assembly, feasibility (``find_coherent``, the start of the
+solve path: the max-slack LP up to its first strictly coherent iterate
+after one step, or the whole LP in older trees, so the two sides of a
+baseline may time different work), ``maximize``, the
+reconstruction of lengths and radii with its verification, layout and
+SVG.  It also reports the LP's steps on each step method (calls of
+``_KKT.solver`` during feasibility with formed blocks, less the min-norm
+start's H = I, and with a row factor; a range-space step that fails and is
+taken again on the LU counts once on each), Newton's iteration count, and
+its peak RSS so far after each stage, so that a rung and its baseline
+compare at the same stage.  A stage still running
 ``CAP_S`` = 60 seconds after the previous one finished is recorded as
 "capped" (the first stage: 60 seconds after the process started) and the
 process is stopped.
@@ -49,8 +55,8 @@ PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 os.environ.update(PINNED_ENV)
 
 FAMILIES = ("disk", "torus", "cone")
-SIZES = (8, 16, 32, 48, 64)  # T = 2 n^2
-STAGES = ("parse", "build_constraints", "find_coherent", "maximize", "reconstruct", "lay_out",
+SIZES = (3, 8, 16, 32, 48, 64)  # T = 2 n^2
+STAGES = ("parse", "build_constraints", "feasibility", "maximize", "reconstruct", "lay_out",
           "export_svg")
 THETA_TOL = 1e-8
 LENGTH_TOL = 1e-7
@@ -80,15 +86,14 @@ def child(problem_path, geometry_path, last_stage):
     import hyperideal.coherent as coherent
     from hyperideal.files import parse_geometry
 
-    lp_steps = [0]
-    if hasattr(coherent, "_KKT"):
-        gram = coherent._KKT.gram
+    solves = []
+    solver = coherent._KKT.solver
 
-        def counting_gram(self, factor):
-            lp_steps[0] += 1
-            return gram(self, factor)
+    def counting_solver(self, blocks):
+        solves.append("lu" if isinstance(blocks, coherent._RowFactor) else "range_space")
+        return solver(self, blocks)
 
-        coherent._KKT.gram = counting_gram
+    coherent._KKT.solver = counting_solver
 
     def stage(name, run):
         start = time.perf_counter()
@@ -100,8 +105,9 @@ def child(problem_path, geometry_path, last_stage):
     text = Path(problem_path).read_text()
     tri, data = stage("parse", lambda: hyperideal.parse_problem(text))
     cs = stage("build_constraints", lambda: hyperideal.build_constraints(tri, data))
-    x0 = stage("find_coherent", lambda: hyperideal.find_coherent(cs))
-    print(json.dumps({"lp_iterations": lp_steps[0]}), flush=True)
+    x0 = stage("feasibility", lambda: hyperideal.find_coherent(cs))
+    print(json.dumps({"lp_steps": {"range_space": solves.count("range_space") - 1,
+                                   "lu": solves.count("lu")}}), flush=True)
     x, report = stage("maximize", lambda: hyperideal.maximize(tri, data, x0, cs=cs))
     print(json.dumps({"newton_iterations": report.iterations, "status": report.status}), flush=True)
     if last_stage == "maximize":

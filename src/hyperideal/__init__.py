@@ -22,6 +22,7 @@ from .coherent import (
     Infeasible,
     build_constraints,
     find_coherent,
+    find_max_slack,
     is_coherent,
 )
 from .energy import (
@@ -65,6 +66,7 @@ __all__ = [
     "classify",
     "export_svg",
     "find_coherent",
+    "find_max_slack",
     "five_tetra",
     "is_coherent",
     "lay_out",

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import energy
-from .coherent import Infeasible, build_constraints, find_coherent, is_coherent
+from .coherent import Infeasible, build_constraints, find_max_slack, is_coherent
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -91,7 +91,7 @@ def _emit(text, path):
 def _run_check(args):
     tri, data = parse_problem(_read(args.input))
     cs = build_constraints(tri, data)
-    found = find_coherent(cs)
+    found = find_max_slack(cs)
     if isinstance(found, Infeasible):
         print(f"infeasible ({found.reason}): {found.message}")
         return EXIT_INFEASIBLE

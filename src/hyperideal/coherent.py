@@ -15,7 +15,7 @@ g_corner2); side ``s`` runs between corners ``s`` and ``s+1``.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -30,19 +30,13 @@ SLACK_TOL = 1e-10
 FEASIBLE_SLACK = 1e-9
 TANGENT_RCOND = 1e-10  # relative singular-value cut of tangent_basis
 # KKT systems with at most this many unknowns (angles plus multipliers) are
-# solved densely by the null-space method.  In larger ones Newton's formed
-# blocks take the range-space step and the LP's row factor a sparse LU of
-# the whole matrix.  The break-even below was measured with both on that
-# LU; for the faster range-space step it has not been measured again.
-# Whole torus solves (solve_problem, 2 cores, one BLAS thread):
-# - in a warm process the sparse LU is already faster: 38 against 43-44 ms
-#   at 449 unknowns (50 triangles), 52-53 against 73-85 ms at 647 (72);
-# - but the first sparse solve in a process imports scipy.sparse.linalg:
-#   75-81 ms and 8.7 MB, about 10 % of the 85 MB peak RSS of a cold
-#   50-triangle torus solve;
-# - so a single cold solve takes 44-51 ms dense and 80-131 ms sparse at 449
-#   unknowns, 75-95 against 130-139 ms at 647, and about breaks even near
-#   881 (98 triangles: 106-133 against 135-143 ms).
+# factorized by numpy, larger ones by scipy.sparse.linalg.splu, whose first
+# use imports it (8.7 MB).  In one cold process (2 cores, one BLAS thread),
+# find_max_slack, which ends its LP on the LU of the whole matrix, breaks
+# even here: 94-108 dense against 81-117 ms sparse at 450 unknowns (a
+# 50-triangle torus), 150-190 against 95-116 ms at 648 (72).  The solve
+# path factorizes only S and stays faster dense up to about 2600 (288
+# triangles: 99-122 against 78-121 ms).
 DENSE_KKT_MAX = 600
 # The max-slack interior point stops once the duality gap is at most
 # LP_GAP_TOL and every residual at most LP_RESIDUAL_TOL.  The dual residual
@@ -54,11 +48,6 @@ LP_RESIDUAL_TOL = 1e-6
 LP_RESCUE_GAP = 1e-8
 LP_MAX_ITERS = 100
 LP_STEP_KEEP = 0.99  # share of the step to the boundary of w, z >= 0 taken
-# Largest diagonal block that _solve_upper hands to np.linalg.solve, whose LU
-# spends 2/3 b^3 flops on it.  A solve with R^T and then R at k = 151 (the
-# 50-triangle torus) took 400, 340 and 350 us with 32, 48 and 64, against
-# 520 us for two LUs of the whole R (one BLAS thread).
-SUBSTITUTION_BLOCK = 64
 # An orthonormal basis (6 x 5) of a triangle's gamma-sum plane: its three
 # alphas and two directions along which the gamma sum stays fixed.
 _PLANE = np.zeros((6, 5))
@@ -104,7 +93,8 @@ class ConstraintSystem:
     ``a_eq`` and ``g_ineq`` are ``scipy.sparse`` CSR matrices.  ``rank`` is
     the rank of ``a_eq``, and ``independent_eq`` marks a set of ``rank``
     equality rows that spans the same row space (one redundant gamma-sum row
-    per connected component is left out).
+    per connected component is left out).  ``component_eq`` holds the gluing
+    component of each equality row, named by its smallest triangle.
     """
 
     a_eq: sparse.csr_matrix
@@ -115,6 +105,7 @@ class ConstraintSystem:
     labels_ineq: list
     rank: int
     independent_eq: np.ndarray
+    component_eq: np.ndarray
 
     @property
     def dimension(self):
@@ -123,7 +114,7 @@ class ConstraintSystem:
     @cached_property
     def kkt(self):
         """The KKT matrices of this system (``_KKT``), built on first use and
-        shared by ``find_coherent`` and ``maximize``."""
+        shared by the max-slack LP and ``maximize``."""
         return _KKT(self)
 
     def permuted(self, perm_eq, perm_ineq):
@@ -137,6 +128,7 @@ class ConstraintSystem:
             labels_ineq=[self.labels_ineq[i] for i in perm_ineq],
             rank=self.rank,
             independent_eq=self.independent_eq[perm_eq],
+            component_eq=self.component_eq[perm_eq],
         )
 
 
@@ -220,6 +212,8 @@ def build_constraints(tri: GluedTriangulation, data: AngleData) -> ConstraintSys
         labels_ineq=g_labels,
         rank=n_t + n_e + n_v - len(roots),
         independent_eq=independent,
+        component_eq=tri.component[np.concatenate(
+            [np.arange(n_t), tri.edge_sides[:, 0, 0], [cls[0][0] for cls in tri.vertices]])],
     )
 
 
@@ -270,9 +264,20 @@ class Infeasible:
 
 class _RowFactor(NamedTuple):
     """Per-triangle row factor F of shape (T, r, 6) standing for the block
-    diagonal H = F^T F, as ``_KKT.gram`` hands it to ``_KKT.solver``."""
+    diagonal H = F^T F, which ``_KKT.solver`` hands to the LU of the whole
+    KKT matrix."""
 
     rows: np.ndarray
+
+
+def _sparse_solver(matrix, ordering):
+    """Returns rhs -> the solution of a square CSC ``matrix`` sol = rhs by
+    one ``splu`` factorization with the column ordering ``ordering``
+    (imported on first use).  Raises ``RuntimeError`` if the matrix is
+    singular."""
+    from scipy.sparse.linalg import splu
+
+    return splu(matrix, permc_spec=ordering).solve
 
 
 class _KKT:
@@ -280,16 +285,13 @@ class _KKT:
     constraint system, with H block-diagonal, one 6x6 block per triangle.
 
     A block of H need only be definite on its triangle's gamma-sum plane,
-    so H is never factorized alone.  Systems of at most ``DENSE_KKT_MAX``
-    unknowns are solved by the null-space method.  A^T splits into an
-    alpha block (the edge rows) and a gamma block (the triangle and vertex
-    rows); one complete QR of each, taken here, gives the range basis Q1,
-    an orthonormal null basis Z of A (k = n - rank columns) and the
-    pseudo-inverse A+ = Q1 R^-T by block substitution, and each ``solver``
-    call factorizes only the k x k reduced matrix Z^T H Z.  In larger
-    systems formed blocks (Newton's Hessian, H = I) go to the range-space
-    method (``_RangeSpace``) and a row factor (the LP's barrier Hessian,
-    whose z/w spreads too far for it) to a sparse LU of the whole matrix.
+    so H is never factorized alone.  Formed blocks (Newton's Hessian, H = I
+    and the opening steps of the max-slack LP) go to the range-space method
+    (``_RangeSpace``), a row factor (the LP's barrier Hessian once z/w has
+    spread too far for it) to an LU of the whole matrix.  Systems of at
+    most ``DENSE_KKT_MAX`` unknowns solve with either matrix by
+    ``np.linalg.solve``, which keeps no factor, larger ones factorize it
+    once with ``splu``.
     """
 
     def __init__(self, cs: ConstraintSystem):
@@ -297,87 +299,44 @@ class _KKT:
         self.size = n + cs.rank
         self.block_shape = (n // 6, 6, 6)
         self.dense = self.size <= DENSE_KKT_MAX
-        if self.dense:
-            # A is block diagonal up to the order of rows and columns: the
-            # edge rows hold only alphas, the triangle and vertex rows only
-            # gammas, so each block gets its own complete QR
-            a = cs.a_eq.toarray()[cs.independent_eq]
-            angles = np.arange(n).reshape(-1, 6)
-            alphas, gammas = angles[:, :3].ravel(), angles[:, 3:].ravel()
-            alpha_rows = np.any(a[:, alphas] != 0.0, axis=1)
-            self.range_basis = np.zeros((n, cs.rank))
-            self.null_basis = np.zeros((n, n - cs.rank))
-            self.pinv_t = np.zeros((cs.rank, n))
-            done = 0
-            for rows, cols in ((np.flatnonzero(alpha_rows), alphas),
-                               (np.flatnonzero(~alpha_rows), gammas)):
-                q, r = np.linalg.qr(a[np.ix_(rows, cols)].T, mode="complete")
-                m, k = len(rows), len(cols) - len(rows)
-                self.range_basis[np.ix_(cols, rows)] = q[:, :m]
-                self.null_basis[cols, done:done + k] = q[:, m:]
-                self.pinv_t[np.ix_(rows, cols)] = _solve_upper(r[:m], q[:, :m].T)  # R^-1 Q1^T
-                done += k
-        else:
-            first = np.arange(0, n, 6)[:, None, None]
-            h_rows = np.broadcast_to(first + np.arange(6)[:, None], self.block_shape)
-            h_cols = np.broadcast_to(first + np.arange(6), self.block_shape)
-            a = cs.a_eq[cs.independent_eq].tocoo()
-            self.rows = np.concatenate([h_rows.ravel(), n + a.row, a.col])
-            self.cols = np.concatenate([h_cols.ravel(), a.col, n + a.row])
-            self.a_vals = np.concatenate([a.data, a.data])
-            self.range_space = _RangeSpace(cs)
+        first = np.arange(0, n, 6)[:, None, None]
+        h_rows = np.broadcast_to(first + np.arange(6)[:, None], self.block_shape)
+        h_cols = np.broadcast_to(first + np.arange(6), self.block_shape)
+        a = cs.a_eq[cs.independent_eq].tocoo()
+        self.rows = np.concatenate([h_rows.ravel(), n + a.row, a.col])
+        self.cols = np.concatenate([h_cols.ravel(), a.col, n + a.row])
+        self.a_vals = np.concatenate([a.data, a.data])
+        self.range_space = _RangeSpace(cs)
 
     @cached_property
     def identity_solve(self):
-        """``solver`` with H = I, factorized on first use and kept: the
-        min-norm start of ``find_coherent`` and the sparse projector."""
+        """``solver`` with H = I, built on first use and kept (numpy
+        factorizes S again on each call, ``splu`` once): the min-norm start
+        of the max-slack LP and, on a gradient, its orthogonal projection
+        onto the null space of A."""
         return self.solver(np.broadcast_to(np.eye(6), self.block_shape))
-
-    def projector(self):
-        """Returns g -> the orthogonal projection of g onto the null space
-        of A: by the range basis Q1 when dense, else ``identity_solve``."""
-        if self.dense:
-            q = self.range_basis
-            return lambda g: g - q @ (q.T @ g)
-        return self.identity_solve
-
-    def gram(self, factor):
-        """What ``solver`` takes for H = F^T F, F a (T, r, 6) per-triangle
-        row factor: a ``_RowFactor``, which sends a sparse solve to the LU
-        of the whole KKT matrix.  When dense it holds the (T, 6, 6) R
-        factors of a stacked QR of F (R^T R = F^T F), where a QR of R Z
-        reduces H without squaring its conditioning; else F itself."""
-        if self.dense:
-            return _RowFactor(np.linalg.qr(factor, mode="r"))
-        return _RowFactor(factor)
 
     def solver(self, blocks):
         """Factorize with H = ``blocks``, (T, 6, 6) diagonal blocks or a
-        ``gram`` row factor; returns rhs -> the leading ``len(rhs)`` rows of
-        the solution of [H A^T; A 0] sol = rhs padded with zeros, so ``r``
-        gives d of [r; 0] and a full [r; e] gives [d; lam].  The sparse
-        range-space path (formed blocks) returns d alone, also for a full
-        [r; e].  ``rhs`` may hold several columns.  Raises
-        ``numpy.linalg.LinAlgError`` or ``RuntimeError`` if the matrix is
-        singular."""
+        ``_RowFactor``; returns rhs -> the leading ``len(rhs)`` rows of the
+        solution of [H A^T; A 0] sol = rhs padded with zeros, so ``r`` gives
+        d of [r; 0] and a full [r; e] gives [d; lam].  The range-space path
+        (formed blocks) returns d alone, also for a full [r; e].  ``rhs``
+        may hold several columns.  Raises ``numpy.linalg.LinAlgError`` or
+        ``RuntimeError`` if the matrix is singular."""
+        if not isinstance(blocks, _RowFactor):
+            return self.range_space.solver(blocks, self.dense)
+        f = blocks.rows
+        vals = np.concatenate([np.einsum("tri,trj->tij", f, f).ravel(), self.a_vals])
+        size = self.size
         if self.dense:
-            solve = _null_space_solve(blocks, self.null_basis, self.pinv_t)
-        elif not isinstance(blocks, _RowFactor):
-            return self.range_space.solver(blocks)
+            solve = partial(np.linalg.solve, np.bincount(
+                self.rows * size + self.cols, vals, size * size).reshape(size, size))
         else:
-            from scipy.sparse import csc_matrix
-            from scipy.sparse.linalg import splu
-
-            f = blocks.rows
-            vals = np.concatenate([np.einsum("tri,trj->tij", f, f).ravel(), self.a_vals])
             # minimum-degree ordering of A^T A: about half the fill of the
             # default COLAMD ordering on lattice disks of 512 to 2048 triangles
-            solve = splu(csc_matrix((vals, (self.rows, self.cols)), shape=(self.size, self.size)),
-                         permc_spec="MMD_ATA").solve
-
-        # run must not hold self: identity_solve keeps it on self, and the
-        # cycle would keep the factorization until the cyclic collector ran
-        size = self.size
+            solve = _sparse_solver(
+                sparse.csc_matrix((vals, (self.rows, self.cols)), shape=(size, size)), "MMD_ATA")
 
         def run(rhs):
             full = np.zeros((size,) + rhs.shape[1:])
@@ -396,7 +355,7 @@ class _RangeSpace:
     side, so the triangle contributes M_t = P K_t^-1 P^T, K_t = P^T H_t P.
     The other rows C, the edge rows and all vertex rows but one per gluing
     component, get their multipliers mu from the definite matrix
-    S = C M C^T, one sparse LU, and x = x0 + M (s - C^T mu), s = r - H x0.
+    S = C M C^T, and x = x0 + M (s - C^T mu), s = r - H x0.
 
     The row roles are read from ``a_eq``, so a ``permuted`` copy works:
     every row holds ones, and every angle lies in exactly one edge or
@@ -406,8 +365,6 @@ class _RangeSpace:
     """
 
     def __init__(self, cs: ConstraintSystem):
-        from scipy.sparse.csgraph import connected_components
-
         a = cs.a_eq
         m, n = a.shape
         n_t = n // 6
@@ -422,9 +379,7 @@ class _RangeSpace:
         self.triangle_rows[owner[starts[own]]] = own
         triangle = np.zeros(m, dtype=bool)
         triangle[self.triangle_rows] = True
-        # rows linked by shared angles: the gamma rows of a gluing component
-        # are linked, and each edge row is alone
-        _, component = connected_components(a @ a.T, directed=False)
+        component = cs.component_eq
         vertex = np.flatnonzero(gamma & ~triangle)
         kept = ~triangle
         kept[vertex[np.unique(component[vertex], return_index=True)[1]]] = False
@@ -436,7 +391,7 @@ class _RangeSpace:
         self.independent = cs.independent_eq
         self.implied = []
         for row in np.flatnonzero(~cs.independent_eq):
-            rows = np.flatnonzero(component == component[row])
+            rows = np.flatnonzero(gamma & (component == component[row]))
             self.implied.append((row, rows, -sign[row] * sign[rows]))
 
         self.c = a[c_rows]
@@ -449,22 +404,26 @@ class _RangeSpace:
         s_row = np.broadcast_to(at_c[:, :, None], (n_t, 6, 6)).ravel()
         s_col = np.broadcast_to(at_c[:, None, :], (n_t, 6, 6)).ravel()
         self.entries = np.flatnonzero((s_row >= 0) & (s_col >= 0))
-        key = s_col[self.entries] * len(c_rows) + s_row[self.entries]
-        unique, self.slot = np.unique(key, return_inverse=True)
+        # each entry's index in the flat column-major S, which is symmetric,
+        # and its slot in the CSC pattern of S
+        self.flat = s_col[self.entries] * len(c_rows) + s_row[self.entries]
+        unique, self.slot = np.unique(self.flat, return_inverse=True)
         self.indices = unique % len(c_rows)
         self.indptr = np.searchsorted(unique, np.arange(len(c_rows) + 1) * len(c_rows))
 
-    def solver(self, blocks):
-        """``_KKT.solver`` for formed blocks, returning x alone."""
-        from scipy.sparse.linalg import splu
-
+    def solver(self, blocks, dense):
+        """``_KKT.solver`` for formed blocks, returning x alone; S is
+        factorized by numpy when ``dense``."""
         m = _PLANE @ np.linalg.solve(_PLANE.T @ blocks @ _PLANE, _PLANE.T)
-        size = len(self.indptr) - 1
-        s = sparse.csc_matrix(
-            (np.bincount(self.slot, m.reshape(-1)[self.entries], len(self.indices)),
-             self.indices, self.indptr), shape=(size, size))
-        # splu's partial pivoting is as fast here as its symmetric mode
-        lu = splu(s, permc_spec="MMD_AT_PLUS_A")
+        size = len(self.c_rows)
+        vals = m.reshape(-1)[self.entries]
+        if dense:
+            solve = partial(np.linalg.solve, np.bincount(self.flat, vals, size * size).reshape(size, size))
+        else:
+            s = sparse.csc_matrix((np.bincount(self.slot, vals, len(self.indices)),
+                                   self.indices, self.indptr), shape=(size, size))
+            # splu's partial pivoting is as fast here as its symmetric mode
+            solve = _sparse_solver(s, "MMD_AT_PLUS_A")
         c, c_t, n_t = self.c, self.c.T, len(m)
 
         def blockwise(mats, v):
@@ -478,7 +437,7 @@ class _RangeSpace:
                 x0.reshape(n_t, 6, -1)[:, 3:] = full[self.triangle_rows].reshape(n_t, 1, -1) / 3.0
                 e_c = full[self.c_rows]
             y = x0 + blockwise(m, r - blockwise(blocks, x0))
-            return y - blockwise(m, c_t @ lu.solve(c @ y - e_c))
+            return y - blockwise(m, c_t @ solve(c @ y - e_c))
 
         return run
 
@@ -492,61 +451,6 @@ class _RangeSpace:
         for row, rows, signs in self.implied:
             full[row] = [math.fsum(v) for v in (signs[:, None] * full[rows]).T]
         return full
-
-
-def _solve_upper(r, b, transpose=False):
-    """Solves R x = b, or R^T x = b with ``transpose``, for an upper
-    triangular k x k R and b of k rows, by 2 x 2 block substitution: the
-    off-diagonal blocks are products, and diagonal blocks of at most
-    ``SUBSTITUTION_BLOCK`` rows go to ``np.linalg.solve``, whose LU of an
-    upper triangular matrix does no elimination.  R^-1 is never formed: it
-    costs more flops than the few right-hand sides each factor is used for.
-    Raises ``numpy.linalg.LinAlgError`` on a zero diagonal entry."""
-    k = len(r)
-    if k <= SUBSTITUTION_BLOCK:
-        if transpose:  # R^T reversed in rows and columns is upper triangular
-            return np.linalg.solve(r[::-1, ::-1].T, b[::-1])[::-1]
-        return np.linalg.solve(r, b)
-    h = k // 2
-    if transpose:
-        top = _solve_upper(r[:h, :h], b[:h], True)
-        return np.concatenate([top, _solve_upper(r[h:, h:], b[h:] - r[:h, h:].T @ top, True)])
-    bottom = _solve_upper(r[h:, h:], b[h:])
-    return np.concatenate([_solve_upper(r[:h, :h], b[:h] - r[:h, h:] @ bottom), bottom])
-
-
-def _null_space_solve(blocks, null, pinv_t):
-    """Returns [r; e] -> [x; lam] solving [H A^T; A 0] [x; lam] = [r; e] by
-    the null-space method: x = A+ e + Z u with Z^T H Z u = Z^T (r - H A+ e),
-    then lam = (A+)^T (r - H x).  For a ``_RowFactor`` R, Z^T H Z = U^T U
-    with U the triangular factor of a QR of R Z (6T x k), solved by block
-    substitution with U^T and then U; other blocks form Z^T H Z."""
-    n, k = null.shape
-    z = null.reshape(n // 6, 6, k)
-    if isinstance(blocks, _RowFactor):
-        f = blocks.rows
-        upper = np.linalg.qr((f @ z).reshape(-1, k), mode="r")
-
-        def reduced(v):
-            return _solve_upper(upper, _solve_upper(upper, v, transpose=True))
-
-        blocks = f.transpose(0, 2, 1) @ f  # only for products H x
-    else:
-        m = null.T @ (blocks @ z).reshape(n, k)
-
-        def reduced(v):
-            return np.linalg.solve(m, v)
-
-    def h_times(v):
-        return (blocks @ v.reshape(len(z), 6, -1)).reshape(v.shape)
-
-    def solve(full):
-        r, e = full[:n], full[n:]
-        x = pinv_t.T @ e
-        x += null @ reduced(null.T @ (r - h_times(x)))
-        return np.concatenate([x, pinv_t @ (r - h_times(x))])
-
-    return solve
 
 
 def _triangle_rows(g):
@@ -573,18 +477,42 @@ def _fraction_to_boundary(v, dv):
     return float(min(1.0, LP_STEP_KEEP * np.min(-v[shrink] / dv[shrink])))
 
 
-def _max_slack(cs: ConstraintSystem, x):
-    """Maximize s over {A x = b, G x + s <= h} from a solution x of A x = b.
+def _strictly_coherent(cs: ConstraintSystem, x):
+    """True if x meets every equality within ``EQ_TOL`` and every inequality
+    with slack above ``FEASIBLE_SLACK``."""
+    return bool(np.max(np.abs(cs.a_eq @ x - cs.b_eq)) <= EQ_TOL
+                and np.min(cs.h_ineq - cs.g_ineq @ x) > FEASIBLE_SLACK)
+
+
+def _max_slack(cs: ConstraintSystem):
+    """Maximize s over {A x = b, G x + s <= h}: a generator of the primal
+    iterates x, the last primal x last.  The first is the min-norm solution
+    of the independent equalities, or None if it leaves a residual above
+    ``EQ_TOL`` on any row (the equalities are inconsistent); a pinned system
+    (rank = dimension) has no other.
 
     Mehrotra's predictor-corrector on the slacks w = h - G x - s and their
     multipliers z (sum z = 1).  The barrier Hessian G^T diag(z/w) G has the
     block pattern of the Hessian of F, so each step factorizes the same KKT
     matrix as a Newton step of ``maximize``, with the scalar s eliminated by
-    one more solve.  The Hessian is handed over as its per-triangle row
-    factor diag(z/w)^(1/2) G (``_KKT.gram``).  Returns the last primal x.
+    one more solve.  Until x is strictly coherent the formed blocks go to
+    the range-space method, which gives no multipliers: the step in x, s, w
+    and z does not depend on y, whose term A^T y in the right-hand side only
+    moves dy, so y stays put.  From then on, and from the first range-space
+    step that raises, is not finite or misses the equalities by more than
+    ``EQ_TOL``, the Hessian goes over as its per-triangle row factor
+    diag(z/w)^(1/2) G to the LU of the whole KKT matrix, which also steps y:
+    as z/w spreads toward the optimum, the formed blocks lose accuracy.
     """
     a = cs.a_eq[cs.independent_eq]
     b = cs.b_eq[cs.independent_eq]
+    x = cs.kkt.identity_solve(np.concatenate([np.zeros(cs.dimension), b]))[:cs.dimension]
+    if np.max(np.abs(cs.a_eq @ x - cs.b_eq)) > EQ_TOL:
+        yield None
+        return
+    yield x
+    if cs.rank == cs.dimension:
+        return
     g, h = cs.g_ineq, cs.h_ineq
     a_t, g_t = a.T, g.T  # CSC views, built once: .T makes a new one on every call
     n, m = cs.dimension, len(h)
@@ -594,6 +522,7 @@ def _max_slack(cs: ConstraintSystem, x):
     w = slack - s
     z = (1.0 / w) / np.sum(1.0 / w)  # every w_i z_i equal: a centered start
     y = np.zeros(cs.rank)
+    ranged = True
     for _ in range(LP_MAX_ITERS):
         r_p = a @ x - b
         r_w = g @ x + s + w - h
@@ -602,11 +531,13 @@ def _max_slack(cs: ConstraintSystem, x):
         gap = float(w @ z)
         residual = max(np.max(np.abs(r_p)), np.max(np.abs(r_w)), np.max(np.abs(r_d)), abs(r_s))
         if gap <= LP_GAP_TOL and residual <= LP_RESIDUAL_TOL:
-            return x
+            return
+        ranged = ranged and not _strictly_coherent(cs, x)
         d = z / w
         u = g_t @ d
+        f = np.sqrt(d)[rows][..., None] * local
 
-        def direction(r_c, q=None):
+        def direction(solve, r_c, q=None):
             """Newton step (dx, ds, dy, dw, dz) with W dz + Z dw = r_c, and q,
             the solution for [u; 0] that eliminates ds; a first call solves
             for q in the same factorization."""
@@ -621,45 +552,49 @@ def _max_slack(cs: ConstraintSystem, x):
             dw = -r_w - g @ dxy[:n] - ds
             if not np.all(np.isfinite(dxy)):
                 raise RuntimeError("non-finite interior-point direction")
-            return (dxy[:n], ds, dxy[n:], dw, (r_c - z * dw) / w), q
+            dy = dxy[n:] if len(dxy) > n else 0.0
+            return (dxy[:n], ds, dy, dw, (r_c - z * dw) / w), q
 
-        try:
-            solve = cs.kkt.solver(cs.kkt.gram(np.sqrt(d)[rows][..., None] * local))
-            (_, _, _, dw, dz), q = direction(-w * z)
+        def predictor_corrector(blocks):
+            solve = cs.kkt.solver(blocks)
+            (_, _, _, dw, dz), q = direction(solve, -w * z)
             mu = gap / m
             step_p, step_d = _fraction_to_boundary(w, dw), _fraction_to_boundary(z, dz)
             sigma = (((w + step_p * dw) @ (z + step_d * dz)) / m / mu) ** 3
-            (dx, ds, dy, dw, dz), _ = direction(sigma * mu - w * z - dw * dz, q)
-        except (np.linalg.LinAlgError, RuntimeError) as exc:
-            if gap <= LP_RESCUE_GAP:
-                return x
-            raise ConvergenceError(f"max-slack interior point failed: {exc}") from exc
+            return direction(solve, sigma * mu - w * z - dw * dz, q)[0]
+
+        step = None
+        if ranged:
+            try:
+                step = predictor_corrector(np.einsum("tri,trj->tij", f, f))
+                # as z/w spreads, the range-space step loses the equalities first
+                if np.max(np.abs(a @ step[0] + r_p)) > EQ_TOL:
+                    raise RuntimeError("inaccurate range-space direction")
+            except (np.linalg.LinAlgError, RuntimeError):
+                step, ranged = None, False
+        if step is None:
+            try:
+                step = predictor_corrector(_RowFactor(f))
+            except (np.linalg.LinAlgError, RuntimeError) as exc:
+                if gap <= LP_RESCUE_GAP:
+                    return
+                raise ConvergenceError(f"max-slack interior point failed: {exc}") from exc
+        dx, ds, dy, dw, dz = step
         step_p, step_d = _fraction_to_boundary(w, dw), _fraction_to_boundary(z, dz)
         x, s, w = x + step_p * dx, s + step_p * ds, w + step_p * dw
         y, z = y + step_d * dy, z + step_d * dz
+        yield x
     raise ConvergenceError(f"max-slack interior point: no optimum in {LP_MAX_ITERS} iterations")
 
 
-def find_coherent(cs: ConstraintSystem):
-    """Max-slack feasibility: a deep interior point, or an Infeasible certificate.
-
-    Maximizes s subject to the equalities and every inequality holding with
-    slack >= s, by an interior point on the sparse KKT system that Newton
-    uses.  Equalities whose min-norm solution leaves a residual above
-    ``EQ_TOL`` on any row are inconsistent.  An optimum s* <= 1e-9 means the
-    open polytope is empty (a zero-slack-only polytope has no strictly
-    coherent point), reported as Infeasible together with s*.  A pinned
-    system (rank = dimension) reads its slack off the unique solution.
-    """
-    rhs = np.concatenate([np.zeros(cs.dimension), cs.b_eq[cs.independent_eq]])
-    x = cs.kkt.identity_solve(rhs)[:cs.dimension]
-    if np.max(np.abs(cs.a_eq @ x - cs.b_eq)) > EQ_TOL:
+def _verdict(cs: ConstraintSystem, x):
+    """``AngleSystem(x)`` if x has slack above ``FEASIBLE_SLACK``, else the
+    Infeasible certificate of the last LP iterate x (None: inconsistent)."""
+    if x is None:
         return Infeasible(
             reason="equalities_inconsistent",
             message="the equality constraints have no solution",
         )
-    if cs.rank < cs.dimension:
-        x = _max_slack(cs, x)
     s = float(np.min(cs.h_ineq - cs.g_ineq @ x))
     if s > FEASIBLE_SLACK:
         return AngleSystem(x)
@@ -669,6 +604,40 @@ def find_coherent(cs: ConstraintSystem):
         s_star=s,
         message=f"maximum uniform slack {s:.3e} <= {FEASIBLE_SLACK:.0e}{degenerate}",
     )
+
+
+def find_max_slack(cs: ConstraintSystem):
+    """Max-slack feasibility: a deep interior point, or an Infeasible certificate.
+
+    Maximizes s subject to the equalities and every inequality holding with
+    slack >= s, by an interior point on the KKT systems that Newton uses.
+    Equalities whose min-norm solution leaves a residual above ``EQ_TOL``
+    on any row are inconsistent.  An optimum s* <= 1e-9 means the open
+    polytope is empty (a zero-slack-only polytope has no strictly coherent
+    point), reported as Infeasible together with s*.  A pinned system
+    (rank = dimension) reads its slack off the unique solution.
+    """
+    for x in _max_slack(cs):
+        pass
+    return _verdict(cs, x)
+
+
+def find_coherent(cs: ConstraintSystem):
+    """A strictly coherent angle system, or an Infeasible certificate: the
+    start of the solve path.
+
+    ``find_max_slack``'s interior point, stopped at its first strictly
+    coherent iterate after one step: F is strictly concave on the open
+    polytope, so any such point leads Newton to the one maximizer.  The
+    min-norm start's slack is an accident of the data (where it was already
+    strictly coherent, Newton took 678 steps from it against 426 from the
+    first step, on 136 instances of ``tests.lp_sweep``).  Data with no
+    strictly coherent point gets ``find_max_slack``'s certificate.
+    """
+    for step, x in enumerate(_max_slack(cs)):
+        if step and _strictly_coherent(cs, x):
+            return AngleSystem(x)
+    return _verdict(cs, x)
 
 
 def tangent_basis(cs: ConstraintSystem):

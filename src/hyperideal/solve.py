@@ -93,9 +93,8 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
 
     Newton with Armijo backtracking on the affine space of the equality
     constraints: each step solves the KKT system of the Hessian and the
-    independent equality rows, by the null-space method on small systems
-    and by the range-space method on large ones (``coherent._KKT``).  A
-    projected-gradient step replaces it when the factorization fails,
+    independent equality rows by the range-space method (``coherent._KKT``).
+    A projected-gradient step replaces it when the factorization fails,
     gives a non-finite direction, or gives no ascent.  Stationarity is the
     sup norm of the gradient projected orthogonally onto the tangent space
     of the equality constraints, or a full Newton step whose predicted
@@ -131,7 +130,7 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
     if cs.rank == cs.dimension:
         return report(CONVERGED, 0, 0.0)
 
-    project = cs.kkt.projector()
+    project = cs.kkt.identity_solve
 
     def projected_norm(v):
         return float(np.max(np.abs(project(objective_grad(AngleSystem(v))))))
@@ -146,9 +145,14 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
             # only moves the multipliers; its size bounds the solve's rounding
             d = cs.kkt.solver(_hess_blocks(AngleSystem(x)))(-pg)
             newton = bool(np.all(np.isfinite(d)) and d @ g > 0.0)
+            # a Newton decrement g.d of rounding size, of either sign, puts F
+            # at its maximum as a trusted step does (below)
+            settled = abs(0.5 * float(d @ g)) <= NEWTON_TRUST_ULPS * np.spacing(abs(fx))
         except (np.linalg.LinAlgError, RuntimeError):
-            newton = False
+            newton = settled = False
         if not newton:
+            if settled:
+                return report(CONVERGED, it, pgn)
             # no Newton direction, or not an ascent direction (concavity
             # must have failed numerically)
             d = pg

@@ -3,7 +3,7 @@
 Per seed 1..24: ``perfbench.generators.tiny_set(rng, 13)`` (65 instances)
 and 8 lattice tori of 50 triangles, alternately flat and cone, all drawn
 from one ``numpy.random.default_rng(seed)``.  Every instance goes through
-``probe`` and then ``find_coherent`` and gets the checks of
+``probe`` and then ``find_max_slack`` and gets the checks of
 ``test_max_slack``: a coherent point whose slack is within 1e-9 of
 ``max_slack_highs``.  Since every instance is a probed metric, an
 infeasible verdict fails too, as does any exception.  The sweep runs
@@ -14,11 +14,20 @@ failed factorization fails as well.
 Run from the repository root (pytest does not collect this module):
 
     PYTHONPATH=src python -m tests.lp_sweep
+
+Both this sweep and ``tests.newton_sweep`` run with one BLAS thread unless
+the environment says otherwise: two sweeps side by side on two cores with
+a thread pool each took five times as long.
 """
 
+import os
 import sys
 import time
 import traceback
+
+# before numpy is first imported, which fixes the BLAS thread count
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 

@@ -23,7 +23,7 @@ from hyperideal.coherent import (
     AngleSystem,
     Infeasible,
     build_constraints,
-    find_coherent,
+    find_max_slack,
     is_coherent,
     tangent_basis,
 )
@@ -221,7 +221,7 @@ def sample_coherent(cs, rng, n=1):
     capping each step so that every strict inequality keeps at least
     ``1 - SAMPLE_SPREAD`` of the center's slack.
     """
-    center = find_coherent(cs)
+    center = find_max_slack(cs)
     if isinstance(center, Infeasible):
         return []
     basis = tangent_basis(cs)

@@ -175,7 +175,9 @@ def test_selftest(capsys):
     ("hyperideal.solve", "FAIL  disk2 solution gives back"),  # every later stage lacks a solution
 ])
 def test_selftest_reports_a_broken_stage(monkeypatch, capsys, module, failing):
-    monkeypatch.setattr(f"{module}.find_coherent",
+    # check decides by find_max_slack, solve starts from find_coherent
+    start = {"hyperideal.cli": "find_max_slack", "hyperideal.solve": "find_coherent"}[module]
+    monkeypatch.setattr(f"{module}.{start}",
                         lambda cs: Infeasible(reason="max_slack_nonpositive", message="broken"))
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out

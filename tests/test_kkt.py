@@ -11,7 +11,7 @@ import hyperideal.coherent as coherent_mod
 import hyperideal.solve as solve_mod
 from hyperideal.cli import main
 from hyperideal.files import canonical_json, geometry_dict
-from hyperideal.coherent import AngleSystem, build_constraints, find_coherent, is_coherent
+from hyperideal.coherent import AngleSystem, build_constraints, find_coherent, find_max_slack, is_coherent
 from hyperideal.pattern import metric_from_lengths, probe, truncated_lengths, verify_pattern
 from hyperideal.solve import (
     CONVERGED,
@@ -63,7 +63,7 @@ def _kkt_parts(name):
     tri, data = bundled_instance(name)
     cs = build_constraints(tri, data)
     x = find_coherent(cs)
-    return cs, solve_mod._hess_blocks(x), coherent_mod._KKT(cs).projector()(objective_grad(x))
+    return cs, solve_mod._hess_blocks(x), coherent_mod._KKT(cs).identity_solve(objective_grad(x))
 
 
 def test_dense_and_sparse_newton_directions_agree(monkeypatch):
@@ -80,79 +80,56 @@ def test_dense_and_sparse_newton_directions_agree(monkeypatch):
     assert d_dense @ pg > 0.0
 
 
-@pytest.mark.parametrize("k", [1, 31, 32, 33, 64, 65, 151])
-@pytest.mark.parametrize("columns", [None, 3])
-def test_block_substitution_matches_lu(rng, k, columns):
-    r = np.linalg.qr(rng.standard_normal((2 * k, k)), mode="r")
-    b = rng.standard_normal(k if columns is None else (k, columns))
-    for transpose in (False, True):
-        x = coherent_mod._solve_upper(r, b, transpose)
-        assert x.shape == b.shape
-        expected = np.linalg.solve(r.T if transpose else r, b)
-        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-
-def test_block_substitution_is_backward_stable_on_a_wide_diagonal(rng):
-    k = 151
-    u = np.linalg.qr(rng.standard_normal((2 * k, k)), mode="r")
-    diagonal = rng.permutation(np.logspace(-9, 9, k))
-    r = diagonal[:, None] * (u / np.diag(u)[:, None])
-    b = rng.standard_normal((k, 3))
-    for m, transpose in ((r, False), (r.T, True)):
-        x = coherent_mod._solve_upper(r, b, transpose)
-        assert np.linalg.norm(m @ x - b) / (np.linalg.norm(m) * np.linalg.norm(x)) <= 1e-15
-
-
 def _torus50():
     tri, dm = GEN.lattice_torus(np.random.default_rng(5), 5)
     return build_constraints(tri, probe(tri, dm)[0])
 
 
-def test_dense_bases_span_the_constraints():
-    systems = [build_constraints(*bundled_instance(name)) for name in BUNDLED]
-    systems.append(build_constraints(GluedTriangulation(2, []),
-                                     AngleData(theta=np.full(6, 5 * PI / 6), xi=np.full(6, PI / 3))))
-    systems.append(_torus50())
-    for cs in systems:
-        kkt = coherent_mod._KKT(cs)
-        assert kkt.dense
-        a = cs.a_eq.toarray()[cs.independent_eq]
-        q1, z = kkt.range_basis, kkt.null_basis
-        assert z.shape == (cs.dimension, cs.dimension - cs.rank)
-        assert np.max(np.abs(a @ z), initial=0.0) <= 1e-13
-        assert np.max(np.abs(z.T @ z - np.eye(z.shape[1])), initial=0.0) <= 1e-13
-        assert np.max(np.abs(q1.T @ q1 - np.eye(cs.rank))) <= 1e-13
-        assert np.max(np.abs(q1.T @ z), initial=0.0) <= 1e-13
-        assert np.max(np.abs(a @ kkt.pinv_t.T - np.eye(cs.rank))) <= 1e-13
+def _lp_solves(monkeypatch, cs):
+    """Runs find_max_slack on cs and returns the blocks of every KKT
+    factorization that the max-slack LP asked for, in order."""
+    calls = []
+    real = coherent_mod._KKT.solver
+
+    def solver(self, blocks):
+        calls.append(blocks)
+        return real(self, blocks)
+
+    monkeypatch.setattr(coherent_mod._KKT, "solver", solver)
+    find_max_slack(cs)
+    monkeypatch.undo()
+    return calls
+
+
+def _lu_row_factors(monkeypatch, cs):
+    """The row factor of every step of the max-slack LP on cs, in order, with
+    every range-space step but the min-norm start's (H = I) made to fail,
+    so that each step takes the LU of the whole KKT matrix."""
+    real = coherent_mod._RangeSpace.solver
+
+    def solver(self, blocks, dense):
+        if not np.array_equal(blocks, np.broadcast_to(np.eye(6), blocks.shape)):
+            raise np.linalg.LinAlgError("range-space step turned off")
+        return real(self, blocks, dense)
+
+    monkeypatch.setattr(coherent_mod._RangeSpace, "solver", solver)
+    return [b.rows for b in _lp_solves(monkeypatch, cs) if isinstance(b, coherent_mod._RowFactor)]
 
 
 def test_dense_and_sparse_lp_steps_agree(monkeypatch, rng):
-    # the LP's own row factor D^(1/2) G at its third step, where D spreads
-    # over about two orders of magnitude
+    # the LP's own row factor D^(1/2) G at its third step on the LU, where D
+    # spreads over about seven orders of magnitude
     cs = _torus50()
-    factors = []
-    real = coherent_mod._KKT.gram
-
-    def gram(self, factor):
-        factors.append(factor)
-        return real(self, factor)
-
-    monkeypatch.setattr(coherent_mod._KKT, "gram", gram)
-    find_coherent(cs)
-    monkeypatch.undo()
-    f = factors[2]
-    assert f.shape == (50, 9, 6)
+    f = coherent_mod._RowFactor(_lu_row_factors(monkeypatch, cs)[2])
+    assert f.rows.shape == (50, 9, 6)
     monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", 10**9)
     dense = coherent_mod._KKT(cs)
     monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", 0)
     sparse = coherent_mod._KKT(cs)
     assert dense.dense and not sparse.dense
     rhs = rng.standard_normal((dense.size, 2))
-    expected = sparse.solver(sparse.gram(f))(rhs)
-    # the per-triangle R factors stand exactly for F
-    unreduced = coherent_mod._null_space_solve(coherent_mod._RowFactor(f), dense.null_basis,
-                                               dense.pinv_t)(rhs)
-    for found in (dense.solver(dense.gram(f))(rhs), unreduced):
+    expected = kkt_solve_reference(cs, np.einsum("tri,trj->tij", f.rows, f.rows), rhs)
+    for found in (dense.solver(f)(rhs), sparse.solver(f)(rhs)):
         assert np.linalg.norm(found - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
@@ -166,7 +143,7 @@ def test_projection_is_orthogonal(monkeypatch):
     expected = basis @ (basis.T @ g)
     for limit in (10**9, 0):
         monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", limit)
-        assert np.max(np.abs(coherent_mod._KKT(cs).projector()(g) - expected)) <= 1e-13
+        assert np.max(np.abs(coherent_mod._KKT(cs).identity_solve(g) - expected)) <= 1e-13
 
 
 def test_lattice_disk_through_sparse_branch():
@@ -272,7 +249,7 @@ def _two_disks():
     theta[:interior] -= alphas[sides[:interior, 1, 0], sides[:interior, 1, 1]]
     xi = np.array([sum(gammas[t, c] for t, c in cls) for cls in tri.vertices])
     cs = build_constraints(tri, AngleData(theta=theta, xi=xi))
-    return cs, find_coherent(cs)
+    return cs, find_max_slack(cs)
 
 
 def _range_space_case(case):
@@ -349,28 +326,16 @@ def test_min_norm_start_at_scale():
 def test_lp_row_factor_reaches_the_kkt_lu(monkeypatch, rng):
     tri, dm = GEN.lattice_torus(np.random.default_rng(6), 7)
     cs = build_constraints(tri, probe(tri, dm)[0])
-    factors, range_space = [], []
-    real_gram, real_solver = coherent_mod._KKT.gram, coherent_mod._RangeSpace.solver
-
-    def gram(self, factor):
-        factors.append(factor)
-        return real_gram(self, factor)
-
-    def solver(self, blocks):
-        range_space.append(blocks)
-        return real_solver(self, blocks)
-
-    monkeypatch.setattr(coherent_mod._KKT, "gram", gram)
-    monkeypatch.setattr(coherent_mod._RangeSpace, "solver", solver)
-    find_coherent(cs)
-    monkeypatch.undo()
-    # only the min-norm start took the range-space path, every LP step the LU
-    assert len(range_space) == 1
-    assert np.array_equal(range_space[0], np.broadcast_to(np.eye(6), (98, 6, 6)))
-    assert len(factors) > 2
-    f = factors[2]
+    calls = _lp_solves(monkeypatch, cs)
+    lu = [isinstance(blocks, coherent_mod._RowFactor) for blocks in calls]
+    # the min-norm start and the LP's opening steps took the range-space
+    # path, every later step the LU
+    assert np.array_equal(calls[0], np.broadcast_to(np.eye(6), (98, 6, 6)))
+    assert 1 < lu.index(True) and all(lu[lu.index(True):])
+    assert sum(lu) > 2
+    f = _lu_row_factors(monkeypatch, cs)[2]
     rhs = rng.standard_normal((cs.kkt.size, 2))
-    found = cs.kkt.solver(cs.kkt.gram(f))(rhs)
+    found = cs.kkt.solver(coherent_mod._RowFactor(f))(rhs)
     expected = kkt_solve_reference(cs, np.einsum("tri,trj->tij", f, f), rhs)
     assert found.shape == expected.shape  # the multipliers too
     assert np.linalg.norm(found - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -409,3 +374,25 @@ def test_dense_branch_solves_with_numpy_alone():
     out = subprocess.run([sys.executable, "-c", code], input=canonical_json(geometry_dict(tri, dm)),
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["converged", "[]"]
+
+
+def test_sparse_branch_solves_without_a_graph_search():
+    # the range-space step reads the gluing components off the constraint
+    # system; scipy.sparse.csgraph stays unloaded
+    import subprocess
+    import sys
+
+    tri, dm = lattice_disk(np.random.default_rng(5), 8)
+    cs = build_constraints(tri, probe(tri, dm)[0])
+    assert tri.triangle_count == 128 and cs.dimension + cs.rank > coherent_mod.DENSE_KKT_MAX
+    code = (
+        "import sys\n"
+        "from hyperideal import files, pattern, solve\n"
+        "tri, dm = files.parse_geometry(sys.stdin.read())\n"
+        "x, rep = solve.solve_problem(tri, pattern.probe(tri, dm)[0])\n"
+        "print(rep.status, [m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], input=canonical_json(geometry_dict(tri, dm)),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["converged", "['scipy.sparse.linalg']"]

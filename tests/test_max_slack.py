@@ -12,11 +12,12 @@ from hyperideal.coherent import (
     AngleSystem,
     Infeasible,
     build_constraints,
-    find_coherent,
+    find_max_slack,
     is_coherent,
 )
 from hyperideal.errors import ConvergenceError
 from hyperideal.pattern import DecoratedMetric, probe
+from hyperideal.solve import INFEASIBLE, solve_problem
 from hyperideal.surface import AngleData, GluedTriangulation
 
 from .conftest import bundled_instance, bundled_text
@@ -41,7 +42,7 @@ def _probed_constraints(tri, dm):
 
 
 def _assert_agrees_with_highs(cs):
-    found = find_coherent(cs)
+    found = find_max_slack(cs)
     reference = max_slack_highs(cs)
     if isinstance(found, Infeasible):
         assert reference <= FEASIBLE_SLACK
@@ -75,6 +76,38 @@ def test_max_slack_matches_highs_through_sparse_branch():
     _assert_agrees_with_highs(cs)
 
 
+@pytest.mark.parametrize("first, second, moved", [(3, 270, 6.0), (9, 23, 3.0), (13, 15, 1.0)])
+def test_xi_moved_between_interior_vertices_is_infeasible_at_scale(monkeypatch, first, second,
+                                                                   moved):
+    # s* = -0.88, -0.37 and -0.054: the LP's opening range-space steps lose
+    # accuracy before any iterate is coherent, and the LU takes over
+    tri, dm = lattice_disk(np.random.default_rng(7), 16)
+    data = probe(tri, dm)[0]
+    assert not (tri.vertex_is_boundary(first) or tri.vertex_is_boundary(second))
+    xi = data.xi.copy()
+    xi[first] -= moved
+    xi[second] += moved
+    data = AngleData(theta=data.theta, xi=xi)
+    lu = []
+    real = coherent_mod._KKT.solver
+
+    def solver(self, blocks):
+        lu.append(isinstance(blocks, coherent_mod._RowFactor))
+        return real(self, blocks)
+
+    monkeypatch.setattr(coherent_mod._KKT, "solver", solver)
+    x, report = solve_problem(tri, data)
+    assert x is None and report.status == INFEASIBLE
+    # the min-norm start and the first LP step on the range-space path
+    assert lu[:2] == [False, False] and any(lu)
+    monkeypatch.undo()
+    cs = build_constraints(tri, data)
+    assert cs.dimension + cs.rank > coherent_mod.DENSE_KKT_MAX
+    found = find_max_slack(cs)
+    assert isinstance(found, Infeasible) and found.s_star < 0.0
+    assert abs(found.s_star - max_slack_highs(cs)) <= 1e-9
+
+
 @pytest.mark.parametrize("lengths, radius, s_star", ENDGAME_TORI)
 def test_max_slack_endgame_needs_no_rescue(monkeypatch, lengths, radius, s_star):
     # near the optimum z/w spans up to 1e19; both branches must still reach
@@ -84,7 +117,7 @@ def test_max_slack_endgame_needs_no_rescue(monkeypatch, lengths, radius, s_star)
     for limit in (10**9, 0):
         monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", limit)
         cs = build_constraints(TORUS, data)
-        found = find_coherent(cs)
+        found = find_max_slack(cs)
         assert cs.kkt.dense == (limit > 0)
         found_s = float(np.min(cs.h_ineq - cs.g_ineq @ found.values))
         assert abs(found_s - s_star) <= 1e-9
@@ -109,7 +142,7 @@ def test_interior_point_failure_is_a_convergence_error(monkeypatch, tmp_path):
     cs = build_constraints(*bundled_instance("disk2.json"))
     monkeypatch.setattr(coherent_mod, "LP_MAX_ITERS", 2)
     with pytest.raises(ConvergenceError):
-        find_coherent(cs)
+        find_max_slack(cs)
     p = tmp_path / "disk2.json"
     p.write_text(bundled_text("disk2.json"))
     assert main(["check", str(p)]) == 4
@@ -117,15 +150,15 @@ def test_interior_point_failure_is_a_convergence_error(monkeypatch, tmp_path):
     monkeypatch.undo()
     _fail_factorizations_after(monkeypatch, 3)  # three steps: cs keeps its min-norm solve
     with pytest.raises(ConvergenceError):
-        find_coherent(cs)
+        find_max_slack(cs)
 
 
 def test_failed_factorization_near_the_optimum_keeps_the_primal_point(monkeypatch):
     cs = build_constraints(*bundled_instance("disk2.json"))
-    exact = find_coherent(cs).values
+    exact = find_max_slack(cs).values
     _fail_factorizations_after(monkeypatch, 5)
     monkeypatch.setattr(coherent_mod, "LP_RESCUE_GAP", math.inf)
-    found = find_coherent(cs)
+    found = find_max_slack(cs)
     assert isinstance(found, AngleSystem)
     assert np.all(np.isfinite(found.values))
     assert is_coherent(found, cs).ok

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from hyperideal.coherent import AngleSystem, build_constraints, find_coherent, tangent_basis
+from hyperideal.coherent import (
+    AngleSystem,
+    Infeasible,
+    _strictly_coherent,
+    build_constraints,
+    find_coherent,
+    find_max_slack,
+    tangent_basis,
+)
 from hyperideal.errors import NotCoherentError
+from hyperideal.pattern import probe
 from hyperideal.solve import (
     CONVERGED,
     DEFAULT_TOL,
@@ -18,6 +27,7 @@ from hyperideal.surface import AngleData, GluedTriangulation
 
 from .conftest import bundled_instance
 from .oracles import fd_gradient, sample_coherent, tangent_span_vectors
+from .test_surface import GEN
 
 PI = math.pi
 TORUS = GluedTriangulation(2, [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))])
@@ -82,6 +92,32 @@ def test_infeasible_status():
     x, rep = solve_problem(tri, data)
     assert x is None
     assert rep.status == INFEASIBLE
+
+
+def _early_start_instances():
+    for name in ("torus.json", "disk2.json", "fan3.json", "triangle.json",
+                 "triangle_infeasible.json"):
+        yield name, bundled_instance(name)
+    for cone in (False, True):
+        tri, dm = GEN.lattice_torus(np.random.default_rng(5), 5, cone=cone)
+        assert tri.triangle_count == 50
+        yield f"T = 50 torus, cone {cone}", (tri, probe(tri, dm)[0])
+
+
+def test_early_start_leads_to_the_max_slack_answer():
+    # the solve path starts Newton at the LP's first strictly coherent
+    # iterate after one step; F's maximizer on the open polytope does not
+    # depend on it
+    for name, (tri, data) in _early_start_instances():
+        cs = build_constraints(tri, data)
+        early, deep = find_coherent(cs), find_max_slack(cs)
+        if isinstance(deep, Infeasible):
+            assert isinstance(early, Infeasible) and early.s_star == deep.s_star, name
+            continue
+        assert _strictly_coherent(cs, early.values), name
+        (x, rep), (x_deep, rep_deep) = (maximize(tri, data, start, cs=cs) for start in (early, deep))
+        assert rep.status == rep_deep.status == CONVERGED, name
+        assert np.max(np.abs(x.values - x_deep.values)) <= 1e-11, name
 
 
 def test_not_coherent_start_rejected():
@@ -281,7 +317,7 @@ def test_gradient_test_still_takes_a_trusted_newton_step():
     red = _reduced_hessian(_hess_blocks(AngleSystem(exact)), basis)
     lam, vec = np.linalg.eigh(0.5 * (red + red.T))
     flat = basis @ vec[:, np.argmax(lam)]
-    project = cs.kkt.projector()
+    project = cs.kkt.identity_solve
 
     def pgn(v):
         return np.max(np.abs(project(objective_grad(AngleSystem(v)))))
