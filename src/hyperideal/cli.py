@@ -31,7 +31,7 @@ from .errors import (
     SurfaceError,
 )
 from .files import angle_system_dict, canonical_json, parse_geometry, read_solution, solution_dict
-from .layout import export_svg, lay_out, layout_to_json
+from .layout import export_svg, lay_out, layout_from_json, layout_to_json
 from .pattern import metric_from_lengths, probe, truncated_lengths, verify_pattern
 from .solve import CONVERGED, INFEASIBLE, LINE_SEARCH_FAILED, solve_problem
 from .surface import parse_problem, problem_dict
@@ -176,6 +176,14 @@ def _run_volume(args):
 FEASIBLE = ("torus", "disk2", "fan3", "triangle")
 
 
+def _reads_back(text):
+    """Whether layout JSON ``text`` reads back to the same bytes."""
+    try:
+        return layout_to_json(layout_from_json(text)) == text
+    except SchemaError:
+        return False
+
+
 def _run_selftest(args):
     """Run the subcommands on the bundled instances, as a user would: each
     feasible one has a pattern, the infeasible one gets a certificate."""
@@ -212,7 +220,7 @@ def _run_selftest(args):
 
         solutions = {}
         for name in FEASIBLE:
-            sol, svg = tmp / f"{name}.solution.json", tmp / f"{name}.svg"
+            sol, svg, js = (tmp / f"{name}.{ext}" for ext in ("solution.json", "svg", "lay.json"))
             code, detail = run("solve", tmp / f"{name}.json", "-o", sol)
             residual = math.inf
             if code == EXIT_OK:
@@ -224,6 +232,9 @@ def _run_selftest(args):
             code, detail = run("layout", sol, "-o", svg)
             drawn = code == EXIT_OK and "<path" in svg.read_text(encoding="utf-8")
             check(f"layout {name}", drawn, detail)
+            code, detail = run("layout", sol, "--format", "json", "-o", js)
+            check(f"layout --format json {name} reads back",
+                  code == EXIT_OK and _reads_back(js.read_text(encoding="utf-8")), detail)
 
         error = math.inf
         if "torus" in solutions:

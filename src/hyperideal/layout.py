@@ -14,7 +14,7 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,40 +46,39 @@ FACE_CIRCLE_COLOR = "#2a7f62"
 
 
 @dataclass
-class Transition:
-    """Isometry x -> rotation @ x + translation carrying one chart onto the
-    abutting position across an interior edge."""
-
-    edge: int
-    source: int  # triangle whose chart is moved
-    target: int  # triangle whose chart stays fixed
-    source_side: int
-    target_side: int
-    rotation: np.ndarray  # (2, 2)
-    translation: np.ndarray  # (2,)
-
-    @property
-    def angle(self):
-        return math.atan2(self.rotation[1, 0], self.rotation[0, 0])
-
-    def apply(self, points):
-        return np.asarray(points) @ self.rotation.T + self.translation
-
-
-@dataclass
-class TriangleChart:
-    triangle: int
-    vertices: np.ndarray  # (3, 2), corner order
-    face_center: np.ndarray  # (2,)
-    face_radius: float
-    vertex_radii: np.ndarray  # (3,)
-
-
-@dataclass
 class ChartLayout:
+    """A drawing of a decorated metric as arrays: chart k is triangle k and
+    transition e is interior edge e, the gluing e.
+
+    Per chart, ``vertices`` (T, 3, 2) in corner order, ``face_center``
+    (T, 2), ``face_radius`` (T,) and ``vertex_radii`` (T, 3).  Per
+    transition, ``sides`` (E, 2, 2) = ((target t, s), (source t2, s2)), the
+    gluing, and the isometry x -> rotation @ x + translation, ``rotation``
+    (E, 2, 2) and ``translation`` (E, 2), that moves the source chart into
+    abutting position across side s of the target chart, which stays fixed.
+    """
+
     mode: str
-    charts: list
-    transitions: list = field(default_factory=list)
+    vertices: np.ndarray
+    face_center: np.ndarray
+    face_radius: np.ndarray
+    vertex_radii: np.ndarray
+    sides: np.ndarray
+    rotation: np.ndarray
+    translation: np.ndarray
+
+
+def _check_fits(tri, cl):
+    """PreconditionError unless ``cl`` has one chart per triangle of ``tri``
+    and one transition per interior edge, stored with its gluing's sides."""
+    charts = {len(a) for a in (cl.vertices, cl.face_center, cl.face_radius, cl.vertex_radii)}
+    gluings = tri.edge_sides[:len(tri.gluings)]
+    if charts != {tri.triangle_count} or {len(cl.rotation), len(cl.translation)} != {len(gluings)} \
+            or not np.array_equal(cl.sides, gluings):
+        raise PreconditionError(
+            f"layout needs {tri.triangle_count} charts and {len(gluings)} transitions, one per "
+            "triangle and one per interior edge, stored with the sides of its gluing"
+        )
 
 
 def _interiors_overlap(p, q, eps):
@@ -210,18 +209,10 @@ def lay_out(tri: GluedTriangulation, dm: DecoratedMetric) -> ChartLayout:
     missing = np.flatnonzero(power <= 0.0)
     if missing.size:
         raise PreconditionError(f"triangle {missing[0]}: no orthocircle")
-    radius = np.sqrt(power)
-    charts = [
-        TriangleChart(triangle=t, vertices=positions[t], face_center=center[t],
-                      face_radius=float(radius[t]), vertex_radii=radii[t])
-        for t in range(tri.triangle_count)
-    ]
-    transitions = [
-        Transition(e, source=int(t2), target=int(t), source_side=int(s2),
-                   target_side=int(s), rotation=rot[e], translation=trans[e])
-        for e, ((t, s), (t2, s2)) in enumerate(tri.gluings)
-    ]
-    return ChartLayout(mode=mode, charts=charts, transitions=transitions)
+    return ChartLayout(mode=mode, vertices=positions, face_center=center,
+                       face_radius=np.sqrt(power), vertex_radii=radii,
+                       sides=tri.edge_sides[:len(tri.gluings)].copy(),
+                       rotation=rot, translation=trans)
 
 
 @dataclass
@@ -246,26 +237,23 @@ def vertex_holonomy(tri, layout: ChartLayout, t, c) -> HolonomyReport:
     walk, closed = tri.corner_walk(t, c)
     if not closed:
         raise PreconditionError("holonomy is defined for interior vertices only")
-    charts = {ch.triangle: ch for ch in layout.charts}
-    by_edge = {tr.edge: tr for tr in layout.transitions}
+    _check_fits(tri, layout)
     rot = np.eye(2)
     shift = np.zeros(2)
     total = 0.0
     p_ref = None
     drift = 0.0
     for tk, ck in walk:
-        chart = charts[tk]
-        p = rot @ chart.vertices[ck] + shift
+        vertices = layout.vertices[tk]
+        p = rot @ vertices[ck] + shift
         if p_ref is None:
             p_ref = p
         else:
             drift = max(drift, float(np.hypot(*(p - p_ref))))
-        total += _corner_angles(chart.vertices)[ck]
-        tr = by_edge[tri.side_edge[(tk, ck)]]
-        near_is_target = (tr.target, tr.target_side) == (tk, ck)
-        if not near_is_target and (tr.source, tr.source_side) != (tk, ck):
-            raise PreconditionError("transition does not match the crossed side")
-        rot, shift = _across(rot, shift, tr.rotation, tr.translation, near_is_target)
+        total += _corner_angles(vertices)[ck]
+        e = tri.side_edge[tk, ck]
+        near_is_target = layout.sides[e, 0].tolist() == [tk, ck]
+        rot, shift = _across(rot, shift, layout.rotation[e], layout.translation[e], near_is_target)
     return HolonomyReport(rotation=rot, translation=shift,
                           cone_angle=total, vertex_drift=drift)
 
@@ -274,29 +262,21 @@ def vertex_holonomy(tri, layout: ChartLayout, t, c) -> HolonomyReport:
 
 
 def layout_to_dict(cl: ChartLayout):
+    charts = zip(cl.vertices.tolist(), cl.face_center.tolist(), cl.face_radius.tolist(),
+                 cl.vertex_radii.tolist())
+    (target, target_side), (source, source_side) = np.moveaxis(cl.sides, 0, -1).tolist()
+    transitions = zip(source, target, source_side, target_side, cl.rotation.tolist(),
+                      cl.translation.tolist())
     return {
         "mode": cl.mode,
         "charts": [
-            {
-                "triangle": c.triangle,
-                "vertices": [[float(x) for x in p] for p in c.vertices],
-                "face_center": [float(x) for x in c.face_center],
-                "face_radius": float(c.face_radius),
-                "vertex_radii": [float(r) for r in c.vertex_radii],
-            }
-            for c in cl.charts
+            {"triangle": k, "vertices": v, "face_center": c, "face_radius": r, "vertex_radii": vr}
+            for k, (v, c, r, vr) in enumerate(charts)
         ],
         "transitions": [
-            {
-                "edge": tr.edge,
-                "source": tr.source,
-                "target": tr.target,
-                "source_side": tr.source_side,
-                "target_side": tr.target_side,
-                "rotation": [[float(x) for x in row] for row in tr.rotation],
-                "translation": [float(x) for x in tr.translation],
-            }
-            for tr in cl.transitions
+            {"edge": e, "source": t2, "target": t, "source_side": s2, "target_side": s,
+             "rotation": rot, "translation": shift}
+            for e, (t2, t, s2, s, rot, shift) in enumerate(transitions)
         ],
     }
 
@@ -320,43 +300,43 @@ def _number(value):
     return float(value)
 
 
-def _array(value, shape):
-    out = np.array(value, dtype=object)
-    if out.shape != shape:
-        raise SchemaError(f"array of shape {out.shape} where {shape} is required")
-    return np.array([_number(x) for x in out.flat]).reshape(shape)
+def _array(items, key, shape):
+    """Field ``key`` of every item as one float array of shape
+    (len(items), *shape), each entry a finite JSON number."""
+    out = np.array([item[key] for item in items], dtype=object)
+    if not items:  # [] reads as shape (0,)
+        out = out.reshape(0, *shape)
+    if out.shape != (len(items), *shape):
+        raise SchemaError(f"{key} of shape {out.shape} where {(len(items), *shape)} is required")
+    return np.array([_number(x) for x in out.flat], dtype=float).reshape(out.shape)
 
 
 def layout_from_json(text: str) -> ChartLayout:
+    """The layout that ``layout_to_json`` wrote: chart k must be triangle k
+    and transition k edge k."""
     try:
         # canonical JSON writes -0.0 as "-0", which json reads as the int 0;
         # every other integer literal stays an int for the index fields
         doc = json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t))
-        charts = [
-            TriangleChart(
-                triangle=_index(c["triangle"]),
-                vertices=_array(c["vertices"], (3, 2)),
-                face_center=_array(c["face_center"], (2,)),
-                face_radius=_number(c["face_radius"]),
-                vertex_radii=_array(c["vertex_radii"], (3,)),
-            )
-            for c in doc["charts"]
-        ]
-        transitions = [
-            Transition(
-                edge=_index(t["edge"]),
-                source=_index(t["source"]),
-                target=_index(t["target"]),
-                source_side=_index(t["source_side"]),
-                target_side=_index(t["target_side"]),
-                rotation=_array(t["rotation"], (2, 2)),
-                translation=_array(t["translation"], (2,)),
-            )
-            for t in doc["transitions"]
-        ]
+        charts, transitions = doc["charts"], doc["transitions"]
+        if [_index(c["triangle"]) for c in charts] != list(range(len(charts))):
+            raise SchemaError("chart k must be triangle k")
+        if [_index(t["edge"]) for t in transitions] != list(range(len(transitions))):
+            raise SchemaError("transition k must be edge k")
+        sides = [[[_index(t["target"]), _index(t["target_side"])],
+                  [_index(t["source"]), _index(t["source_side"])]] for t in transitions]
         if doc["mode"] not in (GLOBAL, ATLAS):
             raise SchemaError(f"layout mode {doc['mode']!r} is neither {GLOBAL!r} nor {ATLAS!r}")
-        return ChartLayout(mode=doc["mode"], charts=charts, transitions=transitions)
+        return ChartLayout(
+            mode=doc["mode"],
+            vertices=_array(charts, "vertices", (3, 2)),
+            face_center=_array(charts, "face_center", (2,)),
+            face_radius=_array(charts, "face_radius", ()),
+            vertex_radii=_array(charts, "vertex_radii", (3,)),
+            sides=np.array(sides, dtype=int).reshape(-1, 2, 2),
+            rotation=_array(transitions, "rotation", (2, 2)),
+            translation=_array(transitions, "translation", (2,)),
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"invalid layout JSON: {exc}") from exc
 
@@ -373,21 +353,14 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout) -> str:
     and face circles; atlas charts are arranged on a grid, labeled, with their
     transitions annotated.  A global drawing shows each vertex circle once,
     at the first corner of its class in chart order."""
-    ids = [chart.triangle for chart in cl.charts]
-    if sorted(ids) != list(range(tri.triangle_count)):
-        raise PreconditionError(
-            f"layout charts must be triangles 0..{tri.triangle_count - 1}, once each"
-        )
+    _check_fits(tri, cl)
     if cl.mode not in (GLOBAL, ATLAS):
         raise PreconditionError(f"layout mode {cl.mode!r} is neither {GLOBAL!r} nor {ATLAS!r}")
     atlas = cl.mode == ATLAS
-    vertices = np.array([chart.vertices for chart in cl.charts], dtype=float)
-    center = np.array([chart.face_center for chart in cl.charts], dtype=float)
-    radius = np.array([chart.face_radius for chart in cl.charts], dtype=float)
-    vertex_radii = np.array([chart.vertex_radii for chart in cl.charts], dtype=float)
+    n, vertices, center, radius = tri.triangle_count, cl.vertices, cl.face_center, cl.face_radius
 
     # per chart: the box of its vertices, face circle and vertex circles
-    rad = np.maximum(radius, vertex_radii.max(axis=1))[:, None, None]
+    rad = np.maximum(radius, cl.vertex_radii.max(axis=1))[:, None, None]
     lo = np.minimum(vertices.min(axis=1), center - radius[:, None])
     hi = np.maximum(vertices.max(axis=1), center + radius[:, None])
     lo = np.minimum(lo, (vertices - rad).min(axis=1))
@@ -395,8 +368,8 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout) -> str:
     shift = np.zeros_like(lo)
     if atlas:  # chart k's box moves to the corner of grid cell k
         cell = np.max(hi - lo, axis=0) * 1.1
-        cols = math.ceil(math.sqrt(len(ids)))
-        k = np.arange(len(ids))
+        cols = math.ceil(math.sqrt(n))
+        k = np.arange(n)
         shift = np.stack([k % cols * cell[0], k // cols * cell[1]], axis=1) - lo
     lo, hi = (lo + shift).min(axis=0), (hi + shift).max(axis=0)
     width = (hi[0] - lo[0]) * SCALE + 2 * MARGIN
@@ -407,10 +380,10 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout) -> str:
         [vertices, center[:, None], vertices.mean(axis=1)[:, None]], axis=1)
     q = (points + shift[:, None] - lo) * SCALE
     xs, ys = (q[..., 0] + MARGIN).tolist(), (height - MARGIN - q[..., 1]).tolist()
-    vertex_r, face_r = (vertex_radii * SCALE).tolist(), (radius * SCALE).tolist()
-    drawn = np.full((len(ids), 3), atlas)
+    vertex_r, face_r = (cl.vertex_radii * SCALE).tolist(), (radius * SCALE).tolist()
+    drawn = np.full((n, 3), atlas)
     if not atlas:  # each vertex circle at the first corner of its class
-        drawn.flat[np.unique(tri.corner_class[ids], return_index=True)[1]] = True
+        drawn.flat[np.unique(tri.corner_class, return_index=True)[1]] = True
     drawn = drawn.tolist()
 
     stroke = _fmt(STROKE_WIDTH)
@@ -421,10 +394,10 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout) -> str:
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
     )
-    for k, triangle in enumerate(ids):
+    for k in range(n):
         x, y = xs[k], ys[k]
         if atlas:
-            out.write(f'  <g class="chart" id="chart-{triangle}">\n')
+            out.write(f'  <g class="chart" id="chart-{k}">\n')
         out.write(
             f'{indent}<path d="M {_fmt(x[0])} {_fmt(y[0])} L {_fmt(x[1])} {_fmt(y[1])} '
             f'L {_fmt(x[2])} {_fmt(y[2])} Z" fill="none" stroke="{TRIANGLE_COLOR}" '
@@ -440,15 +413,17 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout) -> str:
         if atlas:
             out.write(
                 f'    <text x="{_fmt(x[4])}" y="{_fmt(y[4])}" font-size="12" '
-                f'text-anchor="middle">t{triangle}</text>\n'
+                f'text-anchor="middle">t{k}</text>\n'
                 "  </g>\n"
             )
     if atlas:
-        for k, tr in enumerate(cl.transitions):
-            deg = math.degrees(tr.angle)
+        target, source = cl.sides[:, 0, 0].tolist(), cl.sides[:, 1, 0].tolist()
+        cos, sin = cl.rotation[:, 0, 0].tolist(), cl.rotation[:, 1, 0].tolist()
+        for e in range(len(target)):
+            deg = math.degrees(math.atan2(sin[e], cos[e]))
             out.write(
-                f'  <text x="{_fmt(MARGIN)}" y="{_fmt(14 * (k + 1))}" font-size="11">'
-                f"edge {tr.edge}: chart {tr.source} &#8594; chart {tr.target}, "
+                f'  <text x="{_fmt(MARGIN)}" y="{_fmt(14 * (e + 1))}" font-size="11">'
+                f"edge {e}: chart {source[e]} &#8594; chart {target[e]}, "
                 f"rot {_fmt(deg)}&#176;</text>\n"
             )
     out.write("</svg>\n")

@@ -137,7 +137,16 @@ class DecoratedMetric:
     def corner_radii(self, tri, t):
         return self.radii[tri.corner_class[t]]
 
+    def _check_counts(self, tri):
+        """PreconditionError unless there is one length per edge and one radius per vertex class."""
+        n_e, n_v = len(tri.edge_sides), len(tri.vertices)
+        if np.shape(self.lengths) != (n_e,) or np.shape(self.radii) != (n_v,):
+            raise PreconditionError(
+                f"{n_e} lengths and {n_v} radii needed, one per edge and vertex class, "
+                f"not {np.size(self.lengths)} and {np.size(self.radii)}")
+
     def validate(self, tri):
+        self._check_counts(tri)
         if not (np.all(np.isfinite(self.lengths)) and np.all(np.isfinite(self.radii))):
             raise PreconditionError("lengths and radii must be finite")
         if np.any(self.lengths <= 0.0) or np.any(self.radii <= 0.0):
@@ -381,6 +390,7 @@ class PatternReport:
 
 def verify_pattern(tri, data: AngleData, dm: DecoratedMetric) -> PatternReport:
     """Compare the pattern read off ``dm`` with the problem data."""
+    dm._check_counts(tri)
     angles, radius, face, far = _read_off(tri, dm)
     margins, _ = _across_interior_edges(tri, dm, radius, face, far)
     ri, rj = _end_radii(tri, dm.radii)

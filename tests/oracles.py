@@ -906,37 +906,40 @@ def develop_loop(tri, dm):
 
 def export_svg_loop(tri, cl):
     """Reference SVG export, one chart at a time: per-chart bounding boxes
-    and pixel coordinates, and a set of the vertex classes already drawn."""
-    if not cl.charts:
+    and pixel coordinates, and a set of the vertex classes already drawn.
+    Chart k, triangle k, is read from the layout's arrays by index."""
+    n = len(cl.vertices)
+    if not n:
         raise PreconditionError("layout has no charts")
 
-    def chart_bbox(chart):
-        rad = max(float(chart.face_radius), float(np.max(chart.vertex_radii)))
-        lo = np.minimum(chart.vertices.min(axis=0), chart.face_center - chart.face_radius)
-        hi = np.maximum(chart.vertices.max(axis=0), chart.face_center + chart.face_radius)
-        lo = np.minimum(lo, (chart.vertices - rad).min(axis=0))
-        hi = np.maximum(hi, (chart.vertices + rad).max(axis=0))
+    def chart_bbox(k):
+        vertices, center, radius = cl.vertices[k], cl.face_center[k], cl.face_radius[k]
+        rad = max(float(radius), float(np.max(cl.vertex_radii[k])))
+        lo = np.minimum(vertices.min(axis=0), center - radius)
+        hi = np.maximum(vertices.max(axis=0), center + radius)
+        lo = np.minimum(lo, (vertices - rad).min(axis=0))
+        hi = np.maximum(hi, (vertices + rad).max(axis=0))
         return lo, hi
 
     shifts = {}
     if cl.mode == ATLAS:
-        boxes = [chart_bbox(c) for c in cl.charts]
+        boxes = [chart_bbox(k) for k in range(n)]
         cell = np.max([hi - lo for lo, hi in boxes], axis=0) * 1.1
-        cols = max(1, math.ceil(math.sqrt(len(cl.charts))))
-        for k, chart in enumerate(cl.charts):
+        cols = max(1, math.ceil(math.sqrt(n)))
+        for k in range(n):
             lo, _ = boxes[k]
             cellpos = np.array([(k % cols) * cell[0], (k // cols) * cell[1]])
-            shifts[chart.triangle] = cellpos - lo
+            shifts[k] = cellpos - lo
     else:
-        for chart in cl.charts:
-            shifts[chart.triangle] = np.zeros(2)
+        for k in range(n):
+            shifts[k] = np.zeros(2)
 
     lo = np.full(2, np.inf)
     hi = np.full(2, -np.inf)
-    for chart in cl.charts:
-        blo, bhi = chart_bbox(chart)
-        lo = np.minimum(lo, blo + shifts[chart.triangle])
-        hi = np.maximum(hi, bhi + shifts[chart.triangle])
+    for k in range(n):
+        blo, bhi = chart_bbox(k)
+        lo = np.minimum(lo, blo + shifts[k])
+        hi = np.maximum(hi, bhi + shifts[k])
     width = (hi[0] - lo[0]) * SCALE + 2 * MARGIN
     height = (hi[1] - lo[1]) * SCALE + 2 * MARGIN
 
@@ -951,11 +954,11 @@ def export_svg_loop(tri, cl):
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
     )
 
-    def chart_elements(chart, indent, drawn_vertices=None):
-        """SVG lines of one chart; with ``drawn_vertices``, a vertex circle
+    def chart_elements(k, indent, drawn_vertices=None):
+        """SVG lines of chart k; with ``drawn_vertices``, a vertex circle
         whose vertex class is in the set is skipped, otherwise added to it."""
-        shift = shifts[chart.triangle]
-        pts = [to_px(p, shift) for p in chart.vertices]
+        shift = shifts[k]
+        pts = [to_px(p, shift) for p in cl.vertices[k]]
         d = (
             f"M {_fmt(pts[0][0])} {_fmt(pts[0][1])} "
             f"L {_fmt(pts[1][0])} {_fmt(pts[1][1])} "
@@ -967,47 +970,48 @@ def export_svg_loop(tri, cl):
         ]
         for c in range(3):
             if drawn_vertices is not None:
-                vclass = tri.corner_class[(chart.triangle, c)]
+                vclass = tri.corner_class[(k, c)]
                 if vclass in drawn_vertices:
                     continue
                 drawn_vertices.add(vclass)
             cx, cy = pts[c]
             lines.append(
                 f'{indent}<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                f'r="{_fmt(chart.vertex_radii[c] * SCALE)}" fill="none" '
+                f'r="{_fmt(cl.vertex_radii[k, c] * SCALE)}" fill="none" '
                 f'stroke="{VERTEX_CIRCLE_COLOR}" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
             )
-        fx, fy = to_px(chart.face_center, shift)
+        fx, fy = to_px(cl.face_center[k], shift)
         lines.append(
             f'{indent}<circle cx="{_fmt(fx)}" cy="{_fmt(fy)}" '
-            f'r="{_fmt(chart.face_radius * SCALE)}" fill="none" '
+            f'r="{_fmt(cl.face_radius[k] * SCALE)}" fill="none" '
             f'stroke="{FACE_CIRCLE_COLOR}" stroke-width="{_fmt(STROKE_WIDTH)}" '
             'stroke-dasharray="4 3"/>'
         )
         return lines
 
     if cl.mode == ATLAS:
-        for chart in cl.charts:
-            out.write(f'  <g class="chart" id="chart-{chart.triangle}">\n')
-            for line in chart_elements(chart, "    "):
+        for k in range(n):
+            out.write(f'  <g class="chart" id="chart-{k}">\n')
+            for line in chart_elements(k, "    "):
                 out.write(line + "\n")
-            sx, sy = to_px(chart.vertices.mean(axis=0), shifts[chart.triangle])
+            sx, sy = to_px(cl.vertices[k].mean(axis=0), shifts[k])
             out.write(
                 f'    <text x="{_fmt(sx)}" y="{_fmt(sy)}" font-size="12" '
-                f'text-anchor="middle">t{chart.triangle}</text>\n'
+                f'text-anchor="middle">t{k}</text>\n'
             )
             out.write("  </g>\n")
-        for k, tr in enumerate(cl.transitions):
-            deg = math.degrees(tr.angle)
+        for e in range(len(cl.sides)):
+            (target, _), (source, _) = cl.sides[e]
+            deg = math.degrees(math.atan2(cl.rotation[e, 1, 0], cl.rotation[e, 0, 0]))
             out.write(
-                f'  <text x="{_fmt(MARGIN)}" y="{_fmt(14 * (k + 1))}" font-size="11">'
-                f"edge {tr.edge}: chart {tr.source} &#8594; chart {tr.target}, "
+                f'  <text x="{_fmt(MARGIN)}" y="{_fmt(14 * (e + 1))}" font-size="11">'
+                f"edge {e}: chart {source} &#8594; chart {target}, "
                 f"rot {_fmt(deg)}&#176;</text>\n"
             )
     else:
         drawn_vertices = set()
-        for chart in cl.charts:
-            for line in chart_elements(chart, "  ", drawn_vertices):
+        for k in range(n):
+            for line in chart_elements(k, "  ", drawn_vertices):
                 out.write(line + "\n")
     out.write("</svg>\n")
     return out.getvalue()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,7 +35,7 @@ def test_single_triangle_global_canonical():
     dm = DecoratedMetric(lengths=np.array([3.0, 2.0, 2.4]), radii=np.array([0.4, 0.5, 0.3]))
     cl = lay_out(tri, dm)
     assert cl.mode == GLOBAL
-    v = cl.charts[0].vertices
+    v = cl.vertices[0]
     # longest edge (side 0) on the positive x axis
     assert np.allclose(v[0], [0.0, 0.0], atol=1e-15)
     assert np.allclose(v[1], [3.0, 0.0], atol=1e-15)
@@ -44,10 +45,10 @@ def test_single_triangle_global_canonical():
 def test_placed_side_lengths_match_metric():
     tri, dm = solved_metric("fan3.json")
     cl = lay_out(tri, dm)
-    for chart in cl.charts:
+    for t, vertices in enumerate(cl.vertices):
         for s in range(3):
-            placed = np.hypot(*(chart.vertices[(s + 1) % 3] - chart.vertices[s]))
-            want = dm.lengths[tri.side_edge[(chart.triangle, s)]]
+            placed = np.hypot(*(vertices[(s + 1) % 3] - vertices[s]))
+            want = dm.lengths[tri.side_edge[(t, s)]]
             assert abs(placed - want) <= 1e-9 * max(1.0, want)
 
 
@@ -59,8 +60,8 @@ def test_global_mode_shared_edges_coincide():
         if e.kind != "interior":
             continue
         (t, s), (t2, s2) = e.sides
-        p = cl.charts[t].vertices
-        q = cl.charts[t2].vertices
+        p = cl.vertices[t]
+        q = cl.vertices[t2]
         assert np.max(np.abs(p[s] - q[(s2 + 1) % 3])) <= 1e-9
         assert np.max(np.abs(p[(s + 1) % 3] - q[s2])) <= 1e-9
 
@@ -69,12 +70,12 @@ def test_transitions_align_shared_edges():
     tri, dm = solved_metric("torus.json")
     cl = lay_out(tri, dm)
     assert cl.mode == ATLAS
-    assert len(cl.transitions) == 3
-    for tr in cl.transitions:
-        e = tri.edges[tr.edge]
+    assert len(cl.rotation) == 3
+    for k, (rotation, translation) in enumerate(zip(cl.rotation, cl.translation)):
+        e = tri.edges[k]
         (t, s), (t2, s2) = e.sides
-        moved = tr.apply(cl.charts[t2].vertices)
-        p = cl.charts[t].vertices
+        moved = cl.vertices[t2] @ rotation.T + translation
+        p = cl.vertices[t]
         assert np.max(np.abs(moved[s2] - p[(s + 1) % 3])) <= 1e-9
         assert np.max(np.abs(moved[(s2 + 1) % 3] - p[s])) <= 1e-9
 
@@ -83,10 +84,10 @@ def test_face_circle_orthogonal_to_vertex_circles():
     for name in ("torus.json", "disk2.json", "fan3.json"):
         tri, dm = solved_metric(name)
         cl = lay_out(tri, dm)
-        for chart in cl.charts:
+        for t in range(tri.triangle_count):
             for c in range(3):
-                d2 = float(np.sum((chart.vertices[c] - chart.face_center) ** 2))
-                resid = abs(d2 - chart.face_radius**2 - chart.vertex_radii[c] ** 2)
+                d2 = float(np.sum((cl.vertices[t, c] - cl.face_center[t]) ** 2))
+                resid = abs(d2 - cl.face_radius[t] ** 2 - cl.vertex_radii[t, c] ** 2)
                 assert resid <= 1e-9
 
 
@@ -126,11 +127,28 @@ def test_mode_selection_cone_disk():
 
 
 def test_json_round_trip_bit_exact():
+    from .test_svg import _instances  # test_svg imports this module
+
+    for tri, dm in _instances():
+        text = layout_to_json(lay_out(tri, dm))
+        again = layout_to_json(layout_from_json(text))
+        assert again == text
+
+
+def test_layout_that_does_not_fit_the_triangulation():
     tri, dm = solved_metric("torus.json")
     cl = lay_out(tri, dm)
-    text = layout_to_json(cl)
-    again = layout_to_json(layout_from_json(text))
-    assert again == text
+    charts = ("vertices", "face_center", "face_radius", "vertex_radii")
+    one_chart = dataclasses.replace(cl, **{f: getattr(cl, f)[:1] for f in charts})
+    one_transition = dataclasses.replace(
+        cl, **{f: getattr(cl, f)[:1] for f in ("sides", "rotation", "translation")})
+    # every transition stored with the next edge's sides
+    shifted_sides = dataclasses.replace(cl, sides=np.roll(cl.sides, 1, axis=0))
+    for bad in (one_chart, one_transition, shifted_sides):
+        with pytest.raises(PreconditionError):
+            export_svg(tri, bad)
+        with pytest.raises(PreconditionError):
+            vertex_holonomy(tri, bad, 0, 0)
 
 
 def test_svg_counts_single_triangle():

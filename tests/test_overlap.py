@@ -17,7 +17,7 @@ from .oracles import first_overlapping_pair, lattice_disk
 def _positions(tri, dm):
     cl = lay_out(tri, dm)
     assert cl.mode == GLOBAL
-    return {c.triangle: c.vertices for c in cl.charts}
+    return dict(enumerate(cl.vertices))
 
 
 def _wrapped_fan():

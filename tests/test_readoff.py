@@ -123,6 +123,17 @@ def test_malformed_geometries_fail_like_the_reference():
             assert_reports_agree(got, want)
 
 
+def test_metric_counts_that_do_not_fit_are_precondition_errors():
+    tri, dm = two_triangles([2.0] * 5, 0.4)
+    data, _ = probe(tri, dm)
+    for bad in (DecoratedMetric(lengths=dm.lengths[:4], radii=dm.radii),  # 5 edges
+                DecoratedMetric(lengths=dm.lengths, radii=dm.radii[:3])):  # 4 vertex classes
+        for run in (lambda: probe(tri, bad), lambda: layout.lay_out(tri, bad),
+                    lambda: verify_pattern(tri, data, bad)):
+            kind, message = outcome(run)
+            assert kind is PreconditionError and "one per edge and vertex class" in message
+
+
 def test_every_orthocircle_is_computed_once_per_call(monkeypatch):
     tri, dm = oracles.lattice_disk(np.random.default_rng(3), 4)
     data, _ = probe(tri, dm)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from hyperideal.errors import PreconditionError, SchemaError
 from hyperideal.layout import (
-    ChartLayout,
     export_svg,
     lay_out,
     layout_from_json,
@@ -44,20 +44,28 @@ def test_svg_of_json_round_tripped_layout_matches(name):
 
 
 @pytest.mark.parametrize("ids", [[0, 0], [1, -1], [0, 7]])
-def test_svg_rejects_chart_ids_that_are_not_the_triangles(ids):
+def test_layout_json_rejects_chart_ids_that_are_not_the_triangles(ids):
     tri, dm = solved_metric("disk2.json")
-    cl = lay_out(tri, dm)
-    for chart, t in zip(cl.charts, ids):
-        chart.triangle = t
-    with pytest.raises(PreconditionError):
-        export_svg(tri, cl)
+    doc = json.loads(layout_to_json(lay_out(tri, dm)))
+    for chart, t in zip(doc["charts"], ids):
+        chart["triangle"] = t
+    with pytest.raises(SchemaError):
+        layout_from_json(json.dumps(doc))
+
+
+def test_layout_json_rejects_edge_ids_out_of_order():
+    tri, dm = solved_metric("torus.json")
+    doc = json.loads(layout_to_json(lay_out(tri, dm)))
+    doc["transitions"].reverse()
+    with pytest.raises(SchemaError):
+        layout_from_json(json.dumps(doc))
 
 
 def test_svg_rejects_an_unknown_mode():
     tri, dm = solved_metric("torus.json")
     cl = lay_out(tri, dm)
     with pytest.raises(PreconditionError):
-        export_svg(tri, ChartLayout(mode="Atlas", charts=cl.charts, transitions=cl.transitions))
+        export_svg(tri, dataclasses.replace(cl, mode="Atlas"))
 
 
 @pytest.mark.parametrize("mode", ["globl", "Atlas", None])
