@@ -19,7 +19,6 @@ from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .energy import in_delta
 from .errors import ConvergenceError, NotCoherentError
@@ -31,12 +30,13 @@ FEASIBLE_SLACK = 1e-9
 TANGENT_RCOND = 1e-10  # relative singular-value cut of tangent_basis
 # KKT systems with at most this many unknowns (angles plus multipliers) are
 # factorized by numpy, larger ones by scipy.sparse.linalg.splu, whose first
-# use imports it (8.7 MB).  In one cold process (2 cores, one BLAS thread),
-# find_max_slack, which ends its LP on the LU of the whole matrix, breaks
-# even here: 94-108 dense against 81-117 ms sparse at 450 unknowns (a
-# 50-triangle torus), 150-190 against 95-116 ms at 648 (72).  The solve
-# path factorizes only S and stays faster dense up to about 2600 (288
-# triangles: 99-122 against 78-121 ms).
+# use imports scipy.sparse with it, so a smaller solve needs numpy alone.
+# In one cold process (2 cores, one BLAS thread, scipy.sparse imported
+# beforehand), find_max_slack, which ends its LP on the LU of the whole
+# matrix, breaks even here: 94-108 dense against 81-117 ms sparse at 450
+# unknowns (a 50-triangle torus), 150-190 against 95-116 ms at 648 (72).
+# The solve path factorizes only S and stays faster dense up to about 2600
+# (288 triangles: 99-122 against 78-121 ms).
 DENSE_KKT_MAX = 600
 # The max-slack interior point stops once the duality gap is at most
 # LP_GAP_TOL and every residual at most LP_RESIDUAL_TOL.  The dual residual
@@ -85,22 +85,80 @@ class AngleSystem:
         return AngleSystem(self.values.copy())
 
 
+def _sum_products(out_index, data, x, size):
+    """``out[out_index[j]] += data[j] * x[j]`` over the entries j in stored
+    order, the order in which scipy's CSR and CSC products sum, so the
+    results agree bit for bit; x may hold several columns."""
+    terms = data.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+    if x.ndim == 1:
+        return np.bincount(out_index, terms, size)
+    k = x.shape[1]
+    flat = (out_index[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(flat, terms.ravel(), size * k).reshape(size, k)
+
+
+class SparseRows:
+    """A sparse matrix stored by rows (CSR): row i holds the entries
+    ``data[indptr[i]:indptr[i + 1]]`` in the columns ``indices[...]``, and
+    ``rows`` names the row of every entry.
+
+    It offers what the package needs and no more: ``@`` on a vector or a
+    column stack, ``.T @``, row selection by an int, an index array or a
+    mask (``a[rows]``, a new ``SparseRows``) and ``toarray()``.
+    """
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = tuple(shape)
+        self.rows = np.repeat(np.arange(self.shape[0]), np.diff(indptr))
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        return _sum_products(self.rows, self.data, x[self.indices], self.shape[0])
+
+    @property
+    def T(self):
+        return _TransposedRows(self)
+
+    def __getitem__(self, rows):
+        rows = np.atleast_1d(np.arange(self.shape[0])[rows])
+        lengths = np.diff(self.indptr)[rows]
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        take = np.repeat(self.indptr[rows] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return SparseRows(self.data[take], self.indices[take], indptr, (len(rows), self.shape[1]))
+
+    def toarray(self):
+        dense = np.zeros(self.shape)
+        np.add.at(dense, (self.rows, self.indices), self.data)
+        return dense
+
+
+class _TransposedRows(NamedTuple):
+    """The transpose of a ``SparseRows``, for ``@`` alone."""
+
+    of: SparseRows
+
+    def __matmul__(self, x):
+        a = self.of
+        return _sum_products(a.indices, a.data, np.asarray(x)[a.rows], a.shape[1])
+
+
 @dataclass
 class ConstraintSystem:
     """Linear description of the closure of the coherent polytope.
 
     Equalities ``a_eq x = b_eq``; strict inequalities ``g_ineq x < h_ineq``.
-    ``a_eq`` and ``g_ineq`` are ``scipy.sparse`` CSR matrices.  ``rank`` is
-    the rank of ``a_eq``, and ``independent_eq`` marks a set of ``rank``
-    equality rows that spans the same row space (one redundant gamma-sum row
-    per connected component is left out).  ``component_eq`` holds the gluing
-    component of each equality row, named by its smallest triangle.
+    ``a_eq`` and ``g_ineq`` are ``SparseRows``.  ``rank`` is the rank of
+    ``a_eq``, and ``independent_eq`` marks a set of ``rank`` equality rows
+    that spans the same row space (one redundant gamma-sum row per connected
+    component is left out).  ``component_eq`` holds the gluing component of
+    each equality row, named by its smallest triangle.
     """
 
-    a_eq: sparse.csr_matrix
+    a_eq: SparseRows
     b_eq: np.ndarray
     labels_eq: list
-    g_ineq: sparse.csr_matrix
+    g_ineq: SparseRows
     h_ineq: np.ndarray
     labels_ineq: list
     rank: int
@@ -133,11 +191,11 @@ class ConstraintSystem:
 
 
 def _csr(row_lengths, cols, n_cols, vals=None):
-    """CSR matrix whose rows hold ``row_lengths`` consecutive entries of
+    """``SparseRows`` whose rows hold ``row_lengths`` consecutive entries of
     ``cols``/``vals`` (all ones by default)."""
     indptr = np.concatenate([[0], np.cumsum(row_lengths)])
     vals = np.ones(len(cols)) if vals is None else vals
-    return sparse.csr_matrix((vals, cols, indptr), shape=(len(row_lengths), n_cols))
+    return SparseRows(vals, cols, indptr, (len(row_lengths), n_cols))
 
 
 def build_constraints(tri: GluedTriangulation, data: AngleData) -> ConstraintSystem:
@@ -270,14 +328,16 @@ class _RowFactor(NamedTuple):
     rows: np.ndarray
 
 
-def _sparse_solver(matrix, ordering):
-    """Returns rhs -> the solution of a square CSC ``matrix`` sol = rhs by
-    one ``splu`` factorization with the column ordering ``ordering``
-    (imported on first use).  Raises ``RuntimeError`` if the matrix is
-    singular."""
+def _sparse_solver(arrays, size, ordering):
+    """Returns rhs -> the solution of matrix sol = rhs by one ``splu``
+    factorization with the column ordering ``ordering``, the square matrix
+    of order ``size`` given by ``arrays`` as to ``scipy.sparse.csc_matrix``:
+    (data, (row, col)) or (data, indices, indptr).  scipy is imported here,
+    on first use.  Raises ``RuntimeError`` if the matrix is singular."""
+    from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
-    return splu(matrix, permc_spec=ordering).solve
+    return splu(csc_matrix(arrays, shape=(size, size)), permc_spec=ordering).solve
 
 
 class _KKT:
@@ -302,9 +362,9 @@ class _KKT:
         first = np.arange(0, n, 6)[:, None, None]
         h_rows = np.broadcast_to(first + np.arange(6)[:, None], self.block_shape)
         h_cols = np.broadcast_to(first + np.arange(6), self.block_shape)
-        a = cs.a_eq[cs.independent_eq].tocoo()
-        self.rows = np.concatenate([h_rows.ravel(), n + a.row, a.col])
-        self.cols = np.concatenate([h_cols.ravel(), a.col, n + a.row])
+        a = cs.a_eq[cs.independent_eq]
+        self.rows = np.concatenate([h_rows.ravel(), n + a.rows, a.indices])
+        self.cols = np.concatenate([h_cols.ravel(), a.indices, n + a.rows])
         self.a_vals = np.concatenate([a.data, a.data])
         self.range_space = _RangeSpace(cs)
 
@@ -335,8 +395,7 @@ class _KKT:
         else:
             # minimum-degree ordering of A^T A: about half the fill of the
             # default COLAMD ordering on lattice disks of 512 to 2048 triangles
-            solve = _sparse_solver(
-                sparse.csc_matrix((vals, (self.rows, self.cols)), shape=(size, size)), "MMD_ATA")
+            solve = _sparse_solver((vals, (self.rows, self.cols)), size, "MMD_ATA")
 
         def run(rhs):
             full = np.zeros((size,) + rhs.shape[1:])
@@ -395,9 +454,8 @@ class _RangeSpace:
             self.implied.append((row, rows, -sign[row] * sign[rows]))
 
         self.c = a[c_rows]
-        held = self.c.tocoo()
         at_c = np.full(n, -1)  # the row of C that holds each angle, if any
-        at_c[held.col] = held.row
+        at_c[self.c.indices] = self.c.rows
         # S gathers M_t[i, j] at (row of angle i, row of angle j); its CSC
         # pattern and each entry's slot in it are fixed here
         at_c = at_c.reshape(n_t, 6)
@@ -420,10 +478,9 @@ class _RangeSpace:
         if dense:
             solve = partial(np.linalg.solve, np.bincount(self.flat, vals, size * size).reshape(size, size))
         else:
-            s = sparse.csc_matrix((np.bincount(self.slot, vals, len(self.indices)),
-                                   self.indices, self.indptr), shape=(size, size))
             # splu's partial pivoting is as fast here as its symmetric mode
-            solve = _sparse_solver(s, "MMD_AT_PLUS_A")
+            solve = _sparse_solver((np.bincount(self.slot, vals, len(self.indices)),
+                                    self.indices, self.indptr), size, "MMD_AT_PLUS_A")
         c, c_t, n_t = self.c, self.c.T, len(m)
 
         def blockwise(mats, v):
@@ -454,7 +511,7 @@ class _RangeSpace:
 
 
 def _triangle_rows(g):
-    """The rows of a CSR matrix G each of whose rows lies within one
+    """The rows of a ``SparseRows`` G each of whose rows lies within one
     triangle's six columns (true of every inequality row), grouped by
     triangle: (T, r) row indices and their (T, r, 6) entries, for r rows
     per triangle."""
@@ -462,9 +519,8 @@ def _triangle_rows(g):
     rows = np.argsort(row_triangle, kind="stable").reshape(g.shape[1] // 6, -1)
     slot = np.empty(g.shape[0], dtype=int)
     slot[rows] = np.arange(rows.shape[1])
-    entry_row = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
     local = np.zeros(rows.shape + (6,))
-    local[row_triangle[entry_row], slot[entry_row], g.indices % 6] = g.data
+    local[row_triangle[g.rows], slot[g.rows], g.indices % 6] = g.data
     return rows, local
 
 
@@ -514,7 +570,6 @@ def _max_slack(cs: ConstraintSystem):
     if cs.rank == cs.dimension:
         return
     g, h = cs.g_ineq, cs.h_ineq
-    a_t, g_t = a.T, g.T  # CSC views, built once: .T makes a new one on every call
     n, m = cs.dimension, len(h)
     rows, local = _triangle_rows(g)
     slack = h - g @ x
@@ -526,7 +581,7 @@ def _max_slack(cs: ConstraintSystem):
     for _ in range(LP_MAX_ITERS):
         r_p = a @ x - b
         r_w = g @ x + s + w - h
-        r_d = a_t @ y + g_t @ z
+        r_d = a.T @ y + g.T @ z
         r_s = float(np.sum(z)) - 1.0
         gap = float(w @ z)
         residual = max(np.max(np.abs(r_p)), np.max(np.abs(r_w)), np.max(np.abs(r_d)), abs(r_s))
@@ -534,7 +589,7 @@ def _max_slack(cs: ConstraintSystem):
             return
         ranged = ranged and not _strictly_coherent(cs, x)
         d = z / w
-        u = g_t @ d
+        u = g.T @ d
         f = np.sqrt(d)[rows][..., None] * local
 
         def direction(solve, r_c, q=None):
@@ -542,7 +597,7 @@ def _max_slack(cs: ConstraintSystem):
             the solution for [u; 0] that eliminates ds; a first call solves
             for q in the same factorization."""
             v = r_c / w + d * r_w
-            rhs = np.concatenate([-r_d - g_t @ v, -r_p])
+            rhs = np.concatenate([-r_d - g.T @ v, -r_p])
             if q is None:
                 q, p = solve(np.column_stack([np.concatenate([u, np.zeros(cs.rank)]), rhs])).T
             else:

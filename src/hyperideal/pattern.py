@@ -137,20 +137,21 @@ class DecoratedMetric:
     def corner_radii(self, tri, t):
         return self.radii[tri.corner_class[t]]
 
-    def _check_counts(self, tri):
-        """PreconditionError unless there is one length per edge and one radius per vertex class."""
+    def _check_entries(self, tri):
+        """PreconditionError unless there is one finite positive length per
+        edge and one finite positive radius per vertex class."""
         n_e, n_v = len(tri.edge_sides), len(tri.vertices)
         if np.shape(self.lengths) != (n_e,) or np.shape(self.radii) != (n_v,):
             raise PreconditionError(
                 f"{n_e} lengths and {n_v} radii needed, one per edge and vertex class, "
                 f"not {np.size(self.lengths)} and {np.size(self.radii)}")
-
-    def validate(self, tri):
-        self._check_counts(tri)
         if not (np.all(np.isfinite(self.lengths)) and np.all(np.isfinite(self.radii))):
             raise PreconditionError("lengths and radii must be finite")
         if np.any(self.lengths <= 0.0) or np.any(self.radii <= 0.0):
             raise PreconditionError("lengths and radii must be positive")
+
+    def validate(self, tri):
+        self._check_entries(tri)
         ri, rj = _end_radii(tri, self.radii)
         overlapping = np.flatnonzero(ri + rj >= self.lengths)
         if overlapping.size:
@@ -389,8 +390,10 @@ class PatternReport:
 
 
 def verify_pattern(tri, data: AngleData, dm: DecoratedMetric) -> PatternReport:
-    """Compare the pattern read off ``dm`` with the problem data."""
-    dm._check_counts(tri)
+    """Compare the pattern read off ``dm`` with the problem data.  ``dm``
+    needs one finite positive length per edge and radius per vertex class;
+    an edge that breaks condition (ii) is reported, not refused."""
+    dm._check_entries(tri)
     angles, radius, face, far = _read_off(tri, dm)
     margins, _ = _across_interior_edges(tri, dm, radius, face, far)
     ri, rj = _end_radii(tri, dm.radii)

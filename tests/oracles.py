@@ -182,6 +182,11 @@ def single_triangle_feasible(theta, xi, eq_tol=1e-8, slack_tol=1e-9):
     return min(slacks) > slack_tol
 
 
+def scipy_csr(rows):
+    """The scipy CSR matrix of a ``SparseRows``, from the same arrays."""
+    return sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape)
+
+
 def max_slack_highs(cs):
     """The max-slack LP of ``cs`` solved by HiGHS on its sparse rows: the
     optimal s*, or None when the equalities are inconsistent."""
@@ -190,9 +195,9 @@ def max_slack_highs(cs):
     cost[-1] = -1.0
     res = linprog(
         cost,
-        A_ub=sparse.hstack([cs.g_ineq, np.ones((cs.g_ineq.shape[0], 1))]).tocsr(),
+        A_ub=sparse.hstack([scipy_csr(cs.g_ineq), np.ones((cs.g_ineq.shape[0], 1))]).tocsr(),
         b_ub=cs.h_ineq,
-        A_eq=sparse.hstack([cs.a_eq, sparse.csr_matrix((cs.a_eq.shape[0], 1))]).tocsr(),
+        A_eq=sparse.hstack([scipy_csr(cs.a_eq), sparse.csr_matrix((cs.a_eq.shape[0], 1))]).tocsr(),
         b_eq=cs.b_eq,
         bounds=(None, None),
         method="highs",
@@ -207,7 +212,7 @@ def kkt_solve_reference(cs, blocks, rhs):
     """[x; lam] solving [H A^T; A 0] [x; lam] = rhs, padded with zeros, by
     ``spsolve`` of the whole matrix: H the block diagonal of the (T, 6, 6)
     ``blocks`` and A the independent equality rows of ``cs``."""
-    a = cs.a_eq[cs.independent_eq]
+    a = scipy_csr(cs.a_eq[cs.independent_eq])
     kkt = sparse.bmat([[sparse.block_diag(list(blocks)), a.T], [a, None]], format="csc")
     full = np.zeros((kkt.shape[0],) + np.shape(rhs)[1:])
     full[:len(rhs)] = rhs

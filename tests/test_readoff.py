@@ -134,6 +134,18 @@ def test_metric_counts_that_do_not_fit_are_precondition_errors():
             assert kind is PreconditionError and "one per edge and vertex class" in message
 
 
+def test_verify_pattern_refuses_negative_radii_and_nan_lengths():
+    # the read-off squares the radii, so negated ones matched the data exactly
+    tri, dm = oracles.lattice_disk(np.random.default_rng(1), 2)
+    data, _ = probe(tri, dm)
+    nan_length = dm.lengths.copy()
+    nan_length[3] = np.nan
+    for bad, words in ((DecoratedMetric(lengths=dm.lengths, radii=-dm.radii), "positive"),
+                       (DecoratedMetric(lengths=nan_length, radii=dm.radii), "finite")):
+        kind, message = outcome(lambda: verify_pattern(tri, data, bad))
+        assert kind is PreconditionError and words in message
+
+
 def test_every_orthocircle_is_computed_once_per_call(monkeypatch):
     tri, dm = oracles.lattice_disk(np.random.default_rng(3), 4)
     data, _ = probe(tri, dm)
