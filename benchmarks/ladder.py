@@ -25,10 +25,11 @@ compare at the same stage.  A stage still running
 process is stopped.
 
 A rung's gate: ``maximize`` converges, the theta and Xi residuals of the
-solved pattern are at most 1e-8, and its lengths and radii, scaled to the
+solved pattern are at most 1e-8, its lengths and radii, scaled to the
 known answer, are within 1e-7 relative error (the tolerances of
-``perfbench``).  The script exits with status 1 when any rung's gate
-fails or a stage is capped.
+``perfbench``), and ``lay_out`` logs no "overlaps itself" warning (a flat
+disk's development is embedded).  The script exits with status 1 when any
+rung's gate fails or a stage is capped.
 
 ``--baseline REV`` exports the source tree of that git revision with
 ``git archive`` into a temporary directory and runs every rung again with
@@ -40,6 +41,7 @@ thread.  The result is JSON, written to ``--out`` or printed.
 
 import argparse
 import json
+import logging
 import os
 import platform
 import queue
@@ -75,6 +77,17 @@ def peak_rss_mb():
     except OSError:
         pass
     return None
+
+
+class OverlapWarnings(logging.Handler):
+    """Counts the "overlaps itself" warnings of ``lay_out``."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += "overlaps itself" in record.getMessage()
 
 
 def child(problem_path, geometry_path, last_stage):
@@ -126,8 +139,10 @@ def child(problem_path, geometry_path, last_stage):
             float(np.max(np.abs(scale * dm.lengths - truth.lengths) / truth.lengths)),
             float(np.max(np.abs(scale * dm.radii - truth.radii) / truth.radii))),
     }), flush=True)
+    overlaps = OverlapWarnings()
+    logging.getLogger("hyperideal.layout").addHandler(overlaps)
     layout = stage("lay_out", lambda: hyperideal.lay_out(tri, dm))
-    print(json.dumps({"layout_mode": layout.mode}), flush=True)
+    print(json.dumps({"layout_mode": layout.mode, "overlap_warnings": overlaps.count}), flush=True)
     stage("export_svg", lambda: hyperideal.export_svg(tri, layout))
 
 
@@ -185,6 +200,8 @@ def gate(result):
         return f"angle residual {result.get('theta_residual')}"
     if not result.get("length_rel_err", float("inf")) <= LENGTH_TOL:
         return f"relative length/radius error {result.get('length_rel_err')}"
+    if result.get("overlap_warnings"):
+        return f"lay_out overlap warnings: {result['overlap_warnings']}"
     return None
 
 

@@ -31,12 +31,13 @@ TANGENT_RCOND = 1e-10  # relative singular-value cut of tangent_basis
 # KKT systems with at most this many unknowns (angles plus multipliers) are
 # factorized by numpy, larger ones by scipy.sparse.linalg.splu, whose first
 # use imports scipy.sparse with it, so a smaller solve needs numpy alone.
-# In one cold process (2 cores, one BLAS thread, scipy.sparse imported
-# beforehand), find_max_slack, which ends its LP on the LU of the whole
-# matrix, breaks even here: 94-108 dense against 81-117 ms sparse at 450
-# unknowns (a 50-triangle torus), 150-190 against 95-116 ms at 648 (72).
+# The cold break-even lies above this value: in fresh processes (2 cores,
+# one BLAS thread), find_max_slack, which ends its LP on the LU of the
+# whole matrix, takes 123-143 ms dense against 193-278 ms sparse, the
+# import of scipy.sparse included, at 648 unknowns (a 72-triangle torus).
 # The solve path factorizes only S and stays faster dense up to about 2600
-# (288 triangles: 99-122 against 78-121 ms).
+# (288 triangles).  The value is kept so that no benchmarked size changes
+# branch.
 DENSE_KKT_MAX = 600
 # The max-slack interior point stops once the duality gap is at most
 # LP_GAP_TOL and every residual at most LP_RESIDUAL_TOL.  The dual residual
@@ -297,7 +298,7 @@ def is_coherent(x: AngleSystem, cs: ConstraintSystem) -> CoherenceReport:
     ]
     # per-triangle Delta membership is implied by the rows above at equal
     # tolerances; re-checked for safety.
-    if not np.all(in_delta(x.alphas(), x.gammas(), closed=False, tol=SLACK_TOL)):
+    if not np.all(in_delta(x.alphas(), x.gammas(), closed=False)):
         if not violations:
             violations.append(("delta membership", float("nan")))
     return CoherenceReport(

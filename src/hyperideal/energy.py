@@ -67,41 +67,24 @@ def lob_arguments(alpha, gamma):
     return _stack(alpha, gamma) @ ARG_COEF.T + ARG_CONST
 
 
-def in_delta(alpha, gamma, closed=False, tol=MEMBERSHIP_TOL):
+def in_delta(alpha, gamma, closed=False):
     """Membership in Delta (open) or its closure, elementwise over leading axes."""
     u = _stack(alpha, gamma)
     g = u[..., 3:]
     a = u[..., :3]
     # g_i pairs with the two sides at corner i: (a12,a31), (a23,a12), (a31,a23)
     tri = g + a + np.roll(a, 1, axis=-1)
+    tol = MEMBERSHIP_TOL
     sum_ok = np.abs(g.sum(axis=-1) - np.pi) <= tol
     if closed:
         return sum_ok & (u >= -tol).all(axis=-1) & (tri <= np.pi + tol).all(axis=-1)
     return sum_ok & (u > tol).all(axis=-1) & (tri < np.pi - tol).all(axis=-1)
 
 
-# Evaluators accept points slightly off the gamma-sum plane: the 15-term
-# formula is smooth there and finite-difference probes of the gamma partials
-# have to leave the plane.  Membership predicates stay strict.
-_EVAL_SUM_TOL = 1e-3
-
-
-def _eval_domain_ok(alpha, gamma, open_set):
-    u = _stack(alpha, gamma)
-    g = u[..., 3:]
-    a = u[..., :3]
-    tri = g + a + np.roll(a, 1, axis=-1)
-    ok = np.abs(g.sum(axis=-1) - np.pi) <= _EVAL_SUM_TOL
-    if open_set:
-        ok &= (u > MEMBERSHIP_TOL).all(axis=-1) & (tri < np.pi - MEMBERSHIP_TOL).all(axis=-1)
-    else:
-        ok &= (u >= -MEMBERSHIP_TOL).all(axis=-1) & (tri <= np.pi + MEMBERSHIP_TOL).all(axis=-1)
-    return np.all(ok)
-
-
-def in_delta0(triple, closed=False, tol=MEMBERSHIP_TOL):
+def in_delta0(triple, closed=False):
     """Membership in the ideal-tetrahedron angle set Delta_0 or its closure."""
     t = np.asarray(triple, dtype=float)
+    tol = MEMBERSHIP_TOL
     sum_ok = np.abs(t.sum(axis=-1) - np.pi) <= tol
     if closed:
         return sum_ok & (t >= -tol).all(axis=-1)
@@ -131,7 +114,7 @@ def five_tetra(alpha, gamma):
 
 def tet_volume(alpha, gamma):
     """Truncated volume of the tetrahedron; zero exactly at badly degenerate points."""
-    if not _eval_domain_ok(alpha, gamma, open_set=False):
+    if not np.all(in_delta(alpha, gamma, closed=True)):
         raise DomainError("tet_volume: angles outside the closure of Delta")
     out = 0.5 * lob(lob_arguments(alpha, gamma)).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
@@ -144,7 +127,7 @@ def tet_volume_grad(alpha, gamma):
     away from a multiple of pi.  ``-2 * grad[..., :3]`` are the truncated edge
     lengths between hyperideal vertices and are strictly positive on Delta.
     """
-    if not _eval_domain_ok(alpha, gamma, open_set=True):
+    if not np.all(in_delta(alpha, gamma, closed=False)):
         raise DomainError("tet_volume_grad: angles not strictly inside Delta")
     args = lob_arguments(alpha, gamma)
     if np.min(args) < 1e-10 or np.max(args) > np.pi - 1e-10:
@@ -189,15 +172,11 @@ def classify(alpha, gamma):
     return ALPHA_DEG
 
 
-def _check_scalar_domain(ok, msg):
-    if not ok:
-        raise DomainError(msg)
-
-
 def vol_p1(alpha):
     """Volume of the birectangular tetrahedron with two ideal vertices."""
     a = np.asarray(alpha, dtype=float)
-    _check_scalar_domain(np.all((a > 0.0) & (a < 0.5 * np.pi)), "vol_p1: need alpha in (0, pi/2)")
+    if not np.all((a > 0.0) & (a < 0.5 * np.pi)):
+        raise DomainError("vol_p1: need alpha in (0, pi/2)")
     out = 0.5 * lob(a)
     return float(out) if np.ndim(alpha) == 0 else out
 
@@ -205,10 +184,8 @@ def vol_p1(alpha):
 def vol_prism(alpha, beta, gamma):
     """Volume of the ideal triangular prism with base dihedral angles (alpha, beta, gamma)."""
     a, b, g = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, beta, gamma)))
-    _check_scalar_domain(
-        np.all((a > 0.0) & (b > 0.0) & (g > 0.0) & (a + b + g < np.pi)),
-        "vol_prism: need positive angles with alpha+beta+gamma < pi",
-    )
+    if not np.all((a > 0.0) & (b > 0.0) & (g > 0.0) & (a + b + g < np.pi)):
+        raise DomainError("vol_prism: need positive angles with alpha+beta+gamma < pi")
     args = np.stack(
         [
             a,
@@ -241,13 +218,11 @@ def vol_p4(alpha, beta, gamma):
     is allowed as long as alpha+beta+gamma < pi.
     """
     a, b, g = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, beta, gamma)))
-    _check_scalar_domain(
-        np.all(
-            (a > 0.0) & (a < np.pi) & (b > 0.0) & (b < np.pi)
-            & (g > 0.0) & (g < np.pi) & (a + b + g < np.pi)
-        ),
-        "vol_p4: need alpha, beta, gamma in (0, pi) with alpha+beta+gamma < pi",
-    )
+    if not np.all(
+        (a > 0.0) & (a < np.pi) & (b > 0.0) & (b < np.pi)
+        & (g > 0.0) & (g < np.pi) & (a + b + g < np.pi)
+    ):
+        raise DomainError("vol_p4: need alpha, beta, gamma in (0, pi) with alpha+beta+gamma < pi")
     args = np.stack(
         [
             g,

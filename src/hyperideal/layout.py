@@ -84,13 +84,14 @@ def _check_fits(tri, cl):
 def _interiors_overlap(p, q, eps):
     """Strict interior overlap of triangle pairs via separating axes.
 
-    ``p`` and ``q`` have shape (k, 3, 2); returns k booleans.
+    ``p`` and ``q`` have shape (k, 3, 2); returns k booleans.  The axes are
+    unit normals, so ``eps`` is a distance.
     """
     separated = np.zeros(len(p), dtype=bool)
     for a, b in ((p, q), (q, p)):
         for s in range(3):
             edge = a[:, (s + 1) % 3] - a[:, s]
-            normal = np.stack([-edge[:, 1], edge[:, 0]], axis=1)
+            normal = np.stack([-edge[:, 1], edge[:, 0]], axis=1) / np.hypot(*edge.T)[:, None]
             pa = np.einsum("kci,ki->kc", a - a[:, s:s + 1], normal)
             pb = np.einsum("kci,ki->kc", b - a[:, s:s + 1], normal)
             separated |= pa.max(axis=1) <= pb.min(axis=1) + eps

@@ -27,7 +27,7 @@ from hyperideal.coherent import (
     is_coherent,
     tangent_basis,
 )
-from hyperideal.energy import in_delta
+from hyperideal.energy import ARG_COEF, in_delta, lob_arguments
 from hyperideal.errors import PreconditionError
 from hyperideal.layout import (
     ATLAS,
@@ -39,6 +39,7 @@ from hyperideal.layout import (
     VERTEX_CIRCLE_COLOR,
     _fmt,
 )
+from hyperideal.lob import lob, lob_deriv
 from hyperideal.pattern import DecoratedMetric, PatternReport, probe, verify_pattern
 from hyperideal.surface import INTERIOR, AngleData, GluedTriangulation
 
@@ -135,6 +136,23 @@ def lob_series(x):
         p = p * u
     out[live] = s
     return out
+
+
+def volume_sum(alpha, gamma):
+    """The 15-term sum of ``tet_volume`` without its Delta test, so that it is
+    defined off the gamma-sum planes, where finite differences go."""
+    return 0.5 * lob(lob_arguments(alpha, gamma)).sum(axis=-1)
+
+
+def volume_grad_sum(alpha, gamma):
+    """The sum of ``tet_volume_grad`` without its Delta test."""
+    return 0.5 * (lob_deriv(lob_arguments(alpha, gamma)) @ ARG_COEF)
+
+
+def objective_sum(values):
+    """The sum of ``objective_f`` without its Delta test, on a flat angle vector."""
+    x = AngleSystem(values)
+    return float(np.sum(volume_sum(x.alphas(), x.gammas())))
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -560,11 +578,12 @@ def lattice_disk(rng, n):
 
 
 def _interiors_overlap(p, q, eps):
-    """Strict interior overlap of two triangles via separating axes."""
+    """Strict interior overlap of two triangles via separating axes; the axes
+    are unit normals, so ``eps`` is a distance."""
     for a, b in ((p, q), (q, p)):
         for s in range(3):
             edge = a[(s + 1) % 3] - a[s]
-            normal = np.array([-edge[1], edge[0]])
+            normal = np.array([-edge[1], edge[0]]) / math.hypot(*edge)
             pa = (a - a[s]) @ normal
             pb = (b - a[s]) @ normal
             if pa.max() <= pb.min() + eps or pb.max() <= pa.min() + eps:

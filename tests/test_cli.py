@@ -143,6 +143,9 @@ def test_volume_subcommand(capsys):
     assert main(["volume", "--tet", "pi/4", "pi/4", "pi/4", "pi/3", "pi/3", "pi/3"]) == 0
     v = float(capsys.readouterr().out)
     assert abs(v - 1.9030155120181003) < 1e-10
+    # gamma sum off pi by 7.3e-6: outside Delta
+    assert main(["volume", "--tet", "pi/4", "pi/4", "pi/4", "1.0472", "1.0472", "1.0472"]) == 5
+    capsys.readouterr()
 
     assert main(["volume", "--prism", "pi/6", "pi/6", "pi/6"]) == 0
     prism = float(capsys.readouterr().out)

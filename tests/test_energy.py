@@ -7,7 +7,15 @@ from hyperideal import energy
 from hyperideal.errors import DomainError
 from hyperideal.lob import lob
 
-from .oracles import FIVE_TRIPLES_ALT, fd_gradient, fd_jacobian, lob_quadrature, sample_delta
+from .oracles import (
+    FIVE_TRIPLES_ALT,
+    fd_gradient,
+    fd_jacobian,
+    lob_quadrature,
+    sample_delta,
+    volume_grad_sum,
+    volume_sum,
+)
 
 PI = math.pi
 
@@ -123,6 +131,12 @@ def test_volume_nonnegative_and_zero_only_when_bad(rng):
 def test_volume_outside_closure_rejected():
     with pytest.raises(DomainError):
         energy.tet_volume([2.0, 2.0, 2.0], [PI / 3] * 3)
+    # off the gamma-sum plane by 1e-6: outside Delta, as for in_delta
+    off_plane = [PI / 3, PI / 3, PI / 3 + 1e-6]
+    with pytest.raises(DomainError):
+        energy.tet_volume([0.3] * 3, off_plane)
+    with pytest.raises(DomainError):
+        energy.tet_volume_grad([0.3] * 3, off_plane)
 
 
 # -- gradient ---------------------------------------------------------------------
@@ -133,7 +147,8 @@ def test_grad_matches_finite_differences(rng):
     grads = energy.tet_volume_grad(a, g)
     for k in rng.choice(1000, size=40, replace=False):
         x = np.concatenate([a[k], g[k]])
-        fd = fd_gradient(lambda u: energy.tet_volume(u[:3], u[3:]), x)
+        assert energy.tet_volume(a[k], g[k]) == volume_sum(a[k], g[k])
+        fd = fd_gradient(lambda u: volume_sum(u[:3], u[3:]), x)
         rel = np.abs(fd - grads[k]) / np.maximum(1.0, np.abs(grads[k]))
         assert np.max(rel) <= 1e-6
 
@@ -163,7 +178,8 @@ def test_hessian_matches_fd_of_grad(rng):
     for k in range(5):
         x = np.concatenate([a[k], g[k]])
         h_an = energy.tet_volume_hess(a[k], g[k])
-        h_fd = fd_jacobian(lambda u: energy.tet_volume_grad(u[:3], u[3:]), x)
+        assert np.array_equal(energy.tet_volume_grad(a[k], g[k]), volume_grad_sum(a[k], g[k]))
+        h_fd = fd_jacobian(lambda u: volume_grad_sum(u[:3], u[3:]), x)
         assert np.max(np.abs(h_an - h_fd)) <= 1e-6
 
 

@@ -85,6 +85,16 @@ def _unit(x, y):
     return np.array([[x, y], [x + 1.0, y], [x, y + 1.0]])
 
 
+def _leg_100():
+    return 100.0 * _unit(0.0, 0.0)
+
+
+def _leg_100_mirrored(depth):
+    """The mirror image of ``_leg_100`` in its hypotenuse, moved ``depth``
+    across the hypotenuse into it."""
+    return np.array([[100.0, 0.0], [100.0, 100.0], [0.0, 100.0]]) - depth / math.sqrt(2.0)
+
+
 @pytest.mark.parametrize("positions, expected", [
     # every lower x is 0: triangles 1 and 3 overlap, 0 and 2 only touch
     ([_unit(0.0, 0.0), _unit(0.0, 3.0), _unit(0.0, 1.0), _unit(0.0, 3.5)], (1, 3)),
@@ -92,6 +102,10 @@ def _unit(x, y):
     ([_unit(0.0, 0.0), _unit(0.0, 5.0), _unit(-0.5, 0.2), _unit(0.0, 9.0)], (0, 2)),
     # equal lower x and no overlap at all
     ([_unit(1.0, 2.0 * t) for t in range(5)], None),
+    # legs of 100 sharing their hypotenuse, the second moved across it by
+    # 5e-8 (within the tolerance of 1e-9 * 100, a distance) and by 5e-7
+    ([_leg_100(), _leg_100_mirrored(5e-8)], None),
+    ([_leg_100(), _leg_100_mirrored(5e-7)], (0, 1)),
 ])
 def test_equal_lower_x_matches_reference(positions, expected):
     positions = dict(enumerate(positions))
