@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: check, solve, layout, probe, volume, selftest.  Exit codes:
-0 success/feasible, 2 infeasible, 3 parse error, 4 solver non-convergence,
+0 success/feasible, 2 infeasible, 3 parse error (also an unreadable or
+non-UTF-8 input, or an unwritable output), 4 solver non-convergence,
 5 precondition violation.
 """
 
@@ -76,14 +77,17 @@ def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(text, path):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

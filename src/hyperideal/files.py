@@ -1,11 +1,11 @@
 """File schemas: canonical JSON, solution files, geometry files.
 
-All floats are written with 17 significant digits (round-trip exact), so a
-given input always produces byte-identical output files.
+Every file is written by ``json.dumps``: floats as Python's shortest
+round-trip ``repr`` (``0.1``, ``1.0``, ``-0.0``), keys in insertion order, so
+a given input always produces byte-identical output files.
 """
 
 import json
-import math
 
 import numpy as np
 
@@ -14,46 +14,13 @@ from .pattern import DecoratedMetric
 from .surface import GluedTriangulation, float_array, parse_header, parse_problem, problem_dict
 
 
-def _canon(value, out):
-    if isinstance(value, dict):
-        out.append("{")
-        for k, (key, item) in enumerate(value.items()):
-            if k:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _canon(item, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        out.append("[")
-        for k, item in enumerate(value):
-            if k:
-                out.append(", ")
-            _canon(item, out)
-        out.append("]")
-    elif isinstance(value, (bool, np.bool_)):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
-            raise SchemaError("cannot serialize a non-finite number")
-        out.append(format(v, ".17g"))
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    else:
-        raise SchemaError(f"cannot serialize {type(value).__name__}")
-
-
 def canonical_json(value) -> str:
-    """Deterministic JSON text: fixed float formatting, insertion key order."""
-    out = []
-    _canon(value, out)
-    out.append("\n")
-    return "".join(out)
+    """Deterministic JSON text: floats as their shortest round-trip repr,
+    insertion key order."""
+    try:
+        return json.dumps(value, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"cannot serialize: {exc}") from exc
 
 
 def angle_system_dict(tri, data, x):

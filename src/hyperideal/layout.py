@@ -316,9 +316,7 @@ def layout_from_json(text: str) -> ChartLayout:
     """The layout that ``layout_to_json`` wrote: chart k must be triangle k
     and transition k edge k."""
     try:
-        # canonical JSON writes -0.0 as "-0", which json reads as the int 0;
-        # every other integer literal stays an int for the index fields
-        doc = json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t))
+        doc = json.loads(text)
         charts, transitions = doc["charts"], doc["transitions"]
         if [_index(c["triangle"]) for c in charts] != list(range(len(charts))):
             raise SchemaError("chart k must be triangle k")

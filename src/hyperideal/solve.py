@@ -164,34 +164,28 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
         # tol over the smallest curvature, so a trusted full step goes first
         if pgn <= tol and not (trusted and step == 1.0):
             return report(CONVERGED, it, pgn)
-        if trusted:
-            x = x + step * d
-            fx = objective_f(AngleSystem(x))
-            if callback is not None:
-                callback(it, AngleSystem(x.copy()), fx)
-            if step == 1.0:
-                # the Newton decrement g.d, which is affine-invariant, puts F
-                # within rounding of its maximum; the projected gradient
-                # itself can floor above tol on thin polytopes, where it is
-                # formed from differences of O(1) angles
-                return report(CONVERGED, it + 1, projected_norm(x))
-            continue
 
-        accepted = False
+        # a trusted step's predicted increase is of rounding size, below what
+        # the Armijo test can judge, so it is taken as it is
         for _ in range(60):
             cand = x + step * d
             f_cand = objective_f(AngleSystem(cand))
-            if f_cand >= fx + ARMIJO_C1 * step * slope:
-                accepted = True
+            if trusted or f_cand >= fx + ARMIJO_C1 * step * slope:
                 break
             step *= ARMIJO_SHRINK
-        if not accepted:
+        else:
             logger.warning("line search failed at iteration %d", it)
             return report(LINE_SEARCH_FAILED, it, pgn)
         x = cand
         fx = f_cand
         if callback is not None:
             callback(it, AngleSystem(x.copy()), fx)
+        if trusted and step == 1.0:
+            # the Newton decrement g.d, which is affine-invariant, puts F
+            # within rounding of its maximum; the projected gradient itself
+            # can floor above tol on thin polytopes, where it is formed from
+            # differences of O(1) angles
+            return report(CONVERGED, it + 1, projected_norm(x))
 
     pgn = projected_norm(x)
     status = CONVERGED if pgn <= tol else MAX_ITERS

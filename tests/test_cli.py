@@ -10,8 +10,9 @@ from hyperideal import solve as solve_mod
 from hyperideal.cli import main, parse_angle
 from hyperideal.coherent import Infeasible
 from hyperideal.errors import SchemaError
-from hyperideal.files import canonical_json, read_solution
+from hyperideal.files import canonical_json, geometry_dict, parse_geometry, read_solution
 from hyperideal.layout import layout_from_json
+from hyperideal.surface import parse_problem, problem_dict
 
 from .conftest import bundled_text
 
@@ -93,6 +94,14 @@ def test_parse_error_exit_code(tmp_path):
     p.write_text("{not json")
     assert main(["check", str(p)]) == 3
     assert main(["solve", "/nonexistent/file.json"]) == 3
+    noise = tmp_path / "noise.json"
+    noise.write_bytes(np.random.default_rng(0).bytes(100))
+    with pytest.raises(UnicodeDecodeError):
+        noise.read_bytes().decode("utf-8")
+    assert main(["solve", str(noise)]) == 3
+    torus = tmp_path / "torus.json"
+    torus.write_text(bundled_text("torus.json"))
+    assert main(["solve", str(torus), "-o", str(tmp_path / "missing" / "out.json")]) == 3
 
 
 def test_usage_error_exit_code():
@@ -160,10 +169,30 @@ def test_volume_domain_error_exit_code(capsys):
     assert main(["volume", "--p1", "pi"]) == 5
 
 
-def test_canonical_json_17g():
+def test_canonical_json_repr():
     text = canonical_json({"x": 0.1, "n": 3, "s": "hi", "b": True, "v": [1.5, None]})
-    assert json.loads(text) == {"x": 0.1, "n": 3, "s": "hi", "b": True, "v": [1.5, None]}
-    assert "0.10000000000000001" in text
+    assert text == '{"x": 0.1, "n": 3, "s": "hi", "b": true, "v": [1.5, null]}\n'
+    for value, written in ((1.0, "1.0"), (-0.0, "-0.0"), (1e16, "1e+16"), (5e-324, "5e-324")):
+        assert canonical_json(value) == written + "\n"
+    bits = np.random.default_rng(7).integers(0, 2**64, size=12000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)][:10000]
+    assert values.size == 10000
+    back = np.array(json.loads(canonical_json(values.tolist())), dtype=np.float64)
+    assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+    for bad in (math.nan, math.inf, -math.inf, {1.0}, np.array([1.0])):
+        with pytest.raises(SchemaError):
+            canonical_json({"v": [bad]})
+
+
+@pytest.mark.parametrize("name", ["torus", "disk2", "fan3", "triangle", "triangle_infeasible",
+                                  "disk2_geometry"])
+def test_bundled_instances_are_canonical(name):
+    text = bundled_text(f"{name}.json")
+    if name.endswith("_geometry"):
+        assert canonical_json(geometry_dict(*parse_geometry(text))) == text
+    else:
+        assert canonical_json(problem_dict(*parse_problem(text))) == text
 
 
 def test_selftest(capsys):
@@ -322,3 +351,71 @@ def test_solve_rejects_disconnected_surface_before_feasibility(monkeypatch, tmp_
     p.write_text(json.dumps(doc))
     assert main(["solve", str(p)]) == 5
     assert "surface is disconnected" in capsys.readouterr().err
+
+
+# keys of the problem, geometry and solution schemas, for drawn dicts
+_SCHEMA_KEYS = ("triangles", "gluings", "a", "b", "theta", "interior", "boundary", "xi",
+                "lengths", "radii", "problem", "angles", "alpha", "gamma", "report")
+_EXIT_CODES = {0, 2, 3, 4, 5}
+
+
+def _nodes(doc, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, item in items:
+        yield from _nodes(item, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def test_cli_never_raises_on_edited_documents(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    solved = tmp_path / "solution.json"
+    (tmp_path / "fan3.json").write_text(bundled_text("fan3.json"))
+    assert main(["solve", str(tmp_path / "fan3.json"), "-o", str(solved)]) == 0
+    problems = [json.loads(bundled_text(f"{name}.json"))
+                for name in ("torus", "disk2", "fan3", "triangle", "triangle_infeasible")]
+    documents = [(command, doc) for command in ("check", "solve") for doc in problems]
+    documents += [("probe", json.loads(bundled_text("disk2_geometry.json"))),
+                  ("layout", json.loads(solved.read_text()))]
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(_SCHEMA_KEYS), inner, max_size=3),
+        max_leaves=6)
+    path = tmp_path / "edited.json"
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.data())
+    def run(data):
+        command, doc = data.draw(st.sampled_from(documents))
+        node = data.draw(st.sampled_from(list(_nodes(doc))))
+        path.write_text(json.dumps(_replaced(doc, node, data.draw(values))))
+        assert main([command, str(path)]) in _EXIT_CODES
+
+    run()
+
+
+def test_cli_never_raises_on_raw_bytes(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path / "raw.json"
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(hypothesis.strategies.binary())
+    def run(raw):
+        path.write_bytes(raw)
+        for command in ("check", "solve", "probe", "layout"):
+            assert main([command, str(path)]) in _EXIT_CODES
+
+    run()
