@@ -4,8 +4,8 @@
         [--out FILE]
 
 Rungs: flat lattice disks, flat lattice tori and cone lattice tori from
-``perfbench/generators.py`` with n = 3, 8, 16, 32, 48 and 64, that is
-T = 2 n^2 = 18 to 8192 triangles, up to ``--max-t``.  Each instance is
+``perfbench/generators.py`` with n = 3, 8, 16, 32, 48, 64, 96 and 128, that
+is T = 2 n^2 = 18 to 32768 triangles, up to ``--max-t``.  Each instance is
 drawn from ``numpy.random.default_rng(n)`` and made into problem data by
 ``probe``, so its answer is known.  Each rung runs in a fresh process,
 which reports the wall seconds of every stage as it finishes it: parse,
@@ -57,7 +57,7 @@ PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 os.environ.update(PINNED_ENV)
 
 FAMILIES = ("disk", "torus", "cone")
-SIZES = (3, 8, 16, 32, 48, 64)  # T = 2 n^2
+SIZES = (3, 8, 16, 32, 48, 64, 96, 128)  # T = 2 n^2
 STAGES = ("parse", "build_constraints", "feasibility", "maximize", "reconstruct", "lay_out",
           "export_svg")
 THETA_TOL = 1e-8
@@ -231,7 +231,7 @@ def export_revision(rev, into):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--max-t", type=int, default=8192, help="largest rung, in triangles")
+    ap.add_argument("--max-t", type=int, default=32768, help="largest rung, in triangles")
     ap.add_argument("--baseline", help="git revision whose maximize is timed on every rung too")
     ap.add_argument("--out", help="JSON file to write (default: standard output)")
     args = ap.parse_args()

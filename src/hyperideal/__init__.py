@@ -49,7 +49,7 @@ from .pattern import (
     verify_pattern,
 )
 from .solve import SolveReport, maximize, objective_f, objective_grad, solve_problem
-from .surface import AngleData, GluedTriangulation, parse_problem, validate_surface
+from .surface import AngleData, GluedTriangulation, parse_problem
 
 __all__ = [
     "AngleData",
@@ -87,7 +87,6 @@ __all__ = [
     "tet_volume_grad",
     "truncated_lengths",
     "v0",
-    "validate_surface",
     "verify_pattern",
     "vol_p1",
     "vol_p3",

@@ -210,17 +210,19 @@ def build_constraints(tri: GluedTriangulation, data: AngleData) -> ConstraintSys
     n = 6 * n_t
     n_e = len(tri.edge_sides)
     n_int = len(tri.gluings)
-    n_v = len(tri.vertices)
+    n_v = tri.vertex_count
 
-    # an interior edge row holds both sides, a boundary edge row its one side
+    # an interior edge row holds both sides, a boundary edge row its one side;
+    # a vertex row holds the corners 3t + c of its class in ascending order
     sides = np.concatenate([tri.edge_sides[:n_int].reshape(-1, 2), tri.edge_sides[n_int:, 0]])
-    corners = np.array([corner for cls in tri.vertices for corner in cls])
+    corners = np.argsort(tri.corner_class, axis=None, kind="stable")
+    class_size = np.bincount(tri.corner_class.ravel())
     a_eq = _csr(
-        [3] * n_t + [2] * n_int + [1] * (n_e - n_int) + [len(cls) for cls in tri.vertices],
+        [3] * n_t + [2] * n_int + [1] * (n_e - n_int) + class_size.tolist(),
         np.concatenate([
             np.arange(n).reshape(n_t, 6)[:, 3:].ravel(),
             6 * sides[:, 0] + sides[:, 1],
-            6 * corners[:, 0] + 3 + corners[:, 1],
+            6 * (corners // 3) + 3 + corners % 3,
         ]),
         n,
     )
@@ -271,8 +273,9 @@ def build_constraints(tri: GluedTriangulation, data: AngleData) -> ConstraintSys
         labels_ineq=g_labels,
         rank=n_t + n_e + n_v - len(roots),
         independent_eq=independent,
-        component_eq=tri.component[np.concatenate(
-            [np.arange(n_t), tri.edge_sides[:, 0, 0], [cls[0][0] for cls in tri.vertices]])],
+        component_eq=tri.component[np.concatenate([
+            np.arange(n_t), tri.edge_sides[:, 0, 0],
+            corners[np.cumsum(class_size) - class_size] // 3])],
     )
 
 

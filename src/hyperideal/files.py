@@ -78,7 +78,7 @@ def read_solution(text):
     dm = None
     if "lengths" in doc and "radii" in doc:
         dm = DecoratedMetric(lengths=float_array(doc["lengths"], "lengths", len(tri.edge_sides)),
-                             radii=float_array(doc["radii"], "radii", len(tri.vertices)))
+                             radii=float_array(doc["radii"], "radii", tri.vertex_count))
     return tri, data, np.hstack([alpha, gamma]).reshape(-1), dm
 
 
@@ -98,4 +98,4 @@ def parse_geometry(text):
     lengths = float_array(doc["lengths"], "lengths", 3 * count - len(gluings))
     tri = GluedTriangulation(count, gluings)
     return tri, DecoratedMetric(lengths=lengths,
-                                radii=float_array(doc["radii"], "radii", len(tri.vertices)))
+                                radii=float_array(doc["radii"], "radii", tri.vertex_count))

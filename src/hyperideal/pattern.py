@@ -140,7 +140,7 @@ class DecoratedMetric:
     def _check_entries(self, tri):
         """PreconditionError unless there is one finite positive length per
         edge and one finite positive radius per vertex class."""
-        n_e, n_v = len(tri.edge_sides), len(tri.vertices)
+        n_e, n_v = len(tri.edge_sides), tri.vertex_count
         if np.shape(self.lengths) != (n_e,) or np.shape(self.radii) != (n_v,):
             raise PreconditionError(
                 f"{n_e} lengths and {n_v} radii needed, one per edge and vertex class, "
@@ -309,7 +309,7 @@ def _edge_theta(tri, angles):
 def _vertex_sums(tri, per_corner):
     """Sum of ``per_corner[t, c]`` over each vertex class."""
     return np.bincount(tri.corner_class.ravel(), weights=per_corner.ravel(),
-                       minlength=len(tri.vertices))
+                       minlength=tri.vertex_count)
 
 
 def _across_interior_edges(tri, dm, radius, face, far):

@@ -42,49 +42,30 @@ class Edge:
     sides: tuple  # ((t, s),) for boundary, ((t, s), (t2, s2)) for interior
 
 
-def _min_labels(n, pairs):
-    """The smallest element of each element's class under ``pairs`` of
-    0..n-1, as a list.
-
-    Union-find in which every link points to a smaller element, so each root
-    is its class minimum and one ascending pass leaves every element on its
-    root.
-    """
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for a, b in pairs:
-        a, b = find(a), find(b)
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-    for x in range(n):
-        parent[x] = parent[parent[x]]
-    return parent
+_INDEX = (int, np.integer)  # the types of a triangle count or a side index
 
 
-def _surface_faults(triangle_count, gluings):
-    """One message per fault of the triangle count and the gluings: no
-    triangle, a side out of range, a side glued to itself, a side in two
-    gluings."""
+def _surface_fault(triangle_count, gluings):
+    """The first fault of the triangle count and the gluings, or None: a
+    count or index that is not an integer, no triangle, a side out of range,
+    a side glued to itself, a side in two gluings."""
+    if not isinstance(triangle_count, _INDEX):
+        return "the triangle count must be an integer"
     if triangle_count < 1:
-        yield "need at least one triangle"
+        return "need at least one triangle"
     seen = set()
     for a, b in gluings:
         for t, s in (a, b):
-            if not (0 <= t < triangle_count) or s not in (0, 1, 2):
-                yield f"gluing references invalid side {(t, s)}"
+            if not (isinstance(t, _INDEX) and isinstance(s, _INDEX)
+                    and 0 <= t < triangle_count and 0 <= s < 3):
+                return f"gluing references invalid side {(t, s)}"
         if a == b:
-            yield f"side {a} glued to itself"
+            return f"side {a} glued to itself"
         for side in (a, b):
             if side in seen:
-                yield f"side {side} appears in two gluings"
+                return f"side {side} appears in two gluings"
             seen.add(side)
+    return None
 
 
 class GluedTriangulation:
@@ -101,10 +82,12 @@ class GluedTriangulation:
       in order, then every unglued side, twice, in (t, s) order;
       ``side_edge`` (T, 3) is its inverse; the ``Edge`` objects of ``edges``
       are made from it on first use;
-    * ``vertices``: the corner classes that ``forward`` links, ordered by
-      their smallest corner, each class sorted; ``corner_class`` (T, 3)
-      indexes them and ``boundary_vertex`` (V,) flags the classes with an
-      unglued side;
+    * the vertex classes: the corner classes that ``forward`` links,
+      numbered 0..V-1 in the order of their smallest corner;
+      ``corner_class`` (T, 3) is the class of every corner, ``vertex_count``
+      is V and ``boundary_vertex`` (V,) flags the classes with an unglued
+      side; ``vertices``, the (t, c) corners of every class, each class
+      sorted, is made from ``corner_class`` on first use;
     * one spanning forest of the gluings, breadth-first across sides 0, 1, 2
       from each triangle not yet reached, in ascending order: the visit
       order ``forest_order`` (T,), parents first; ``parent_corner`` (T,),
@@ -114,48 +97,57 @@ class GluedTriangulation:
     """
 
     def __init__(self, triangle_count, gluings):
-        self.triangle_count = n_t = int(triangle_count)
         self.gluings = tuple(
             (tuple(a), tuple(b)) for a, b in gluings
         )
-        for fault in _surface_faults(n_t, self.gluings):
+        fault = _surface_fault(triangle_count, self.gluings)
+        if fault:
             raise SurfaceError(fault)
+        self.triangle_count = n_t = int(triangle_count)
         # crossing side s of t from corner s lands on corner (s2+1) % 3 of
         # the partner side (t2, s2): glued sides run in opposite directions
         n = 3 * n_t
-        forward = [-1] * n
-        glued = []  # both sides 3t + s of every gluing
-        for (t, s), (t2, s2) in self.gluings:
-            forward[3 * t + s] = 3 * t2 + (s2 + 1) % 3
-            forward[3 * t2 + s2] = 3 * t + (s + 1) % 3
-            glued += (3 * t + s, 3 * t2 + s2)
-        self.forward = np.array(forward)
+        pairs = np.array(self.gluings, dtype=int).reshape(-1, 2, 2)
+        glued = 3 * pairs[..., 0] + pairs[..., 1]  # both sides 3t + s of every gluing
+        self.forward = np.full(n, -1)
+        self.forward[glued] = (3 * pairs[..., 0] + (pairs[..., 1] + 1) % 3)[:, ::-1]
         linked = np.flatnonzero(self.forward >= 0)
         free = np.flatnonzero(self.forward < 0)
         self.backward = np.full(n, -1)
         self.backward[self.forward[linked]] = linked
 
-        edge_side = np.concatenate([np.array(glued, dtype=int), np.repeat(free, 2)]).reshape(-1, 2)
+        edge_side = np.concatenate([glued, np.repeat(free, 2).reshape(-1, 2)])
         self.edge_sides = np.stack(np.divmod(edge_side, 3), axis=-1)
         side_edge = np.empty(n, dtype=int)
         side_edge[edge_side] = np.arange(len(edge_side))[:, None]
         self.side_edge = side_edge.reshape(n_t, 3)
 
-        # a label is the smallest corner of its class, so the classes come
-        # out ordered by smallest corner, each class sorted, and a class's
-        # number is the count of class minima below its own
-        labels = _min_labels(n, zip(linked.tolist(), self.forward[linked].tolist()))
-        classes = {}
-        for x, root in enumerate(labels):
-            classes.setdefault(root, []).append(divmod(x, 3))
-        self.vertices = tuple(map(tuple, classes.values()))
-        first = np.array(labels)
-        corner_class = np.cumsum(first == np.arange(n))[first] - 1
+        # every corner's class minimum, by pointer doubling along the corner
+        # chains: a round takes the minimum over the corners one pointer
+        # ahead and behind, then squares both pointers (an end points at
+        # itself), so after k rounds a label is the minimum over 2^k - 1
+        # steps each way; the first round that changes nothing has read
+        # every chain and cycle whole
+        corner = np.arange(n)
+        ahead = np.where(self.forward >= 0, self.forward, corner)
+        behind = np.where(self.backward >= 0, self.backward, corner)
+        first = corner
+        while True:
+            label = np.minimum(first, np.minimum(first[ahead], first[behind]))
+            if np.array_equal(label, first):
+                break
+            first, ahead, behind = label, ahead[ahead], behind[behind]
+        # a class's number is the count of class minima below its own, so
+        # the classes are ordered by their smallest corner
+        minima = np.cumsum(first == corner)
+        corner_class = minima[first] - 1
         self.corner_class = corner_class.reshape(n_t, 3)
-        self.boundary_vertex = np.zeros(len(self.vertices), dtype=bool)
+        self.vertex_count = int(minima[-1])
+        self.boundary_vertex = np.zeros(self.vertex_count, dtype=bool)
         self.boundary_vertex[corner_class[free]] = True
 
         # the spanning forest: each queue is read while it grows
+        neighbor = (self.forward // 3).tolist()  # -1 at an unglued side
         order, parent, component = [], [-1] * n_t, [-1] * n_t
         for root in range(n_t):
             if component[root] < 0:
@@ -163,7 +155,7 @@ class GluedTriangulation:
                 queue = [root]
                 for t in queue:
                     for x in range(3 * t, 3 * t + 3):
-                        child = forward[x] // 3  # -1 at an unglued side
+                        child = neighbor[x]
                         if child >= 0 and component[child] < 0:
                             component[child], parent[child] = root, x
                             queue.append(child)
@@ -171,6 +163,14 @@ class GluedTriangulation:
         self.forest_order = np.array(order)
         self.parent_corner = np.array(parent)
         self.component = np.array(component)
+
+    @cached_property
+    def vertices(self):
+        """The corners (t, c) of every vertex class, each class sorted."""
+        corners = np.argsort(self.corner_class, axis=None, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.corner_class.ravel())).tolist()
+        return tuple(tuple(divmod(x, 3) for x in corners[a:b])
+                     for a, b in zip([0] + ends, ends))
 
     @cached_property
     def edges(self):
@@ -194,7 +194,7 @@ class GluedTriangulation:
         return bool(self.boundary_vertex[v])
 
     def euler_characteristic(self):
-        return len(self.vertices) - len(self.edge_sides) + self.triangle_count
+        return self.vertex_count - len(self.edge_sides) + self.triangle_count
 
     def is_disk(self):
         """Connected, genus 0, one boundary component (checked via chi = 1)."""
@@ -258,7 +258,7 @@ class AngleData:
         n_e, n_int = len(tri.edge_sides), len(tri.gluings)
         if len(self.theta) != n_e:
             raise SchemaError("theta must have one entry per edge")
-        if len(self.xi) != len(tri.vertices):
+        if len(self.xi) != tri.vertex_count:
             raise SchemaError("xi must have one entry per vertex class")
         theta = np.asarray(self.theta, dtype=float)
         in_range = np.where(np.arange(n_e) < n_int, 0.0 <= theta, 0.0 < theta) & (theta < math.pi)
@@ -303,7 +303,8 @@ def parse_header(text, what, keys):
     if not all(len(side) == 2 and all(type(i) is int for i in side)
                for pair in gluings for side in pair):
         raise SchemaError(form)
-    for fault in _surface_faults(count, gluings):
+    fault = _surface_fault(count, gluings)
+    if fault:
         raise SurfaceError(fault)
     return count, gluings, doc
 
@@ -333,7 +334,7 @@ def parse_problem(text):
         float_array(theta_doc.get("boundary", []), "theta.boundary", 3 * count - 2 * n_int),
     ])
     tri = GluedTriangulation(count, gluings)
-    data = AngleData(theta=theta, xi=float_array(doc["xi"], "xi", len(tri.vertices)))
+    data = AngleData(theta=theta, xi=float_array(doc["xi"], "xi", tri.vertex_count))
     data.validate(tri)
     return tri, data
 
@@ -350,27 +351,3 @@ def problem_dict(tri, data):
         },
         "xi": [float(x) for x in data.xi],
     }
-
-
-def validate_surface(tri):
-    """Diagnostics report: list of invariant violations (empty iff valid)."""
-    violations = list(_surface_faults(tri.triangle_count, tri.gluings))
-    corners = [(t, c) for t in range(tri.triangle_count) for c in range(3)]
-    claimed = [c for cls in tri.vertices for c in cls]
-    if sorted(claimed) != corners:
-        violations.append("vertex classes do not partition the corners")
-    if not violations:
-        derived = GluedTriangulation(tri.triangle_count, tri.gluings).vertices
-        if set(map(frozenset, tri.vertices)) != set(map(frozenset, derived)):
-            for cls in tri.vertices:
-                if frozenset(cls) not in set(map(frozenset, derived)):
-                    violations.append(
-                        f"non-manifold vertex: corners {sorted(cls)} do not form a "
-                        "single chain or cycle under side adjacency"
-                    )
-    n_int, n_bdy = len(tri.interior_edges), len(tri.boundary_edges)
-    if n_int != len(tri.gluings):
-        violations.append("interior edge count differs from gluing count")
-    if n_bdy != 3 * tri.triangle_count - 2 * len(tri.gluings):
-        violations.append("boundary edge count is inconsistent")
-    return violations

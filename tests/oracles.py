@@ -298,6 +298,19 @@ def derive_vertices_loop(tri):
     return [sorted(classes[root]) for root in sorted(classes)]
 
 
+def vertex_rows_loop(tri):
+    """The vertex-class rows of ``build_constraints``, read from
+    ``GluedTriangulation.vertices`` one class at a time: the row lengths, the
+    columns 6t + 3 + c of their entries in order, and the component of each
+    class's first corner."""
+    lengths, cols, component = [], [], []
+    for corners in tri.vertices:
+        lengths.append(len(corners))
+        cols += [6 * t + 3 + c for t, c in corners]
+        component.append(int(tri.component[corners[0][0]]))
+    return lengths, cols, component
+
+
 def component_roots_loop(tri):
     """Per triangle, the smallest triangle index of its connected component
     of the triangle/vertex-class incidence graph, over ``derive_vertices_loop``."""

@@ -22,7 +22,6 @@ from hyperideal.surface import (
     GluedTriangulation,
     parse_problem,
     problem_dict,
-    validate_surface,
 )
 
 from . import oracles
@@ -72,6 +71,24 @@ def test_side_used_twice_rejected():
 def test_out_of_range_side_rejected():
     with pytest.raises(SurfaceError):
         GluedTriangulation(1, [((0, 0), (2, 1))])
+
+
+@pytest.mark.parametrize("count, gluings", [
+    (2.7, []),
+    (2.0, []),
+    (2, [((0.5, 0), (1, 0))]),
+    (2, [((0, 1.0), (1, 0))]),
+    (2, [((0, 0), (np.float64(1.0), 0))]),
+])
+def test_non_integer_count_or_index_rejected(count, gluings):
+    with pytest.raises(SurfaceError, match="integer|invalid side"):
+        GluedTriangulation(count, gluings)
+
+
+def test_numpy_integer_indices_accepted():
+    tri = GluedTriangulation(np.int64(2), [((np.int64(0), 0), (1, np.int32(0)))])
+    assert tri.vertices == GluedTriangulation(2, [((0, 0), (1, 0))]).vertices
+    assert all(type(i) is int for cls in tri.vertices for corner in cls for i in corner)
 
 
 def test_corner_count_partition():
@@ -135,20 +152,6 @@ def test_interior_theta_zero_accepted():
     assert data.theta[0] == 0.0
 
 
-def test_validate_surface_clean():
-    assert validate_surface(GluedTriangulation(2, TORUS_GLUINGS)) == []
-    assert validate_surface(GluedTriangulation(1, [])) == []
-
-
-def test_validate_surface_bad_partition():
-    base = GluedTriangulation(2, [((0, 0), (1, 0))])
-    merged = [base.vertices[0] + base.vertices[1]] + list(base.vertices[2:])
-    bad = GluedTriangulation(2, [((0, 0), (1, 0))])
-    bad.vertices = merged
-    report = validate_surface(bad)
-    assert any("non-manifold" in line for line in report)
-
-
 def test_corner_walk_boundary_chain():
     tri = GluedTriangulation(2, [((0, 0), (1, 0))])
     # vertex class of corner (0,0) has two corners along the glued edge
@@ -168,17 +171,8 @@ def test_edge_counts_invariant():
 def test_fold_gluing_same_triangle():
     # gluing two sides of one triangle: a cone; still a valid surface
     tri = GluedTriangulation(1, [((0, 0), (0, 1))])
-    assert validate_surface(tri) == []
     assert len(tri.vertices) == 2
     assert tri.euler_characteristic() == 1
-
-
-def test_validate_surface_mutated_double_gluing():
-    tri = GluedTriangulation(2, [((0, 0), (1, 0))])
-    # bypass the constructor checks to exercise the diagnostic path
-    tri.gluings = (((0, 0), (1, 0)), ((0, 0), (1, 1)))
-    report = validate_surface(tri)
-    assert any("two gluings" in line for line in report)
 
 
 def test_boundary_cycles():
@@ -202,6 +196,10 @@ def _load_perfbench_generators():
 GEN = _load_perfbench_generators()
 
 
+# corner 0 of every triangle at the center: side 0 of t glued to side 2 of t + 1
+FAN_GLUINGS = [((t, 0), ((t + 1) % 1000, 2)) for t in range(1000)]
+
+
 def _triangulations(instances):
     return [tri for tri, _ in instances]
 
@@ -214,8 +212,10 @@ def _lattice(kind, n):
 
 
 # name -> builder of a list of triangulations: the benchmark's instance kinds
-# and lattice ladder (T = 50, 512, 4608), random disks, a fold and two
-# disjoint triangles
+# and lattice ladder (T = 50, 512, 4608), random disks, a fold, two disjoint
+# triangles, and long vertex classes: the center of an open fan (a chain of
+# 1000 corners) and of a closed one (a cycle of 1000 corners), a strip of
+# 2000 triangles and the one-vertex torus
 FAMILIES = {
     **{f"tiny_set seed {seed}": lambda seed=seed: _triangulations(
         GEN.tiny_set(np.random.default_rng(seed), 1)) for seed in range(1, 9)},
@@ -225,6 +225,12 @@ FAMILIES = {
         oracles.random_disk(rng) for _ in range(4)),
     "fold and two parts": lambda: [GluedTriangulation(1, [((0, 0), (0, 1))]),
                                    GluedTriangulation(2, [])],
+    "open fan T=1000": lambda: [GluedTriangulation(1000, FAN_GLUINGS[:-1])],
+    "closed fan T=1000": lambda: [GluedTriangulation(1000, FAN_GLUINGS)],
+    # triangle t glues its side 2 to triangle t - 1, alternately at corner 0 and 2
+    "strip T=2000": lambda: [GluedTriangulation(
+        2000, [((t, 1 - t % 2), (t + 1, 2)) for t in range(1999)])],
+    "one_vertex_torus": lambda: [GEN.one_vertex_torus(np.random.default_rng(0))[0]],
 }
 
 
@@ -262,6 +268,14 @@ def test_combinatorics_match_loop_references(family):
         cs = build_constraints(tri, data)
         assert cs.rank == tri.triangle_count + len(tri.edges) + len(vertices) - len(roots)
         assert np.flatnonzero(~cs.independent_eq).tolist() == roots
+        n_v = tri.vertex_count
+        assert n_v == len(vertices)
+        rows = cs.a_eq[cs.a_eq.shape[0] - n_v:]
+        lengths, cols, component = oracles.vertex_rows_loop(tri)
+        assert np.diff(rows.indptr).tolist() == lengths
+        assert rows.indices.tolist() == cols
+        assert np.all(rows.data == 1.0)
+        assert cs.component_eq[-n_v:].tolist() == component
 
 
 CRITICAL = {
