@@ -176,20 +176,6 @@ class ConstraintSystem:
         shared by the max-slack LP and ``maximize``."""
         return _KKT(self)
 
-    def permuted(self, perm_eq, perm_ineq):
-        """Row-permuted copy (same polytope, different solver path)."""
-        return ConstraintSystem(
-            a_eq=self.a_eq[perm_eq],
-            b_eq=self.b_eq[perm_eq],
-            labels_eq=[self.labels_eq[i] for i in perm_eq],
-            g_ineq=self.g_ineq[perm_ineq],
-            h_ineq=self.h_ineq[perm_ineq],
-            labels_ineq=[self.labels_ineq[i] for i in perm_ineq],
-            rank=self.rank,
-            independent_eq=self.independent_eq[perm_eq],
-            component_eq=self.component_eq[perm_eq],
-        )
-
 
 def _csr(row_lengths, cols, n_cols, vals=None):
     """``SparseRows`` whose rows hold ``row_lengths`` consecutive entries of
@@ -420,7 +406,7 @@ class _RangeSpace:
     component, get their multipliers mu from the definite matrix
     S = C M C^T, and x = x0 + M (s - C^T mu), s = r - H x0.
 
-    The row roles are read from ``a_eq``, so a ``permuted`` copy works:
+    The row roles are read from ``a_eq``, so a row-permuted copy works:
     every row holds ones, and every angle lies in exactly one edge or
     vertex row.  In a gluing component the triangle rows and the vertex
     rows sum to the same row, so the one row that the independent set

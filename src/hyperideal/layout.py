@@ -99,17 +99,16 @@ def _interiors_overlap(p, q, eps):
     return ~separated
 
 
-def _first_overlap(positions):
-    """The first pair (t, t2), t < t2 in lexicographic order, of triangles
-    whose interiors overlap, or None.
+def _first_overlap(pts):
+    """The first pair (t, t2), t < t2 in lexicographic order, of the
+    triangles ``pts`` (T, 3, 2) whose interiors overlap, or None.
 
     Only pairs whose bounding boxes meet are tested, found by one
     sort-and-sweep: with the boxes sorted by lower x, box k meets in x
     exactly the run of later boxes whose lower x is at most its upper x,
     and of those pairs the ones whose boxes also meet in y are kept.
     """
-    n = len(positions)
-    pts = np.array([positions[t] for t in range(n)])
+    n = len(pts)
     eps = 1e-9 * max(1.0, float(np.max(np.abs(pts))))
     lo, hi = pts.min(axis=1), pts.max(axis=1)
     order = np.argsort(lo[:, 0], kind="stable")
@@ -124,17 +123,6 @@ def _first_overlap(positions):
     return (int(i[hits[0]]), int(j[hits[0]])) if hits.size else None
 
 
-def _warn_if_overlapping(positions):
-    """Global developments of non-convex instances can wrap over themselves;
-    the drawing is emitted as-is, but a warning names the first offending pair."""
-    pair = _first_overlap(positions)
-    if pair is not None:
-        logger.warning(
-            "global development overlaps itself (triangles %d and %d); "
-            "drawing emitted as-is", *pair,
-        )
-
-
 def _chart_positions(tri, dm):
     """Every triangle in its own chart, placed in one batch: the longest side
     on the positive x axis, starting at the origin."""
@@ -143,11 +131,6 @@ def _chart_positions(tri, dm):
     longest = np.argmax(sides, axis=1)[:, None]
     placed = place_canonical(*sides[rows, (longest + np.arange(3)) % 3].T)
     return placed[rows, (np.arange(3) - longest) % 3]
-
-
-def geometric_cone_angles(tri, dm):
-    """Total euclidean corner angle per vertex class of the decorated metric."""
-    return _vertex_sums(tri, _corner_angles(_chart_positions(tri, dm)))
 
 
 def _transitions(tri, positions):
@@ -202,7 +185,14 @@ def lay_out(tri: GluedTriangulation, dm: DecoratedMetric) -> ChartLayout:
     rot, trans = _transitions(tri, positions)
     if mode == GLOBAL:
         positions = _develop(tri, positions, rot, trans)
-        _warn_if_overlapping(positions)
+        # a non-convex instance can wrap over itself: the drawing is
+        # emitted as-is, but a warning names the first offending pair
+        pair = _first_overlap(positions)
+        if pair is not None:
+            logger.warning(
+                "global development overlaps itself (triangles %d and %d); "
+                "drawing emitted as-is", *pair,
+            )
         rot, trans = _transitions(tri, positions)
 
     radii = dm.radii[tri.corner_class]
@@ -214,49 +204,6 @@ def lay_out(tri: GluedTriangulation, dm: DecoratedMetric) -> ChartLayout:
                        face_radius=np.sqrt(power), vertex_radii=radii,
                        sides=tri.edge_sides[:len(tri.gluings)].copy(),
                        rotation=rot, translation=trans)
-
-
-@dataclass
-class HolonomyReport:
-    """Loop composition of transitions around an interior vertex.
-
-    ``rotation``/``translation`` form the closure isometry (a rotation by the
-    cone angle mod 2pi about the vertex image, so identity at a flat vertex);
-    ``cone_angle`` is the unwrapped total turning of the developed corner
-    wedges; ``vertex_drift`` is how far the vertex image moved during the
-    development (zero when the transitions are exact).
-    """
-
-    rotation: np.ndarray
-    translation: np.ndarray
-    cone_angle: float
-    vertex_drift: float
-
-
-def vertex_holonomy(tri, layout: ChartLayout, t, c) -> HolonomyReport:
-    """Develop the charts once around the vertex at corner (t, c)."""
-    walk, closed = tri.corner_walk(t, c)
-    if not closed:
-        raise PreconditionError("holonomy is defined for interior vertices only")
-    _check_fits(tri, layout)
-    rot = np.eye(2)
-    shift = np.zeros(2)
-    total = 0.0
-    p_ref = None
-    drift = 0.0
-    for tk, ck in walk:
-        vertices = layout.vertices[tk]
-        p = rot @ vertices[ck] + shift
-        if p_ref is None:
-            p_ref = p
-        else:
-            drift = max(drift, float(np.hypot(*(p - p_ref))))
-        total += _corner_angles(vertices)[ck]
-        e = tri.side_edge[tk, ck]
-        near_is_target = layout.sides[e, 0].tolist() == [tk, ck]
-        rot, shift = _across(rot, shift, layout.rotation[e], layout.translation[e], near_is_target)
-    return HolonomyReport(rotation=rot, translation=shift,
-                          cone_angle=total, vertex_drift=drift)
 
 
 # -- serialization -------------------------------------------------------------

@@ -131,12 +131,6 @@ class DecoratedMetric:
     def scaled(self, factor):
         return DecoratedMetric(lengths=self.lengths * factor, radii=self.radii * factor)
 
-    def triangle_sides(self, tri, t):
-        return self.lengths[tri.side_edge[t]]
-
-    def corner_radii(self, tri, t):
-        return self.radii[tri.corner_class[t]]
-
     def _check_entries(self, tri):
         """PreconditionError unless there is one finite positive length per
         edge and one finite positive radius per vertex class."""

@@ -47,14 +47,20 @@ _INDEX = (int, np.integer)  # the types of a triangle count or a side index
 
 def _surface_fault(triangle_count, gluings):
     """The first fault of the triangle count and the gluings, or None: a
-    count or index that is not an integer, no triangle, a side out of range,
-    a side glued to itself, a side in two gluings."""
+    count or index that is not an integer, no triangle, a gluing that is not
+    two sides (t, s), a side out of range, a side glued to itself, a side in
+    two gluings."""
     if not isinstance(triangle_count, _INDEX):
         return "the triangle count must be an integer"
     if triangle_count < 1:
         return "need at least one triangle"
     seen = set()
-    for a, b in gluings:
+    for gluing in gluings:
+        try:
+            (t, s), (t2, s2) = gluing
+        except (TypeError, ValueError):
+            return f"gluing {gluing!r} is not two sides (t, s)"
+        a, b = (t, s), (t2, s2)
         for t, s in (a, b):
             if not (isinstance(t, _INDEX) and isinstance(s, _INDEX)
                     and 0 <= t < triangle_count and 0 <= s < 3):
@@ -94,15 +100,18 @@ class GluedTriangulation:
       the corner ``x = 3p + s`` of the parent p whose side leads to the
       triangle ``forward[x] // 3``, -1 at a root; ``component`` (T,), the
       root of each tree, which is the smallest triangle of its component.
+
+    The interior edges are the first ``len(gluings)`` rows of
+    ``edge_sides`` and the boundary edges the rest.  ``euler_characteristic``
+    and ``is_disk`` are the only queries.
     """
 
     def __init__(self, triangle_count, gluings):
-        self.gluings = tuple(
-            (tuple(a), tuple(b)) for a, b in gluings
-        )
-        fault = _surface_fault(triangle_count, self.gluings)
+        gluings = list(gluings)
+        fault = _surface_fault(triangle_count, gluings)
         if fault:
             raise SurfaceError(fault)
+        self.gluings = tuple((tuple(a), tuple(b)) for a, b in gluings)
         self.triangle_count = n_t = int(triangle_count)
         # crossing side s of t from corner s lands on corner (s2+1) % 3 of
         # the partner side (t2, s2): glued sides run in opposite directions
@@ -179,20 +188,6 @@ class GluedTriangulation:
         return tuple(Edge(e, INTERIOR, (a, b)) if a != b else Edge(e, BOUNDARY, (a,))
                      for e, (a, b) in enumerate(rows))
 
-    # -- queries ---------------------------------------------------------------
-
-    @property
-    def interior_edges(self):
-        return [e for e in self.edges if e.kind == INTERIOR]
-
-    @property
-    def boundary_edges(self):
-        return [e for e in self.edges if e.kind == BOUNDARY]
-
-    def vertex_is_boundary(self, v):
-        """True if some side incident to vertex class ``v`` is unglued."""
-        return bool(self.boundary_vertex[v])
-
     def euler_characteristic(self):
         return self.vertex_count - len(self.edge_sides) + self.triangle_count
 
@@ -200,51 +195,6 @@ class GluedTriangulation:
         """Connected, genus 0, one boundary component (checked via chi = 1)."""
         return self.euler_characteristic() == 1 and len(self.edge_sides) > len(self.gluings) \
             and not self.component.any()
-
-    def boundary_cycles(self):
-        """Directed boundary sides grouped into cycles (surface on the left).
-
-        The successor of a boundary side is found by walking the corner chain
-        around its head vertex to the corner whose forward side is unglued.
-        """
-        remaining = {divmod(x, 3) for x in np.flatnonzero(self.forward < 0).tolist()}
-        cycles = []
-        while remaining:
-            start = min(remaining)
-            remaining.remove(start)
-            cycle = [start]
-            cur = start
-            while True:
-                t, s = cur
-                chain, _ = self.corner_walk(t, (s + 1) % 3)
-                nxt = chain[-1]
-                if nxt == start:
-                    break
-                cycle.append(nxt)
-                remaining.remove(nxt)
-                cur = nxt
-            cycles.append(cycle)
-        return cycles
-
-    def corner_walk(self, t, c):
-        """Corners around the vertex at (t, c), ordered; returns (corners, closed).
-
-        For a boundary vertex the chain starts at the boundary, so it covers
-        the class in order; for an interior vertex the cycle starts at (t, c).
-        """
-        start = cur = int(3 * t + c)
-        closed = False
-        while self.backward[cur] >= 0:
-            cur = int(self.backward[cur])
-            if cur == start:
-                closed = True
-                break
-        chain = [cur]
-        nxt = self.forward[cur]
-        while nxt >= 0 and nxt != chain[0]:
-            chain.append(int(nxt))
-            nxt = self.forward[nxt]
-        return [divmod(x, 3) for x in chain], closed
 
 
 @dataclass(frozen=True)

@@ -18,22 +18,3 @@ def bundled_instance(name):
 def rng():
     return np.random.default_rng(12345)
 
-
-@pytest.fixture
-def torus_instance():
-    return bundled_instance("torus.json")
-
-
-@pytest.fixture
-def disk2_instance():
-    return bundled_instance("disk2.json")
-
-
-@pytest.fixture
-def fan3_instance():
-    return bundled_instance("fan3.json")
-
-
-@pytest.fixture
-def triangle_instance():
-    return bundled_instance("triangle.json")

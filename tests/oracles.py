@@ -11,6 +11,7 @@ closed-form slack analysis, and max-slack optima from HiGHS.
 import io
 import math
 from collections import deque
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,8 @@ from hyperideal.layout import (
     STROKE_WIDTH,
     TRIANGLE_COLOR,
     VERTEX_CIRCLE_COLOR,
+    _across,
+    _check_fits,
     _fmt,
 )
 from hyperideal.lob import lob, lob_deriv
@@ -226,6 +229,21 @@ def max_slack_highs(cs):
     return float(res.x[-1])
 
 
+def permuted(cs, perm_eq, perm_ineq):
+    """A row-permuted copy of ``cs``: the same polytope, a different solver path."""
+    return replace(
+        cs,
+        a_eq=cs.a_eq[perm_eq],
+        b_eq=cs.b_eq[perm_eq],
+        labels_eq=[cs.labels_eq[i] for i in perm_eq],
+        g_ineq=cs.g_ineq[perm_ineq],
+        h_ineq=cs.h_ineq[perm_ineq],
+        labels_ineq=[cs.labels_ineq[i] for i in perm_ineq],
+        independent_eq=cs.independent_eq[perm_eq],
+        component_eq=cs.component_eq[perm_eq],
+    )
+
+
 def kkt_solve_reference(cs, blocks, rhs):
     """[x; lam] solving [H A^T; A 0] [x; lam] = rhs, padded with zeros, by
     ``spsolve`` of the whole matrix: H the block diagonal of the (T, 6, 6)
@@ -356,8 +374,9 @@ def boundary_flags_loop(tri, vertices):
 
 
 def corner_walks_loop(tri):
-    """``GluedTriangulation.corner_walk`` at every corner, keyed by (t, c),
-    by crossing sides through a side -> partner dict of the gluings."""
+    """(corners, closed) around the vertex at every corner (t, c), keyed by
+    (t, c), by crossing sides through a side -> partner dict of the gluings:
+    from the boundary on, or a cycle from (t, c) at an interior vertex."""
     partner = {}
     for a, b in tri.gluings:
         partner[a], partner[b] = b, a
@@ -607,9 +626,9 @@ def _interiors_overlap(p, q, eps):
 def first_overlapping_pair(positions):
     """Reference overlap check of a global layout: every pair of triangles,
     in lexicographic order; the first overlapping pair, or None."""
-    scale = max(float(np.max(np.abs(positions[t]))) for t in positions)
-    eps = 1e-9 * max(1.0, scale)
     count = len(positions)
+    scale = max(float(np.max(np.abs(positions[t]))) for t in range(count))
+    eps = 1e-9 * max(1.0, scale)
     for t in range(count):
         for t2 in range(t + 1, count):
             if _interiors_overlap(positions[t], positions[t2], eps):
@@ -775,8 +794,8 @@ def read_angles(lengths, radii):
 
 
 def _face_circle_on_edge(tri, dm, t, s):
-    sides = dm.triangle_sides(tri, t)
-    radii = dm.corner_radii(tri, t)
+    sides = dm.lengths[tri.side_edge[t]]
+    radii = dm.radii[tri.corner_class[t]]
     rolled_l = np.roll(sides, -s)
     rolled_r = np.roll(radii, -s)
     points = place_canonical(*rolled_l)
@@ -802,9 +821,9 @@ def delaunay_margins(tri, dm, edge):
     margins = []
     for (ta, sa, tb, sb) in ((t, s, t2, s2), (t2, s2, t, s)):
         cx, h, rad = _face_circle_on_edge(tri, dm, ta, sa)
-        far = place_on_segment(np.roll(dm.triangle_sides(tri, tb), -sb),
+        far = place_on_segment(np.roll(dm.lengths[tri.side_edge[tb]], -sb),
                                (l, 0.0), (0.0, 0.0))[2]
-        rho = dm.corner_radii(tri, tb)[(sb + 2) % 3]
+        rho = dm.radii[tri.corner_class[tb, (sb + 2) % 3]]
         d2 = (cx - far[0]) ** 2 + (h - far[1]) ** 2
         cosang = (d2 - rad * rad - rho * rho) / (2.0 * rad * rho)
         margins.append(0.5 * math.pi - math.acos(min(1.0, max(-1.0, cosang))))
@@ -824,7 +843,7 @@ def validate_metric(tri, dm):
                 f"(r_i + r_j = {ri + rj:.12g} >= l = {dm.lengths[e.index]:.12g})"
             )
     for t in range(tri.triangle_count):
-        l = dm.triangle_sides(tri, t)
+        l = dm.lengths[tri.side_edge[t]]
         if (l[0] + l[1] <= l[2]) or (l[1] + l[2] <= l[0]) or (l[2] + l[0] <= l[1]):
             raise PreconditionError(f"triangle {t} violates the triangle inequality")
 
@@ -843,7 +862,7 @@ def probe_loop(tri, dm, cross_check_tol=1e-10):
     values = np.empty(6 * tri.triangle_count)
     for t in range(tri.triangle_count):
         values[6 * t:6 * t + 6] = read_angles(
-            dm.triangle_sides(tri, t), dm.corner_radii(tri, t)
+            dm.lengths[tri.side_edge[t]], dm.radii[tri.corner_class[t]]
         )
     x = AngleSystem(values)
     theta = np.empty(len(tri.edges))
@@ -877,7 +896,7 @@ def verify_pattern_loop(tri, data, dm):
     values = np.empty(6 * tri.triangle_count)
     for t in range(tri.triangle_count):
         values[6 * t:6 * t + 6] = read_angles(
-            dm.triangle_sides(tri, t), dm.corner_radii(tri, t)
+            dm.lengths[tri.side_edge[t]], dm.radii[tri.corner_class[t]]
         )
     theta_res = 0.0
     cond_i = math.inf
@@ -917,7 +936,7 @@ def develop_loop(tri, dm):
     starting at the origin; breadth-first from it, each triangle is placed
     on the already placed copy of the side it shares with its parent.
     """
-    sides = dm.triangle_sides(tri, 0)
+    sides = dm.lengths[tri.side_edge[0]]
     k = int(np.argmax(sides))
     developed = {0: np.roll(place_canonical(*np.roll(sides, -k)), k, axis=0)}
     queue = deque([0])
@@ -932,10 +951,50 @@ def develop_loop(tri, dm):
             if t2 in developed:
                 continue
             pa, pb = developed[t][(s + 1) % 3], developed[t][s]
-            rolled = place_on_segment(np.roll(dm.triangle_sides(tri, t2), -s2), pa, pb)
+            rolled = place_on_segment(np.roll(dm.lengths[tri.side_edge[t2]], -s2), pa, pb)
             developed[t2] = np.roll(rolled, s2, axis=0)
             queue.append(t2)
     return np.array([developed[t] for t in range(tri.triangle_count)])
+
+
+# -- holonomy: the transitions composed around a vertex -------------------------
+
+
+@dataclass
+class HolonomyReport:
+    """Loop composition of transitions around an interior vertex.
+
+    ``rotation``/``translation`` form the closure isometry (a rotation by the
+    cone angle mod 2pi about the vertex image, so identity at a flat vertex);
+    ``cone_angle`` is the unwrapped total turning of the developed corner
+    wedges; ``vertex_drift`` is how far the vertex image moved during the
+    development (zero when the transitions are exact).
+    """
+
+    rotation: np.ndarray
+    translation: np.ndarray
+    cone_angle: float
+    vertex_drift: float
+
+
+def vertex_holonomy(tri, layout, t, c):
+    """Develop the charts of ``layout`` once around the vertex at corner
+    (t, c): its transitions composed along the corner walk, each as the
+    global development composes it."""
+    walk, closed = corner_walks_loop(tri)[(t, c)]
+    if not closed:
+        raise PreconditionError("holonomy is defined for interior vertices only")
+    _check_fits(tri, layout)
+    rot, shift, total, images = np.eye(2), np.zeros(2), 0.0, []
+    for tk, ck in walk:
+        vertices = layout.vertices[tk]
+        images.append(rot @ vertices[ck] + shift)
+        total += corner_angles(vertices)[ck]
+        e = tri.side_edge[tk, ck]
+        near_is_target = layout.sides[e, 0].tolist() == [tk, ck]
+        rot, shift = _across(rot, shift, layout.rotation[e], layout.translation[e], near_is_target)
+    drift = max(float(np.hypot(*(p - images[0]))) for p in images)
+    return HolonomyReport(rotation=rot, translation=shift, cone_angle=total, vertex_drift=drift)
 
 
 # -- reference SVG export: one chart at a time ---------------------------------

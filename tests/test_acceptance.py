@@ -28,6 +28,7 @@ from .oracles import (
     fd_jacobian,
     lob_quadrature,
     objective_sum,
+    permuted,
     random_disk,
     sample_coherent,
     sample_delta,
@@ -195,7 +196,7 @@ def test_criterion_07_criticality_means_fit():
         worst_compat = max(worst_compat, c1, c2)
         dm = metric_from_lengths(truncated_lengths(x, tri), tri)
         for t in range(tri.triangle_count):
-            got = read_angles(dm.triangle_sides(tri, t), dm.corner_radii(tri, t))
+            got = read_angles(dm.lengths[tri.side_edge[t]], dm.radii[tri.corner_class[t]])
             worst_fit = max(worst_fit, float(np.max(np.abs(got - x.values[6 * t:6 * t + 6]))))
     _report(
         7,
@@ -254,7 +255,7 @@ def test_criterion_10_uniqueness():
     tri, data = bundled_instance("torus.json")
     cs = build_constraints(tri, data)
     x1, _ = maximize(tri, data, find_coherent(cs), cs=cs)
-    perm = cs.permuted(rng.permutation(len(cs.b_eq)), rng.permutation(len(cs.h_ineq)))
+    perm = permuted(cs, rng.permutation(len(cs.b_eq)), rng.permutation(len(cs.h_ineq)))
     x2, _ = maximize(tri, data, find_coherent(perm), cs=perm)
     diff = float(np.max(np.abs(x1.values - x2.values)))
     _report(10, "two feasible starts converge to the same maximizer",

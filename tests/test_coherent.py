@@ -12,7 +12,7 @@ from hyperideal.coherent import (
 )
 from hyperideal.surface import AngleData, GluedTriangulation
 
-from .oracles import sample_coherent, single_triangle_feasible
+from .oracles import permuted, sample_coherent, single_triangle_feasible
 
 PI = math.pi
 TORUS = GluedTriangulation(2, [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))])
@@ -120,7 +120,7 @@ def test_verdict_stable_under_row_permutation(rng):
         xi = rng.dirichlet((1.0, 1.0, 1.0)) * PI
         cs = build_constraints(tri, AngleData(theta=theta, xi=xi))
         v1 = isinstance(find_coherent(cs), AngleSystem)
-        perm = cs.permuted(rng.permutation(len(cs.b_eq)), rng.permutation(len(cs.h_ineq)))
+        perm = permuted(cs, rng.permutation(len(cs.b_eq)), rng.permutation(len(cs.h_ineq)))
         v2 = isinstance(find_coherent(perm), AngleSystem)
         assert v1 == v2
 

@@ -8,18 +8,24 @@ from hyperideal.errors import PreconditionError
 from hyperideal.layout import (
     ATLAS,
     GLOBAL,
+    _chart_positions,
     export_svg,
     lay_out,
     layout_from_json,
     layout_to_json,
-    vertex_holonomy,
 )
-from hyperideal.pattern import DecoratedMetric, metric_from_lengths, truncated_lengths
+from hyperideal.pattern import (
+    DecoratedMetric,
+    _corner_angles,
+    _vertex_sums,
+    metric_from_lengths,
+    truncated_lengths,
+)
 from hyperideal.solve import solve_problem
 from hyperideal.surface import GluedTriangulation
 
 from .conftest import bundled_instance
-from .oracles import random_disk
+from .oracles import random_disk, vertex_holonomy
 
 PI = math.pi
 
@@ -105,7 +111,7 @@ def test_mode_selection_cone_disk():
     rng = np.random.default_rng(3)
     for _ in range(40):
         tri, dm = random_disk(rng)
-        interior = [v for v in range(len(tri.vertices)) if not tri.vertex_is_boundary(v)]
+        interior = [v for v in range(len(tri.vertices)) if not tri.boundary_vertex[v]]
         if not interior:
             continue
         dm2 = DecoratedMetric(lengths=dm.lengths.copy(), radii=dm.radii.copy())
@@ -114,11 +120,9 @@ def test_mode_selection_cone_disk():
             cl = lay_out(tri, dm2)
         except PreconditionError:
             continue
-        from hyperideal.layout import geometric_cone_angles
-
-        cone = geometric_cone_angles(tri, dm2)
+        cone = _vertex_sums(tri, _corner_angles(_chart_positions(tri, dm2)))
         flat = all(
-            tri.vertex_is_boundary(v) or abs(cone[v] - 2 * PI) <= 1e-7
+            tri.boundary_vertex[v] or abs(cone[v] - 2 * PI) <= 1e-7
             for v in range(len(tri.vertices))
         )
         assert cl.mode == (GLOBAL if flat else ATLAS)

@@ -21,7 +21,7 @@ from hyperideal.solve import INFEASIBLE, solve_problem
 from hyperideal.surface import AngleData, GluedTriangulation
 
 from .conftest import bundled_instance, bundled_text
-from .oracles import lattice_disk, max_slack_highs, random_disk
+from .oracles import lattice_disk, max_slack_highs, permuted, random_disk
 
 PI = math.pi
 TORUS = GluedTriangulation(2, [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))])
@@ -62,7 +62,7 @@ def test_max_slack_matches_highs(rng):
         data = AngleData(theta=np.full(3, PI / 3 + eps), xi=np.array([2 * PI]))
         systems.append(build_constraints(TORUS, data))
     systems += [
-        cs.permuted(rng.permutation(len(cs.b_eq)), rng.permutation(len(cs.h_ineq)))
+        permuted(cs, rng.permutation(len(cs.b_eq)), rng.permutation(len(cs.h_ineq)))
         for cs in systems
     ]
     for cs in systems:
@@ -83,7 +83,7 @@ def test_xi_moved_between_interior_vertices_is_infeasible_at_scale(monkeypatch, 
     # accuracy before any iterate is coherent, and the LU takes over
     tri, dm = lattice_disk(np.random.default_rng(7), 16)
     data = probe(tri, dm)[0]
-    assert not (tri.vertex_is_boundary(first) or tri.vertex_is_boundary(second))
+    assert not (tri.boundary_vertex[first] or tri.boundary_vertex[second])
     xi = data.xi.copy()
     xi[first] -= moved
     xi[second] += moved

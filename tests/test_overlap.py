@@ -17,7 +17,7 @@ from .oracles import first_overlapping_pair, lattice_disk
 def _positions(tri, dm):
     cl = lay_out(tri, dm)
     assert cl.mode == GLOBAL
-    return dict(enumerate(cl.vertices))
+    return cl.vertices
 
 
 def _wrapped_fan():
@@ -54,7 +54,7 @@ def test_large_lattice_disk_matches_reference():
 
     # drop copies of triangles onto other parts of the disk
     for trial in range(6):
-        moved = dict(positions)
+        moved = positions.copy()
         for t in rng.choice(tri.triangle_count, 1 + trial, replace=False):
             target = positions[int(rng.integers(tri.triangle_count))]
             moved[t] = positions[t] - positions[t].mean(axis=0) + target.mean(axis=0) \
@@ -65,7 +65,7 @@ def test_large_lattice_disk_matches_reference():
 def test_one_large_triangle_among_small_ones():
     rng = np.random.default_rng(5)
     tri, dm = lattice_disk(rng, 6)
-    positions = dict(_positions(tri, dm))
+    positions = _positions(tri, dm).copy()
     center = positions[3].mean(axis=0)
     positions[3] = center + 40.0 * (positions[3] - center)  # covers the disk
     expected = first_overlapping_pair(positions)
@@ -108,7 +108,7 @@ def _leg_100_mirrored(depth):
     ([_leg_100(), _leg_100_mirrored(5e-7)], (0, 1)),
 ])
 def test_equal_lower_x_matches_reference(positions, expected):
-    positions = dict(enumerate(positions))
+    positions = np.array(positions)
     assert first_overlapping_pair(positions) == expected
     assert _first_overlap(positions) == expected
 
@@ -116,7 +116,7 @@ def test_equal_lower_x_matches_reference(positions, expected):
 def test_all_triangles_stacked_in_one_place():
     tri, dm = lattice_disk(np.random.default_rng(11), 6)
     positions = _positions(tri, dm)
-    stacked = {t: p - p.mean(axis=0) for t, p in positions.items()}
+    stacked = positions - positions.mean(axis=1, keepdims=True)
     assert first_overlapping_pair(stacked) == (0, 1)
     assert _first_overlap(stacked) == (0, 1)
 
@@ -127,6 +127,6 @@ def test_all_triangles_stacked_in_one_place():
     np.array([[1.0, -1.0], [2.0, 0.0], [1.0, 0.0]]),  # at (1, 0), the boxes' one common point
 ])
 def test_triangles_that_only_touch_do_not_overlap(second):
-    positions = {0: _unit(0.0, 0.0), 1: second}
+    positions = np.array([_unit(0.0, 0.0), second])
     assert first_overlapping_pair(positions) is None
     assert _first_overlap(positions) is None

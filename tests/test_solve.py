@@ -26,7 +26,7 @@ from hyperideal.solve import (
 from hyperideal.surface import AngleData, GluedTriangulation
 
 from .conftest import bundled_instance
-from .oracles import fd_gradient, objective_sum, sample_coherent, tangent_span_vectors
+from .oracles import fd_gradient, objective_sum, permuted, sample_coherent, tangent_span_vectors
 from .test_surface import GEN
 
 PI = math.pi
@@ -130,7 +130,7 @@ def test_not_coherent_start_rejected():
 def test_uniqueness_from_permuted_starts(rng):
     cs = build_constraints(TORUS, TORUS_DATA)
     x1, _ = maximize(TORUS, TORUS_DATA, find_coherent(cs), cs=cs)
-    perm = cs.permuted(rng.permutation(len(cs.b_eq)), rng.permutation(len(cs.h_ineq)))
+    perm = permuted(cs, rng.permutation(len(cs.b_eq)), rng.permutation(len(cs.h_ineq)))
     x2, _ = maximize(TORUS, TORUS_DATA, find_coherent(perm), cs=perm)
     assert np.max(np.abs(x1.values - x2.values)) <= 1e-7
 

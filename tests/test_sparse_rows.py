@@ -7,7 +7,7 @@ from hyperideal.coherent import SparseRows, build_constraints
 from hyperideal.pattern import probe
 
 from .conftest import bundled_instance
-from .oracles import lattice_disk, scipy_csr
+from .oracles import lattice_disk, permuted, scipy_csr
 
 BUNDLED = ("torus.json", "disk2.json", "fan3.json", "triangle.json", "triangle_infeasible.json")
 
@@ -39,7 +39,7 @@ def _system(name):
 def test_products_match_scipy(name):
     cs = _system(name)
     rng = np.random.default_rng(len(cs.b_eq))
-    perm = cs.permuted(rng.permutation(len(cs.b_eq)), rng.permutation(len(cs.h_ineq)))
+    perm = permuted(cs, rng.permutation(len(cs.b_eq)), rng.permutation(len(cs.h_ineq)))
     for rows in (cs.a_eq, cs.g_ineq, perm.a_eq, perm.g_ineq):
         _assert_products_match(rows, rng)
         m = rows.shape[0]

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +45,8 @@ def torus_text(theta=math.pi / 2, xi=2 * math.pi):
 def test_torus_combinatorics():
     tri = GluedTriangulation(2, TORUS_GLUINGS)
     assert len(tri.vertices) == 1
-    assert len(tri.interior_edges) == 3
-    assert len(tri.boundary_edges) == 0
+    assert len(tri.gluings) == 3
+    assert len(tri.edge_sides) - len(tri.gluings) == 0
     assert tri.euler_characteristic() == 0
     assert len(tri.vertices[0]) == 6
 
@@ -53,7 +54,7 @@ def test_torus_combinatorics():
 def test_single_triangle_disk():
     tri = GluedTriangulation(1, [])
     assert len(tri.vertices) == 3
-    assert len(tri.boundary_edges) == 3
+    assert len(tri.edge_sides) - len(tri.gluings) == 3
     assert tri.euler_characteristic() == 1
     assert tri.is_disk()
 
@@ -83,6 +84,18 @@ def test_out_of_range_side_rejected():
 def test_non_integer_count_or_index_rejected(count, gluings):
     with pytest.raises(SurfaceError, match="integer|invalid side"):
         GluedTriangulation(count, gluings)
+
+
+@pytest.mark.parametrize("gluing", [
+    ((0, 0, 0), (1, 0)),  # a side of three indices
+    ((0,), (1, 0)),  # a side of one index
+    ((0, 0), (1, 0), (1, 1)),  # three sides
+    5,  # no sides
+    ((0, 0), 5),  # a side that is no pair
+])
+def test_malformed_gluing_rejected(gluing):
+    with pytest.raises(SurfaceError, match=f"gluing {re.escape(repr(gluing))} is not two sides"):
+        GluedTriangulation(2, [gluing])
 
 
 def test_numpy_integer_indices_accepted():
@@ -152,20 +165,11 @@ def test_interior_theta_zero_accepted():
     assert data.theta[0] == 0.0
 
 
-def test_corner_walk_boundary_chain():
-    tri = GluedTriangulation(2, [((0, 0), (1, 0))])
-    # vertex class of corner (0,0) has two corners along the glued edge
-    cls = tri.vertices[tri.corner_class[(0, 0)]]
-    walk, closed = tri.corner_walk(*cls[0])
-    assert not closed
-    assert sorted(walk) == sorted(cls)
-
-
 def test_edge_counts_invariant():
     for gluings, n in ((TORUS_GLUINGS, 2), ([((0, 0), (1, 0))], 2), ([], 1)):
         tri = GluedTriangulation(n, gluings)
-        assert len(tri.interior_edges) == len(gluings)
-        assert len(tri.boundary_edges) == 3 * n - 2 * len(gluings)
+        assert len(tri.gluings) == len(gluings)
+        assert len(tri.edge_sides) - len(tri.gluings) == 3 * n - 2 * len(gluings)
 
 
 def test_fold_gluing_same_triangle():
@@ -173,16 +177,6 @@ def test_fold_gluing_same_triangle():
     tri = GluedTriangulation(1, [((0, 0), (0, 1))])
     assert len(tri.vertices) == 2
     assert tri.euler_characteristic() == 1
-
-
-def test_boundary_cycles():
-    assert GluedTriangulation(2, TORUS_GLUINGS).boundary_cycles() == []
-    single = GluedTriangulation(1, []).boundary_cycles()
-    assert len(single) == 1 and sorted(single[0]) == [(0, 0), (0, 1), (0, 2)]
-    disk2 = GluedTriangulation(2, [((0, 0), (1, 0))]).boundary_cycles()
-    assert len(disk2) == 1 and len(disk2[0]) == 4
-    two_parts = GluedTriangulation(2, []).boundary_cycles()
-    assert len(two_parts) == 2
 
 
 def _load_perfbench_generators():
@@ -242,7 +236,7 @@ def test_combinatorics_match_loop_references(family):
         flags = oracles.boundary_flags_loop(tri, vertices)
         for v, corners in enumerate(vertices):
             assert all(tri.corner_class[corner] == v for corner in corners)
-            assert tri.vertex_is_boundary(v) == flags[v]
+            assert tri.boundary_vertex[v] == flags[v]
         component = oracles.component_roots_loop(tri)
         assert tri.component.tolist() == component
         roots = sorted(set(component))
@@ -260,10 +254,9 @@ def test_combinatorics_match_loop_references(family):
             else:
                 tree_root[t] = t
         assert [tree_root[t] for t in range(tri.triangle_count)] == component
-        assert tri.is_disk() == (tri.euler_characteristic() == 1 and len(tri.boundary_edges) > 0
+        assert tri.is_disk() == (tri.euler_characteristic() == 1
+                                 and len(tri.edge_sides) > len(tri.gluings)
                                  and oracles.is_connected_loop(tri))
-        for (t, c), walk in oracles.corner_walks_loop(tri).items():
-            assert tri.corner_walk(t, c) == walk
         data = AngleData(theta=np.full(len(tri.edges), 1.0), xi=np.full(len(vertices), 1.0))
         cs = build_constraints(tri, data)
         assert cs.rank == tri.triangle_count + len(tri.edges) + len(vertices) - len(roots)
