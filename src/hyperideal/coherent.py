@@ -13,7 +13,6 @@ slice ``6t..6t+5`` as (a_side0, a_side1, a_side2, g_corner0, g_corner1,
 g_corner2); side ``s`` runs between corners ``s`` and ``s+1``.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -152,8 +151,9 @@ class ConstraintSystem:
     ``a_eq`` and ``g_ineq`` are ``SparseRows``.  ``rank`` is the rank of
     ``a_eq``, and ``independent_eq`` marks a set of ``rank`` equality rows
     that spans the same row space (one redundant gamma-sum row per connected
-    component is left out).  ``component_eq`` holds the gluing component of
-    each equality row, named by its smallest triangle.
+    component is left out): the rows of the whole KKT matrix, which only its
+    LU uses.  ``component_eq`` holds the gluing component of each equality
+    row, named by its smallest triangle.
     """
 
     a_eq: SparseRows
@@ -356,6 +356,8 @@ class _KKT:
         self.rows = np.concatenate([h_rows.ravel(), n + a.rows, a.indices])
         self.cols = np.concatenate([h_cols.ravel(), a.indices, n + a.rows])
         self.a_vals = np.concatenate([a.data, a.data])
+        # the entries of [r; e] that the LU reads: r and e's independent rows
+        self.lu_rhs = np.flatnonzero(np.concatenate([np.ones(n, dtype=bool), cs.independent_eq]))
         self.range_space = _RangeSpace(cs)
 
     @cached_property
@@ -368,12 +370,14 @@ class _KKT:
 
     def solver(self, blocks):
         """Factorize with H = ``blocks``, (T, 6, 6) diagonal blocks or a
-        ``_RowFactor``; returns rhs -> the leading ``len(rhs)`` rows of the
-        solution of [H A^T; A 0] sol = rhs padded with zeros, so ``r`` gives
-        d of [r; 0] and a full [r; e] gives [d; lam].  The range-space path
-        (formed blocks) returns d alone, also for a full [r; e].  ``rhs``
-        may hold several columns.  Raises ``numpy.linalg.LinAlgError`` or
-        ``RuntimeError`` if the matrix is singular."""
+        ``_RowFactor``; returns rhs -> the solution of [H A^T; A 0] [d; lam]
+        = [r; e] for ``rhs`` = r (e = 0), giving d, or r followed by the
+        right-hand side of every equality row.  The LU (a row factor) reads
+        e on the independent rows and gives [d; lam], lam over those rows;
+        the range-space path (formed blocks) reads every row it enforces and
+        gives d alone.  They agree on consistent e, as every caller's is.
+        ``rhs`` may hold several columns.  Raises ``numpy.linalg.LinAlgError``
+        or ``RuntimeError`` if the matrix is singular."""
         if not isinstance(blocks, _RowFactor):
             return self.range_space.solver(blocks, self.dense)
         f = blocks.rows
@@ -388,6 +392,7 @@ class _KKT:
             solve = _sparse_solver((vals, (self.rows, self.cols)), size, "MMD_ATA")
 
         def run(rhs):
+            rhs = rhs[self.lu_rhs[:len(rhs)]]
             full = np.zeros((size,) + rhs.shape[1:])
             full[:len(rhs)] = rhs
             return solve(full)[:len(rhs)]
@@ -406,16 +411,18 @@ class _RangeSpace:
     component, get their multipliers mu from the definite matrix
     S = C M C^T, and x = x0 + M (s - C^T mu), s = r - H x0.
 
-    The row roles are read from ``a_eq``, so a row-permuted copy works:
-    every row holds ones, and every angle lies in exactly one edge or
-    vertex row.  In a gluing component the triangle rows and the vertex
-    rows sum to the same row, so the one row that the independent set
-    leaves out gets its right-hand side from the others.
+    The right-hand side of every triangle row and every row of C is read
+    from its own entry of e, so a triangle's gamma sum holds to the rounding
+    of its three gammas.  In a gluing component the triangle rows and the
+    vertex rows sum to the same row, so the vertex row left out of C holds
+    when e is consistent.  The row roles are read from ``a_eq``, so a
+    row-permuted copy works: every row holds ones, and every angle lies in
+    exactly one edge or vertex row.
     """
 
     def __init__(self, cs: ConstraintSystem):
         a = cs.a_eq
-        m, n = a.shape
+        n = a.shape[1]
         n_t = n // 6
         starts = a.indptr[:-1]
         owner = a.indices // 6
@@ -426,23 +433,11 @@ class _RangeSpace:
             & (np.minimum.reduceat(owner, starts) == np.maximum.reduceat(owner, starts)))
         self.triangle_rows = np.empty(n_t, dtype=int)
         self.triangle_rows[owner[starts[own]]] = own
-        triangle = np.zeros(m, dtype=bool)
-        triangle[self.triangle_rows] = True
-        component = cs.component_eq
-        vertex = np.flatnonzero(gamma & ~triangle)
-        kept = ~triangle
-        kept[vertex[np.unique(component[vertex], return_index=True)[1]]] = False
+        kept = np.ones(len(gamma), dtype=bool)
+        kept[self.triangle_rows] = False
+        vertex = np.flatnonzero(gamma & kept)
+        kept[vertex[np.unique(cs.component_eq[vertex], return_index=True)[1]]] = False
         self.c_rows = c_rows = np.flatnonzero(kept)
-        # within a component the triangle rows (sign +1) and the vertex rows
-        # (sign -1) have a zero signed sum, so the right-hand side of the row
-        # that the independent set leaves out follows from the others
-        sign = np.where(triangle, 1.0, -1.0)
-        self.independent = cs.independent_eq
-        self.implied = []
-        for row in np.flatnonzero(~cs.independent_eq):
-            rows = np.flatnonzero(gamma & (component == component[row]))
-            self.implied.append((row, rows, -sign[row] * sign[rows]))
-
         self.c = a[c_rows]
         at_c = np.full(n, -1)  # the row of C that holds each angle, if any
         at_c[self.c.indices] = self.c.rows
@@ -480,24 +475,12 @@ class _RangeSpace:
             r, e = rhs[:6 * n_t], rhs[6 * n_t:]
             x0, e_c = np.zeros(r.shape), 0.0
             if len(e):
-                full = self._every_row(e.reshape(len(e), -1)).reshape((-1,) + e.shape[1:])
-                x0.reshape(n_t, 6, -1)[:, 3:] = full[self.triangle_rows].reshape(n_t, 1, -1) / 3.0
-                e_c = full[self.c_rows]
+                x0.reshape(n_t, 6, -1)[:, 3:] = e[self.triangle_rows].reshape(n_t, 1, -1) / 3.0
+                e_c = e[self.c_rows]
             y = x0 + blockwise(m, r - blockwise(blocks, x0))
             return y - blockwise(m, c_t @ solve(c @ y - e_c))
 
         return run
-
-    def _every_row(self, e):
-        """The right-hand sides (m, k) of all equality rows from those of the
-        independent rows, e (rank, k).  An implied one is rounded exactly:
-        its sum cancels terms of the size of pi times the triangle count,
-        and added one after another they left 5e-9 at T = 8192."""
-        full = np.zeros((len(self.independent), e.shape[1]))
-        full[self.independent] = e
-        for row, rows, signs in self.implied:
-            full[row] = [math.fsum(v) for v in (signs[:, None] * full[rows]).T]
-        return full
 
 
 def _triangle_rows(g):
@@ -533,9 +516,9 @@ def _strictly_coherent(cs: ConstraintSystem, x):
 def _max_slack(cs: ConstraintSystem):
     """Maximize s over {A x = b, G x + s <= h}: a generator of the primal
     iterates x, the last primal x last.  The first is the min-norm solution
-    of the independent equalities, or None if it leaves a residual above
-    ``EQ_TOL`` on any row (the equalities are inconsistent); a pinned system
-    (rank = dimension) has no other.
+    of the equalities, or None if it leaves a residual above ``EQ_TOL`` on
+    any row (the equalities are inconsistent); a pinned system (rank =
+    dimension) has no other.
 
     Mehrotra's predictor-corrector on the slacks w = h - G x - s and their
     multipliers z (sum z = 1).  The barrier Hessian G^T diag(z/w) G has the
@@ -550,16 +533,14 @@ def _max_slack(cs: ConstraintSystem):
     diag(z/w)^(1/2) G to the LU of the whole KKT matrix, which also steps y:
     as z/w spreads toward the optimum, the formed blocks lose accuracy.
     """
-    a = cs.a_eq[cs.independent_eq]
-    b = cs.b_eq[cs.independent_eq]
-    x = cs.kkt.identity_solve(np.concatenate([np.zeros(cs.dimension), b]))[:cs.dimension]
+    x = cs.kkt.identity_solve(np.concatenate([np.zeros(cs.dimension), cs.b_eq]))[:cs.dimension]
     if np.max(np.abs(cs.a_eq @ x - cs.b_eq)) > EQ_TOL:
         yield None
         return
     yield x
     if cs.rank == cs.dimension:
         return
-    g, h = cs.g_ineq, cs.h_ineq
+    a, g, h = cs.a_eq[cs.independent_eq], cs.g_ineq, cs.h_ineq
     n, m = cs.dimension, len(h)
     rows, local = _triangle_rows(g)
     slack = h - g @ x
@@ -569,7 +550,7 @@ def _max_slack(cs: ConstraintSystem):
     y = np.zeros(cs.rank)
     ranged = True
     for _ in range(LP_MAX_ITERS):
-        r_p = a @ x - b
+        r_p = cs.a_eq @ x - cs.b_eq
         r_w = g @ x + s + w - h
         r_d = a.T @ y + g.T @ z
         r_s = float(np.sum(z)) - 1.0
@@ -589,7 +570,7 @@ def _max_slack(cs: ConstraintSystem):
             v = r_c / w + d * r_w
             rhs = np.concatenate([-r_d - g.T @ v, -r_p])
             if q is None:
-                q, p = solve(np.column_stack([np.concatenate([u, np.zeros(cs.rank)]), rhs])).T
+                q, p = solve(np.column_stack([np.concatenate([u, np.zeros(len(r_p))]), rhs])).T
             else:
                 p = solve(rhs)
             ds = (-r_s - np.sum(v) - u @ p[:n]) / (np.sum(d) - u @ q[:n])
@@ -613,7 +594,7 @@ def _max_slack(cs: ConstraintSystem):
             try:
                 step = predictor_corrector(np.einsum("tri,trj->tij", f, f))
                 # as z/w spreads, the range-space step loses the equalities first
-                if np.max(np.abs(a @ step[0] + r_p)) > EQ_TOL:
+                if np.max(np.abs(cs.a_eq @ step[0] + r_p)) > EQ_TOL:
                     raise RuntimeError("inaccurate range-space direction")
             except (np.linalg.LinAlgError, RuntimeError):
                 step, ranged = None, False

@@ -107,7 +107,10 @@ class GluedTriangulation:
     """
 
     def __init__(self, triangle_count, gluings):
-        gluings = list(gluings)
+        try:
+            gluings = list(gluings)
+        except TypeError:
+            raise SurfaceError(f"the gluings {gluings!r} are not a sequence of gluings") from None
         fault = _surface_fault(triangle_count, gluings)
         if fault:
             raise SurfaceError(fault)

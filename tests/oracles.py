@@ -245,13 +245,17 @@ def permuted(cs, perm_eq, perm_ineq):
 
 
 def kkt_solve_reference(cs, blocks, rhs):
-    """[x; lam] solving [H A^T; A 0] [x; lam] = rhs, padded with zeros, by
-    ``spsolve`` of the whole matrix: H the block diagonal of the (T, 6, 6)
-    ``blocks`` and A the independent equality rows of ``cs``."""
+    """[x; lam] solving [H A^T; A 0] [x; lam] = [r; e] by ``spsolve`` of the
+    whole matrix: H the block diagonal of the (T, 6, 6) ``blocks``, A the
+    independent equality rows of ``cs`` and lam their multipliers.  ``rhs``
+    is r, with e = 0, or r followed by the right-hand side of every equality
+    row, of which e takes the independent rows."""
+    n = cs.dimension
     a = scipy_csr(cs.a_eq[cs.independent_eq])
     kkt = sparse.bmat([[sparse.block_diag(list(blocks)), a.T], [a, None]], format="csc")
     full = np.zeros((kkt.shape[0],) + np.shape(rhs)[1:])
-    full[:len(rhs)] = rhs
+    full[:n] = rhs[:n]
+    full[n:] = rhs[n:][cs.independent_eq] if len(rhs) > n else 0.0
     return spsolve(kkt, full)
 
 

@@ -127,7 +127,7 @@ def test_dense_and_sparse_lp_steps_agree(monkeypatch, rng):
     monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", 0)
     sparse = coherent_mod._KKT(cs)
     assert dense.dense and not sparse.dense
-    rhs = rng.standard_normal((dense.size, 2))
+    rhs = rng.standard_normal((cs.dimension + len(cs.b_eq), 2))
     expected = kkt_solve_reference(cs, np.einsum("tri,trj->tij", f.rows, f.rows), rhs)
     for found in (dense.solver(f)(rhs), sparse.solver(f)(rhs)):
         assert np.linalg.norm(found - expected) <= 1e-9 * np.linalg.norm(expected)
@@ -280,11 +280,14 @@ def test_range_space_step_matches_the_kkt(case, rng):
     blocks = solve_mod._hess_blocks(x)
     identity = np.broadcast_to(np.eye(6), blocks.shape)
     g = objective_grad(x)
-    b = cs.b_eq[cs.independent_eq]
+    b = cs.b_eq
+    # the range-space step meets every row that it reads, the LU only the
+    # independent rows: the two agree on consistent right-hand sides
+    consistent = cs.a_eq @ rng.standard_normal((n, 2))
     for h, rhs in ((blocks, -g),  # a Newton step
                    (identity, np.concatenate([np.zeros(n), b])),  # the min-norm start
                    (identity, np.concatenate([g, b])),
-                   (blocks, rng.standard_normal((kkt.size, 2)))):
+                   (blocks, np.concatenate([rng.standard_normal((n, 2)), consistent]))):
         found = kkt.solver(h)(rhs)
         expected = kkt_solve_reference(cs, h, rhs)[:n]  # the range-space step returns x alone
         assert found.shape == expected.shape
@@ -313,14 +316,35 @@ def test_range_space_leaves_one_vertex_row_per_component():
 
 
 def test_min_norm_start_at_scale():
-    # the right-hand side of the left-out triangle row is a difference of
-    # two sums of about 25000: summed one term after another it was off by
-    # 5e-9 at T = 8192, above EQ_TOL, and the equalities read inconsistent
+    # the range-space step reads each triangle's gamma sum from its own row;
+    # rebuilt from the other rows of its component, the left-out triangle
+    # row's right-hand side was a difference of two sums of about 25000,
+    # which, summed one term after another, was off by 5e-9 at T = 8192
     tri, dm = GEN.lattice_torus(np.random.default_rng(1), 64)
     cs = build_constraints(tri, probe(tri, dm)[0])
     assert tri.triangle_count == 8192
-    x = cs.kkt.identity_solve(np.concatenate([np.zeros(cs.dimension), cs.b_eq[cs.independent_eq]]))
-    assert np.max(np.abs(cs.a_eq @ x - cs.b_eq)) <= 1e-11
+    x = cs.kkt.identity_solve(np.concatenate([np.zeros(cs.dimension), cs.b_eq]))
+    residual = np.abs(cs.a_eq @ x - cs.b_eq)
+    assert np.max(residual) <= 1e-11
+    assert np.max(residual[:tri.triangle_count]) <= 8 * np.spacing(np.pi)
+
+
+@pytest.mark.parametrize("surface", ["disk", "cone torus"])
+def test_triangle_gamma_sums_are_met_to_their_own_rounding(surface):
+    # each range-space step reads a triangle's gamma sum from its own row,
+    # so the sum is off by no more than the rounding of its three gammas
+    rng = np.random.default_rng(1)
+    tri, dm = GEN.lattice_disk(rng, 16) if surface == "disk" else GEN.lattice_torus(rng, 16, cone=True)
+    assert tri.triangle_count == 512
+    data = probe(tri, dm)[0]
+    cs = build_constraints(tri, data)
+    start = next(coherent_mod._max_slack(cs))
+    x0 = find_coherent(cs)
+    x, rep = maximize(tri, data, x0, cs=cs)
+    assert rep.status == CONVERGED
+    for point in (start, x0.values, x.values):
+        gamma_sums = np.sum(point.reshape(-1, 6)[:, 3:], axis=1)
+        assert np.max(np.abs(gamma_sums - PI)) <= 8 * np.spacing(PI)
 
 
 def test_lp_row_factor_reaches_the_kkt_lu(monkeypatch, rng):
@@ -334,7 +358,7 @@ def test_lp_row_factor_reaches_the_kkt_lu(monkeypatch, rng):
     assert 1 < lu.index(True) and all(lu[lu.index(True):])
     assert sum(lu) > 2
     f = _lu_row_factors(monkeypatch, cs)[2]
-    rhs = rng.standard_normal((cs.kkt.size, 2))
+    rhs = rng.standard_normal((cs.dimension + len(cs.b_eq), 2))
     found = cs.kkt.solver(coherent_mod._RowFactor(f))(rhs)
     expected = kkt_solve_reference(cs, np.einsum("tri,trj->tij", f, f), rhs)
     assert found.shape == expected.shape  # the multipliers too

@@ -98,6 +98,12 @@ def test_malformed_gluing_rejected(gluing):
         GluedTriangulation(2, [gluing])
 
 
+@pytest.mark.parametrize("gluings", [5, None, 3.5])
+def test_non_iterable_gluings_rejected(gluings):
+    with pytest.raises(SurfaceError, match=f"the gluings {gluings!r} are not a sequence"):
+        GluedTriangulation(2, gluings)
+
+
 def test_numpy_integer_indices_accepted():
     tri = GluedTriangulation(np.int64(2), [((np.int64(0), 0), (1, np.int32(0)))])
     assert tri.vertices == GluedTriangulation(2, [((0, 0), (1, 0))]).vertices
