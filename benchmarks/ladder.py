@@ -15,11 +15,11 @@ after one step, or the whole LP in older trees, so the two sides of a
 baseline may time different work), ``maximize``, the
 reconstruction of lengths and radii with its verification, layout and
 SVG.  It also reports the LP's steps on each step method (calls of
-``_KKT.solver`` during feasibility with formed blocks, less the min-norm
-start's H = I, and with a row factor; a range-space step that fails and is
-taken again on the LU counts once on each), Newton's iteration count, and
-its peak RSS so far after each stage, so that a rung and its baseline
-compare at the same stage.  A stage still running
+``_RangeSpace.solver`` during feasibility, less the min-norm start's H = I,
+and of ``_lu_solver``, or null in a tree without it; a range-space step
+that fails and is taken again on the LU counts once on each), Newton's
+iteration count, and its peak RSS so far after each stage, so that a rung
+and its baseline compare at the same stage.  A stage still running
 ``CAP_S`` = 60 seconds after the previous one finished is recorded as
 "capped" (the first stage: 60 seconds after the process started) and the
 process is stopped.
@@ -99,14 +99,23 @@ def child(problem_path, geometry_path, last_stage):
     import hyperideal.coherent as coherent
     from hyperideal.files import parse_geometry
 
-    solves = []
-    solver = coherent._KKT.solver
+    solves = {"range_space": -1, "lu": None}  # -1: the min-norm start
+    range_space = coherent._RangeSpace.solver
 
-    def counting_solver(self, blocks):
-        solves.append("lu" if isinstance(blocks, coherent._RowFactor) else "range_space")
-        return solver(self, blocks)
+    def counting_solver(self, *args):  # older trees also pass ``dense``
+        solves["range_space"] += 1
+        return range_space(self, *args)
 
-    coherent._KKT.solver = counting_solver
+    coherent._RangeSpace.solver = counting_solver
+    if hasattr(coherent, "_lu_solver"):
+        solves["lu"] = 0
+        lu_solver = coherent._lu_solver
+
+        def counting_lu_solver(*args):
+            solves["lu"] += 1
+            return lu_solver(*args)
+
+        coherent._lu_solver = counting_lu_solver
 
     def stage(name, run):
         start = time.perf_counter()
@@ -119,8 +128,7 @@ def child(problem_path, geometry_path, last_stage):
     tri, data = stage("parse", lambda: hyperideal.parse_problem(text))
     cs = stage("build_constraints", lambda: hyperideal.build_constraints(tri, data))
     x0 = stage("feasibility", lambda: hyperideal.find_coherent(cs))
-    print(json.dumps({"lp_steps": {"range_space": solves.count("range_space") - 1,
-                                   "lu": solves.count("lu")}}), flush=True)
+    print(json.dumps({"lp_steps": solves}), flush=True)
     x, report = stage("maximize", lambda: hyperideal.maximize(tri, data, x0, cs=cs))
     print(json.dumps({"newton_iterations": report.iterations, "status": report.status}), flush=True)
     if last_stage == "maximize":

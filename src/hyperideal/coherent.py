@@ -172,9 +172,10 @@ class ConstraintSystem:
 
     @cached_property
     def kkt(self):
-        """The KKT matrices of this system (``_KKT``), built on first use and
-        shared by the max-slack LP and ``maximize``."""
-        return _KKT(self)
+        """The range-space solver of this system's KKT matrices
+        (``_RangeSpace``), built on first use and shared by the max-slack LP
+        and ``maximize``."""
+        return _RangeSpace(self)
 
 
 def _csr(row_lengths, cols, n_cols, vals=None):
@@ -310,14 +311,6 @@ class Infeasible:
         return False
 
 
-class _RowFactor(NamedTuple):
-    """Per-triangle row factor F of shape (T, r, 6) standing for the block
-    diagonal H = F^T F, which ``_KKT.solver`` hands to the LU of the whole
-    KKT matrix."""
-
-    rows: np.ndarray
-
-
 def _sparse_solver(arrays, size, ordering):
     """Returns rhs -> the solution of matrix sol = rhs by one ``splu``
     factorization with the column ordering ``ordering``, the square matrix
@@ -330,86 +323,21 @@ def _sparse_solver(arrays, size, ordering):
     return splu(csc_matrix(arrays, shape=(size, size)), permc_spec=ordering).solve
 
 
-class _KKT:
-    """KKT matrices [H A^T; A 0] over the independent equality rows A of a
-    constraint system, with H block-diagonal, one 6x6 block per triangle.
+class _RangeSpace:
+    """The range-space method (Nocedal-Wright 16.2) for the KKT matrices
+    [H A^T; A 0] of a constraint system, with H block-diagonal, one formed
+    6x6 block H_t per triangle.
 
     A block of H need only be definite on its triangle's gamma-sum plane,
-    so H is never factorized alone.  Formed blocks (Newton's Hessian, H = I
-    and the opening steps of the max-slack LP) go to the range-space method
-    (``_RangeSpace``), a row factor (the LP's barrier Hessian once z/w has
-    spread too far for it) to an LU of the whole matrix.  Systems of at
-    most ``DENSE_KKT_MAX`` unknowns solve with either matrix by
-    ``np.linalg.solve``, which keeps no factor, larger ones factorize it
-    once with ``splu``.
-    """
-
-    def __init__(self, cs: ConstraintSystem):
-        n = cs.dimension
-        self.size = n + cs.rank
-        self.block_shape = (n // 6, 6, 6)
-        self.dense = self.size <= DENSE_KKT_MAX
-        first = np.arange(0, n, 6)[:, None, None]
-        h_rows = np.broadcast_to(first + np.arange(6)[:, None], self.block_shape)
-        h_cols = np.broadcast_to(first + np.arange(6), self.block_shape)
-        a = cs.a_eq[cs.independent_eq]
-        self.rows = np.concatenate([h_rows.ravel(), n + a.rows, a.indices])
-        self.cols = np.concatenate([h_cols.ravel(), a.indices, n + a.rows])
-        self.a_vals = np.concatenate([a.data, a.data])
-        # the entries of [r; e] that the LU reads: r and e's independent rows
-        self.lu_rhs = np.flatnonzero(np.concatenate([np.ones(n, dtype=bool), cs.independent_eq]))
-        self.range_space = _RangeSpace(cs)
-
-    @cached_property
-    def identity_solve(self):
-        """``solver`` with H = I, built on first use and kept (numpy
-        factorizes S again on each call, ``splu`` once): the min-norm start
-        of the max-slack LP and, on a gradient, its orthogonal projection
-        onto the null space of A."""
-        return self.solver(np.broadcast_to(np.eye(6), self.block_shape))
-
-    def solver(self, blocks):
-        """Factorize with H = ``blocks``, (T, 6, 6) diagonal blocks or a
-        ``_RowFactor``; returns rhs -> the solution of [H A^T; A 0] [d; lam]
-        = [r; e] for ``rhs`` = r (e = 0), giving d, or r followed by the
-        right-hand side of every equality row.  The LU (a row factor) reads
-        e on the independent rows and gives [d; lam], lam over those rows;
-        the range-space path (formed blocks) reads every row it enforces and
-        gives d alone.  They agree on consistent e, as every caller's is.
-        ``rhs`` may hold several columns.  Raises ``numpy.linalg.LinAlgError``
-        or ``RuntimeError`` if the matrix is singular."""
-        if not isinstance(blocks, _RowFactor):
-            return self.range_space.solver(blocks, self.dense)
-        f = blocks.rows
-        vals = np.concatenate([np.einsum("tri,trj->tij", f, f).ravel(), self.a_vals])
-        size = self.size
-        if self.dense:
-            solve = partial(np.linalg.solve, np.bincount(
-                self.rows * size + self.cols, vals, size * size).reshape(size, size))
-        else:
-            # minimum-degree ordering of A^T A: about half the fill of the
-            # default COLAMD ordering on lattice disks of 512 to 2048 triangles
-            solve = _sparse_solver((vals, (self.rows, self.cols)), size, "MMD_ATA")
-
-        def run(rhs):
-            rhs = rhs[self.lu_rhs[:len(rhs)]]
-            full = np.zeros((size,) + rhs.shape[1:])
-            full[:len(rhs)] = rhs
-            return solve(full)[:len(rhs)]
-
-        return run
-
-
-class _RangeSpace:
-    """The range-space method (Nocedal-Wright 16.2) for the KKT system of
-    formed blocks H_t, each definite on its triangle's gamma-sum plane.
-
-    Each triangle enforces its own gamma-sum row: x_t = x0_t + P y_t, with
-    P = ``_PLANE`` and the gammas of x0_t a third of the row's right-hand
-    side, so the triangle contributes M_t = P K_t^-1 P^T, K_t = P^T H_t P.
-    The other rows C, the edge rows and all vertex rows but one per gluing
-    component, get their multipliers mu from the definite matrix
-    S = C M C^T, and x = x0 + M (s - C^T mu), s = r - H x0.
+    so H is never factorized alone.  Each triangle enforces its own
+    gamma-sum row: x_t = x0_t + P y_t, with P = ``_PLANE`` and the gammas of
+    x0_t a third of the row's right-hand side, so the triangle contributes
+    M_t = P K_t^-1 P^T, K_t = P^T H_t P.  The other rows C, the edge rows and
+    all vertex rows but one per gluing component, get their multipliers mu
+    from the definite matrix S = C M C^T, and x = x0 + M (s - C^T mu),
+    s = r - H x0.  Systems of at most ``DENSE_KKT_MAX`` unknowns (angles
+    plus independent equality rows) factorize S by ``np.linalg.solve``,
+    which keeps no factor, larger ones once with ``splu``.
 
     The right-hand side of every triangle row and every row of C is read
     from its own entry of e, so a triangle's gamma sum holds to the rounding
@@ -424,6 +352,7 @@ class _RangeSpace:
         a = cs.a_eq
         n = a.shape[1]
         n_t = n // 6
+        self.dense = n + cs.rank <= DENSE_KKT_MAX
         starts = a.indptr[:-1]
         owner = a.indices // 6
         gamma = a.indices[starts] % 6 >= 3  # a row holds only alphas or only gammas
@@ -454,19 +383,34 @@ class _RangeSpace:
         self.indices = unique % len(c_rows)
         self.indptr = np.searchsorted(unique, np.arange(len(c_rows) + 1) * len(c_rows))
 
-    def solver(self, blocks, dense):
-        """``_KKT.solver`` for formed blocks, returning x alone; S is
-        factorized by numpy when ``dense``."""
+    @cached_property
+    def identity_solve(self):
+        """``solver`` with H = I, built on first use and kept (numpy
+        factorizes S again on each call, ``splu`` once): the min-norm start
+        of the max-slack LP and, on a gradient, its orthogonal projection
+        onto the null space of A."""
+        return self.solver(np.broadcast_to(np.eye(6), (len(self.triangle_rows), 6, 6)))
+
+    def solver(self, blocks):
+        """Factorize with H = ``blocks``, (T, 6, 6); returns rhs -> x, the
+        solution of [H A^T; A 0] [x; lam] = [r; e] for ``rhs`` = r (e = 0) or
+        r followed by the right-hand side of every equality row.  It reads e
+        on every row it enforces, ``_lu_solver`` on the independent rows
+        alone; the two agree on consistent e, as every caller's is.  ``rhs``
+        may hold several columns.  Raises ``numpy.linalg.LinAlgError`` or
+        ``RuntimeError`` if the matrix is singular."""
         m = _PLANE @ np.linalg.solve(_PLANE.T @ blocks @ _PLANE, _PLANE.T)
         size = len(self.c_rows)
         vals = m.reshape(-1)[self.entries]
-        if dense:
+        if self.dense:
             solve = partial(np.linalg.solve, np.bincount(self.flat, vals, size * size).reshape(size, size))
         else:
             # splu's partial pivoting is as fast here as its symmetric mode
             solve = _sparse_solver((np.bincount(self.slot, vals, len(self.indices)),
                                     self.indices, self.indptr), size, "MMD_AT_PLUS_A")
+        # locals, not self: the kept identity_solve must not hold self
         c, c_t, n_t = self.c, self.c.T, len(m)
+        triangle_rows, c_rows = self.triangle_rows, self.c_rows
 
         def blockwise(mats, v):
             return (mats @ v.reshape(n_t, 6, -1)).reshape(v.shape)
@@ -475,12 +419,39 @@ class _RangeSpace:
             r, e = rhs[:6 * n_t], rhs[6 * n_t:]
             x0, e_c = np.zeros(r.shape), 0.0
             if len(e):
-                x0.reshape(n_t, 6, -1)[:, 3:] = e[self.triangle_rows].reshape(n_t, 1, -1) / 3.0
-                e_c = e[self.c_rows]
+                x0.reshape(n_t, 6, -1)[:, 3:] = e[triangle_rows].reshape(n_t, 1, -1) / 3.0
+                e_c = e[c_rows]
             y = x0 + blockwise(m, r - blockwise(blocks, x0))
             return y - blockwise(m, c_t @ solve(c @ y - e_c))
 
         return run
+
+
+def _lu_solver(cs: ConstraintSystem, a, f):
+    """The LU of the whole KKT matrix [H A^T; A 0], H = F^T F block-diagonal
+    for the per-triangle row factor ``f`` of shape (T, r, 6) and A = ``a``
+    the independent equality rows of ``cs``: the max-slack LP's step once
+    z/w has spread too far for formed blocks.  Returns rhs -> [x; lam] for ``rhs`` = r
+    followed by the right-hand side of every equality row, of which the
+    independent rows are read; lam is over those rows.  ``rhs`` may hold
+    several columns.  Systems of at most ``DENSE_KKT_MAX`` unknowns solve by
+    ``np.linalg.solve``, larger ones factorize once with ``splu``.  Raises
+    ``numpy.linalg.LinAlgError`` or ``RuntimeError`` if the matrix is
+    singular."""
+    n = cs.dimension
+    size = n + cs.rank
+    h = np.arange(n)  # block t holds rows and columns 6t..6t+5
+    rows = np.concatenate([np.repeat(h, 6), n + a.rows, a.indices])
+    cols = np.concatenate([np.repeat(h.reshape(-1, 6), 6, axis=0).ravel(), a.indices, n + a.rows])
+    vals = np.concatenate([np.einsum("tri,trj->tij", f, f).ravel(), a.data, a.data])
+    if size <= DENSE_KKT_MAX:
+        solve = partial(np.linalg.solve, np.bincount(rows * size + cols, vals, size * size).reshape(size, size))
+    else:
+        # minimum-degree ordering of A^T A: about half the fill of the
+        # default COLAMD ordering on lattice disks of 512 to 2048 triangles
+        solve = _sparse_solver((vals, (rows, cols)), size, "MMD_ATA")
+    read = np.concatenate([np.ones(n, dtype=bool), cs.independent_eq])
+    return lambda rhs: solve(rhs[read])
 
 
 def _triangle_rows(g):
@@ -530,10 +501,11 @@ def _max_slack(cs: ConstraintSystem):
     moves dy, so y stays put.  From then on, and from the first range-space
     step that raises, is not finite or misses the equalities by more than
     ``EQ_TOL``, the Hessian goes over as its per-triangle row factor
-    diag(z/w)^(1/2) G to the LU of the whole KKT matrix, which also steps y:
-    as z/w spreads toward the optimum, the formed blocks lose accuracy.
+    diag(z/w)^(1/2) G to the LU of the whole KKT matrix (``_lu_solver``),
+    which also steps y: as z/w spreads toward the optimum, the formed blocks
+    lose accuracy.
     """
-    x = cs.kkt.identity_solve(np.concatenate([np.zeros(cs.dimension), cs.b_eq]))[:cs.dimension]
+    x = cs.kkt.identity_solve(np.concatenate([np.zeros(cs.dimension), cs.b_eq]))
     if np.max(np.abs(cs.a_eq @ x - cs.b_eq)) > EQ_TOL:
         yield None
         return
@@ -581,8 +553,7 @@ def _max_slack(cs: ConstraintSystem):
             dy = dxy[n:] if len(dxy) > n else 0.0
             return (dxy[:n], ds, dy, dw, (r_c - z * dw) / w), q
 
-        def predictor_corrector(blocks):
-            solve = cs.kkt.solver(blocks)
+        def predictor_corrector(solve):
             (_, _, _, dw, dz), q = direction(solve, -w * z)
             mu = gap / m
             step_p, step_d = _fraction_to_boundary(w, dw), _fraction_to_boundary(z, dz)
@@ -592,7 +563,7 @@ def _max_slack(cs: ConstraintSystem):
         step = None
         if ranged:
             try:
-                step = predictor_corrector(np.einsum("tri,trj->tij", f, f))
+                step = predictor_corrector(cs.kkt.solver(np.einsum("tri,trj->tij", f, f)))
                 # as z/w spreads, the range-space step loses the equalities first
                 if np.max(np.abs(cs.a_eq @ step[0] + r_p)) > EQ_TOL:
                     raise RuntimeError("inaccurate range-space direction")
@@ -600,7 +571,7 @@ def _max_slack(cs: ConstraintSystem):
                 step, ranged = None, False
         if step is None:
             try:
-                step = predictor_corrector(_RowFactor(f))
+                step = predictor_corrector(_lu_solver(cs, a, f))
             except (np.linalg.LinAlgError, RuntimeError) as exc:
                 if gap <= LP_RESCUE_GAP:
                     return

@@ -114,11 +114,11 @@ def _first_overlap(pts):
     order = np.argsort(lo[:, 0], kind="stable")
     after = np.arange(1, n + 1)  # sorted position where each box's run starts
     runs = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - after
-    k = np.repeat(np.arange(n), runs)
-    m = np.arange(len(k)) + np.repeat(after - np.cumsum(runs) + runs, runs)
-    i, j = np.sort([order[k], order[m]], axis=0)
-    boxes_meet = (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1])
-    i, j = np.divmod(np.sort(i[boxes_meet] * n + j[boxes_meet]), n)
+    p = order[np.repeat(np.arange(n), runs)]
+    q = order[np.arange(len(p)) + np.repeat(after - np.cumsum(runs) + runs, runs)]
+    boxes_meet = (lo[p, 1] <= hi[q, 1]) & (lo[q, 1] <= hi[p, 1])
+    p, q = p[boxes_meet], q[boxes_meet]
+    i, j = np.divmod(np.sort(np.minimum(p, q) * n + np.maximum(p, q)), n)
     hits = np.flatnonzero(_interiors_overlap(pts[i], pts[j], eps))
     return (int(i[hits[0]]), int(j[hits[0]])) if hits.size else None
 

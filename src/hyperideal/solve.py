@@ -4,7 +4,8 @@ The objective F is the sum of per-triangle truncated volumes; it is smooth
 and strictly concave on the open polytope, with a +infinity inward derivative
 at the mildly degenerate parts of the boundary, so the maximizer is interior
 and unique.  Newton's method on the affine space of the equality constraints
-(each step one solve of the KKT system of the Hessian, see ``coherent._KKT``)
+(each step one solve of the KKT system of the Hessian, see
+``coherent._RangeSpace``)
 with an Armijo backtracking line search reaches it quadratically; steps are
 capped so every strict inequality keeps at least 1% of its current slack,
 which keeps all Lobachevsky arguments away from their singularities.
@@ -88,12 +89,12 @@ def _max_step(cs, x, d):
 
 def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
              tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
-             cs: ConstraintSystem = None, callback=None):
+             cs: ConstraintSystem = None):
     """Maximize F from a strictly coherent start; returns (x*, SolveReport).
 
     Newton with Armijo backtracking on the affine space of the equality
     constraints: each step solves the KKT system of the Hessian and the
-    independent equality rows by the range-space method (``coherent._KKT``).
+    equality rows by the range-space method (``coherent._RangeSpace``).
     A projected-gradient step replaces it when the factorization fails,
     gives a non-finite direction, or gives no ascent.  Stationarity is the
     sup norm of the gradient projected orthogonally onto the tangent space
@@ -101,8 +102,7 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
     increase is at most ``NEWTON_TRUST_ULPS`` float spacings of F.  A point
     that passes the gradient test still takes such a full Newton step if it
     has one: the test bounds the distance to the maximizer only by tol over
-    the smallest curvature.  ``callback(iteration, x, f)`` is invoked after
-    every accepted step.
+    the smallest curvature.
     """
     if cs is None:
         cs = build_constraints(tri, data)
@@ -178,8 +178,6 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
             return report(LINE_SEARCH_FAILED, it, pgn)
         x = cand
         fx = f_cand
-        if callback is not None:
-            callback(it, AngleSystem(x.copy()), fx)
         if trusted and step == 1.0:
             # the Newton decrement g.d, which is affine-invariant, puts F
             # within rounding of its maximum; the projected gradient itself

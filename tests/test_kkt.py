@@ -63,15 +63,15 @@ def _kkt_parts(name):
     tri, data = bundled_instance(name)
     cs = build_constraints(tri, data)
     x = find_coherent(cs)
-    return cs, solve_mod._hess_blocks(x), coherent_mod._KKT(cs).identity_solve(objective_grad(x))
+    return cs, solve_mod._hess_blocks(x), coherent_mod._RangeSpace(cs).identity_solve(objective_grad(x))
 
 
 def test_dense_and_sparse_newton_directions_agree(monkeypatch):
     cs, blocks, pg = _kkt_parts("fan3.json")
     monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", 10**9)
-    dense = coherent_mod._KKT(cs)
+    dense = coherent_mod._RangeSpace(cs)
     monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", 0)
-    sparse = coherent_mod._KKT(cs)
+    sparse = coherent_mod._RangeSpace(cs)
     assert dense.dense and not sparse.dense
     d_dense = dense.solver(blocks)(-pg)
     d_sparse = sparse.solver(blocks)(-pg)
@@ -86,16 +86,22 @@ def _torus50():
 
 
 def _lp_solves(monkeypatch, cs):
-    """Runs find_max_slack on cs and returns the blocks of every KKT
-    factorization that the max-slack LP asked for, in order."""
+    """Runs find_max_slack on cs and returns every KKT factorization that
+    the max-slack LP asked for, in order, as (is_lu, matrix) pairs: the
+    formed blocks of a range-space step or the row factor of an LU step."""
     calls = []
-    real = coherent_mod._KKT.solver
+    real, real_lu = coherent_mod._RangeSpace.solver, coherent_mod._lu_solver
 
     def solver(self, blocks):
-        calls.append(blocks)
+        calls.append((False, blocks))
         return real(self, blocks)
 
-    monkeypatch.setattr(coherent_mod._KKT, "solver", solver)
+    def lu_solver(cs, a, f):
+        calls.append((True, f))
+        return real_lu(cs, a, f)
+
+    monkeypatch.setattr(coherent_mod._RangeSpace, "solver", solver)
+    monkeypatch.setattr(coherent_mod, "_lu_solver", lu_solver)
     find_max_slack(cs)
     monkeypatch.undo()
     return calls
@@ -107,29 +113,38 @@ def _lu_row_factors(monkeypatch, cs):
     so that each step takes the LU of the whole KKT matrix."""
     real = coherent_mod._RangeSpace.solver
 
-    def solver(self, blocks, dense):
+    def solver(self, blocks):
         if not np.array_equal(blocks, np.broadcast_to(np.eye(6), blocks.shape)):
             raise np.linalg.LinAlgError("range-space step turned off")
-        return real(self, blocks, dense)
+        return real(self, blocks)
 
     monkeypatch.setattr(coherent_mod._RangeSpace, "solver", solver)
-    return [b.rows for b in _lp_solves(monkeypatch, cs) if isinstance(b, coherent_mod._RowFactor)]
+    return [f for is_lu, f in _lp_solves(monkeypatch, cs) if is_lu]
 
 
 def test_dense_and_sparse_lp_steps_agree(monkeypatch, rng):
     # the LP's own row factor D^(1/2) G at its third step on the LU, where D
     # spreads over about seven orders of magnitude
     cs = _torus50()
-    f = coherent_mod._RowFactor(_lu_row_factors(monkeypatch, cs)[2])
-    assert f.rows.shape == (50, 9, 6)
+    f = _lu_row_factors(monkeypatch, cs)[2]
+    assert f.shape == (50, 9, 6)
+    sparse_calls = []
+    real = coherent_mod._sparse_solver
+
+    def sparse_solver(*args):
+        sparse_calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(coherent_mod, "_sparse_solver", sparse_solver)
     monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", 10**9)
-    dense = coherent_mod._KKT(cs)
+    dense = coherent_mod._lu_solver(cs, cs.a_eq[cs.independent_eq], f)
+    assert len(sparse_calls) == 0
     monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", 0)
-    sparse = coherent_mod._KKT(cs)
-    assert dense.dense and not sparse.dense
+    sparse = coherent_mod._lu_solver(cs, cs.a_eq[cs.independent_eq], f)
+    assert len(sparse_calls) == 1
     rhs = rng.standard_normal((cs.dimension + len(cs.b_eq), 2))
-    expected = kkt_solve_reference(cs, np.einsum("tri,trj->tij", f.rows, f.rows), rhs)
-    for found in (dense.solver(f)(rhs), sparse.solver(f)(rhs)):
+    expected = kkt_solve_reference(cs, np.einsum("tri,trj->tij", f, f), rhs)
+    for found in (dense(rhs), sparse(rhs)):
         assert np.linalg.norm(found - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
@@ -143,7 +158,7 @@ def test_projection_is_orthogonal(monkeypatch):
     expected = basis @ (basis.T @ g)
     for limit in (10**9, 0):
         monkeypatch.setattr(coherent_mod, "DENSE_KKT_MAX", limit)
-        assert np.max(np.abs(coherent_mod._KKT(cs).identity_solve(g) - expected)) <= 1e-13
+        assert np.max(np.abs(coherent_mod._RangeSpace(cs).identity_solve(g) - expected)) <= 1e-13
 
 
 def test_lattice_disk_through_sparse_branch():
@@ -170,21 +185,27 @@ def test_lattice_disk_through_sparse_branch():
 def test_one_identity_factorization_per_solve(monkeypatch):
     tri, dm = lattice_disk(np.random.default_rng(2024), 8)
     data, probed = probe(tri, dm)
-    real = coherent_mod._KKT.solver
-    identity = []
+    real, real_lu = coherent_mod._RangeSpace.solver, coherent_mod._lu_solver
+    identity, lu = [], []
 
     def solver(self, blocks):
         assert not self.dense
-        identity.append(not isinstance(blocks, coherent_mod._RowFactor)
-                        and np.array_equal(blocks, np.broadcast_to(np.eye(6), np.shape(blocks))))
+        identity.append(np.array_equal(blocks, np.broadcast_to(np.eye(6), np.shape(blocks))))
         return real(self, blocks)
 
-    monkeypatch.setattr(coherent_mod._KKT, "solver", solver)
+    def lu_solver(cs, f):
+        lu.append(1)
+        return real_lu(cs, f)
+
+    monkeypatch.setattr(coherent_mod._RangeSpace, "solver", solver)
+    monkeypatch.setattr(coherent_mod, "_lu_solver", lu_solver)
     x, rep = solve_problem(tri, data)
     assert rep.status == CONVERGED
     assert np.max(np.abs(x.values - probed.values)) <= 1e-7
     # the min-norm start of the max-slack LP and Newton's projector share it
     assert sum(identity) == 1 and len(identity) > 1
+    # a feasible solve never builds the LU of the whole KKT matrix
+    assert len(lu) == 0
 
 
 def test_kkt_is_freed_with_its_system(monkeypatch):
@@ -275,7 +296,7 @@ def _range_space_case(case):
 def test_range_space_step_matches_the_kkt(case, rng):
     cs, x = _range_space_case(case)
     kkt = cs.kkt
-    assert kkt.size > coherent_mod.DENSE_KKT_MAX and not kkt.dense
+    assert cs.dimension + cs.rank > coherent_mod.DENSE_KKT_MAX and not kkt.dense
     n = cs.dimension
     blocks = solve_mod._hess_blocks(x)
     identity = np.broadcast_to(np.eye(6), blocks.shape)
@@ -301,7 +322,7 @@ def test_range_space_leaves_one_vertex_row_per_component():
     # each triangle enforces itself: keeping them all in C makes S = C M C^T
     # singular by one per component
     cs, x = _two_disks()
-    space = cs.kkt.range_space
+    space = cs.kkt
     n_t = cs.dimension // 6
     left = np.setdiff1d(np.arange(len(cs.b_eq)), np.union1d(space.c_rows, space.triangle_rows))
     assert len(left) == 2
@@ -351,15 +372,15 @@ def test_lp_row_factor_reaches_the_kkt_lu(monkeypatch, rng):
     tri, dm = GEN.lattice_torus(np.random.default_rng(6), 7)
     cs = build_constraints(tri, probe(tri, dm)[0])
     calls = _lp_solves(monkeypatch, cs)
-    lu = [isinstance(blocks, coherent_mod._RowFactor) for blocks in calls]
+    lu = [is_lu for is_lu, _ in calls]
     # the min-norm start and the LP's opening steps took the range-space
     # path, every later step the LU
-    assert np.array_equal(calls[0], np.broadcast_to(np.eye(6), (98, 6, 6)))
+    assert np.array_equal(calls[0][1], np.broadcast_to(np.eye(6), (98, 6, 6)))
     assert 1 < lu.index(True) and all(lu[lu.index(True):])
     assert sum(lu) > 2
     f = _lu_row_factors(monkeypatch, cs)[2]
     rhs = rng.standard_normal((cs.dimension + len(cs.b_eq), 2))
-    found = cs.kkt.solver(coherent_mod._RowFactor(f))(rhs)
+    found = coherent_mod._lu_solver(cs, cs.a_eq[cs.independent_eq], f)(rhs)
     expected = kkt_solve_reference(cs, np.einsum("tri,trj->tij", f, f), rhs)
     assert found.shape == expected.shape  # the multipliers too
     assert np.linalg.norm(found - expected) <= 1e-10 * np.linalg.norm(expected)

@@ -89,13 +89,18 @@ def test_xi_moved_between_interior_vertices_is_infeasible_at_scale(monkeypatch, 
     xi[second] += moved
     data = AngleData(theta=data.theta, xi=xi)
     lu = []
-    real = coherent_mod._KKT.solver
+    real, real_lu = coherent_mod._RangeSpace.solver, coherent_mod._lu_solver
 
     def solver(self, blocks):
-        lu.append(isinstance(blocks, coherent_mod._RowFactor))
+        lu.append(False)
         return real(self, blocks)
 
-    monkeypatch.setattr(coherent_mod._KKT, "solver", solver)
+    def lu_solver(cs, a, f):
+        lu.append(True)
+        return real_lu(cs, a, f)
+
+    monkeypatch.setattr(coherent_mod._RangeSpace, "solver", solver)
+    monkeypatch.setattr(coherent_mod, "_lu_solver", lu_solver)
     x, report = solve_problem(tri, data)
     assert x is None and report.status == INFEASIBLE
     # the min-norm start and the first LP step on the range-space path
@@ -125,17 +130,20 @@ def test_max_slack_endgame_needs_no_rescue(monkeypatch, lengths, radius, s_star)
 
 
 def _fail_factorizations_after(monkeypatch, calls):
-    """Every KKT factorization after the first ``calls`` raises."""
-    real = coherent_mod._KKT.solver
+    """Every KKT factorization after the first ``calls`` raises, on the
+    range-space path and the LU alike."""
+    real, real_lu = coherent_mod._RangeSpace.solver, coherent_mod._lu_solver
     count = []
 
-    def solver(self, blocks):
+    def counted(factorize):
         count.append(1)
         if len(count) > calls:
             raise np.linalg.LinAlgError("singular matrix")
-        return real(self, blocks)
+        return factorize()
 
-    monkeypatch.setattr(coherent_mod._KKT, "solver", solver)
+    monkeypatch.setattr(coherent_mod._RangeSpace, "solver",
+                        lambda self, blocks: counted(lambda: real(self, blocks)))
+    monkeypatch.setattr(coherent_mod, "_lu_solver", lambda cs, a, f: counted(lambda: real_lu(cs, a, f)))
 
 
 def test_interior_point_failure_is_a_convergence_error(monkeypatch, tmp_path):

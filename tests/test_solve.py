@@ -16,6 +16,7 @@ from hyperideal.errors import NotCoherentError
 from hyperideal.pattern import probe
 from hyperideal.solve import (
     CONVERGED,
+    DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     INFEASIBLE,
     maximize,
@@ -189,12 +190,15 @@ def test_iterates_monotone_and_strictly_interior(rng):
     cs = build_constraints(tri, data)
     x0 = sample_coherent(cs, rng, n=1)[0]
     seen = []
-
-    def watch(it, xk, fk):
-        slack = float(np.min(cs.h_ineq - cs.g_ineq @ xk.values))
-        seen.append((fk, slack))
-
-    maximize(tri, data, x0, cs=cs, callback=watch)
+    # iterate k is where a budget of k iterations stops; a run that stops
+    # short of k took no k-th step, so it adds no iterate
+    for k in range(1, DEFAULT_MAX_ITERS + 1):
+        xk, rep = maximize(tri, data, x0, cs=cs, max_iters=k)
+        if rep.iterations < k:
+            break
+        seen.append((rep.objective, float(np.min(cs.h_ineq - cs.g_ineq @ xk.values))))
+        if rep.status == CONVERGED:
+            break
     assert seen, "solver took no steps"
     values = [f for f, _ in seen]
     assert all(b >= a - 1e-13 for a, b in zip(values, values[1:]))
