@@ -495,15 +495,18 @@ def _max_slack(cs: ConstraintSystem):
     multipliers z (sum z = 1).  The barrier Hessian G^T diag(z/w) G has the
     block pattern of the Hessian of F, so each step factorizes the same KKT
     matrix as a Newton step of ``maximize``, with the scalar s eliminated by
-    one more solve.  Until x is strictly coherent the formed blocks go to
-    the range-space method, which gives no multipliers: the step in x, s, w
-    and z does not depend on y, whose term A^T y in the right-hand side only
+    one more solve.  The first step, and every later one until an iterate
+    after the start is strictly coherent, hands the formed blocks to the
+    range-space method, which gives no multipliers: the step in x, s, w and
+    z does not depend on y, whose term A^T y in the right-hand side only
     moves dy, so y stays put.  From then on, and from the first range-space
     step that raises, is not finite or misses the equalities by more than
     ``EQ_TOL``, the Hessian goes over as its per-triangle row factor
     diag(z/w)^(1/2) G to the LU of the whole KKT matrix (``_lu_solver``),
     which also steps y: as z/w spreads toward the optimum, the formed blocks
-    lose accuracy.
+    lose accuracy.  So ``find_coherent``, which stops at the first strictly
+    coherent iterate after one step, builds that LU only when a range-space
+    step fails, and ``find_max_slack`` ends on it.
     """
     x = cs.kkt.identity_solve(np.concatenate([np.zeros(cs.dimension), cs.b_eq]))
     if np.max(np.abs(cs.a_eq @ x - cs.b_eq)) > EQ_TOL:
@@ -521,7 +524,7 @@ def _max_slack(cs: ConstraintSystem):
     z = (1.0 / w) / np.sum(1.0 / w)  # every w_i z_i equal: a centered start
     y = np.zeros(cs.rank)
     ranged = True
-    for _ in range(LP_MAX_ITERS):
+    for k in range(LP_MAX_ITERS):
         r_p = cs.a_eq @ x - cs.b_eq
         r_w = g @ x + s + w - h
         r_d = a.T @ y + g.T @ z
@@ -530,7 +533,7 @@ def _max_slack(cs: ConstraintSystem):
         residual = max(np.max(np.abs(r_p)), np.max(np.abs(r_w)), np.max(np.abs(r_d)), abs(r_s))
         if gap <= LP_GAP_TOL and residual <= LP_RESIDUAL_TOL:
             return
-        ranged = ranged and not _strictly_coherent(cs, x)
+        ranged = ranged and not (k and _strictly_coherent(cs, x))
         d = z / w
         u = g.T @ d
         f = np.sqrt(d)[rows][..., None] * local

@@ -50,6 +50,10 @@ ARG_COEF = np.array(
 )
 ARG_CONST = np.array([0.0] * 3 + [0.5 * np.pi] * 12)
 
+# row k: the outer product of row k of ARG_COEF with itself, flattened, so
+# that the Hessian sum_k w_k ARG_COEF[k]^T ARG_COEF[k] is one product w @ _HESS_TABLE
+_HESS_TABLE = np.einsum("ki,kj->kij", ARG_COEF, ARG_COEF).reshape(15, 36)
+
 # args-row indices of the five ideal triples of the decomposition 2V = sum V0
 FIVE_TRIPLES = ((3, 4, 5), (6, 7, 8), (0, 9, 12), (1, 10, 13), (2, 11, 14))
 
@@ -141,7 +145,10 @@ def tet_volume_hess(alpha, gamma):
     if np.min(args) <= 0.0 or np.max(args) >= np.pi:
         raise SingularityError("tet_volume_hess: angles not strictly inside Delta")
     w = 0.5 * lob_second(args)
-    return np.einsum("...k,ki,kj->...ij", w, ARG_COEF, ARG_COEF)
+    # one matrix product with a zero row below: numpy would send a lone row
+    # to gemv, whose sums run in another order than a matrix product's
+    rows = np.concatenate([w.reshape(-1, 15), np.zeros((1, 15))])
+    return (rows @ _HESS_TABLE)[:-1].reshape(w.shape[:-1] + (6, 6))
 
 
 INTERIOR = "interior"

@@ -10,7 +10,6 @@ forms carry the face circle and the vertex circles and are exportable as SVG
 and JSON.
 """
 
-import io
 import json
 import logging
 import math
@@ -81,6 +80,13 @@ def _check_fits(tri, cl):
         )
 
 
+def _overlap_tol(pts):
+    """The distance below which two triangles of ``pts`` (T, 3, 2) that
+    cross each other do not overlap: 1e-9 of the largest coordinate, at
+    least 1e-9."""
+    return 1e-9 * max(1.0, float(np.max(np.abs(pts))))
+
+
 def _interiors_overlap(p, q, eps):
     """Strict interior overlap of triangle pairs via separating axes.
 
@@ -99,28 +105,95 @@ def _interiors_overlap(p, q, eps):
     return ~separated
 
 
-def _first_overlap(pts):
-    """The first pair (t, t2), t < t2 in lexicographic order, of the
-    triangles ``pts`` (T, 3, 2) whose interiors overlap, or None.
-
-    Only pairs whose bounding boxes meet are tested, found by one
-    sort-and-sweep: with the boxes sorted by lower x, box k meets in x
-    exactly the run of later boxes whose lower x is at most its upper x,
-    and of those pairs the ones whose boxes also meet in y are kept.
-    """
-    n = len(pts)
-    eps = 1e-9 * max(1.0, float(np.max(np.abs(pts))))
-    lo, hi = pts.min(axis=1), pts.max(axis=1)
+def _meeting_boxes(lo, hi):
+    """Every pair (p, q) of the boxes [lo, hi] (n, 2) that meet, each once,
+    as two index arrays, found by one sort-and-sweep: with the boxes sorted
+    by lower x, box k meets in x exactly the run of later boxes whose lower
+    x is at most its upper x, and of those pairs the ones whose boxes also
+    meet in y are kept."""
+    n = len(lo)
     order = np.argsort(lo[:, 0], kind="stable")
     after = np.arange(1, n + 1)  # sorted position where each box's run starts
     runs = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - after
     p = order[np.repeat(np.arange(n), runs)]
     q = order[np.arange(len(p)) + np.repeat(after - np.cumsum(runs) + runs, runs)]
-    boxes_meet = (lo[p, 1] <= hi[q, 1]) & (lo[q, 1] <= hi[p, 1])
-    p, q = p[boxes_meet], q[boxes_meet]
+    meet = (lo[p, 1] <= hi[q, 1]) & (lo[q, 1] <= hi[p, 1])
+    return p[meet], q[meet]
+
+
+def _first_overlap(pts):
+    """The first pair (t, t2), t < t2 in lexicographic order, of the
+    triangles ``pts`` (T, 3, 2) whose interiors overlap, or None.  Only
+    pairs whose bounding boxes meet are tested."""
+    n = len(pts)
+    p, q = _meeting_boxes(pts.min(axis=1), pts.max(axis=1))
     i, j = np.divmod(np.sort(np.minimum(p, q) * n + np.maximum(p, q)), n)
-    hits = np.flatnonzero(_interiors_overlap(pts[i], pts[j], eps))
+    hits = np.flatnonzero(_interiors_overlap(pts[i], pts[j], _overlap_tol(pts)))
     return (int(i[hits[0]]), int(j[hits[0]])) if hits.size else None
+
+
+def _segments_apart(a, b, eps):
+    """Whether the segments ``a`` and ``b`` (k, 2, 2) are more than ``eps``
+    apart along one of their unit directions or unit normals (k booleans)."""
+    d = np.concatenate([a[:, 1] - a[:, 0], b[:, 1] - b[:, 0]], axis=1).reshape(-1, 2, 2)
+    d /= np.hypot(d[..., 0], d[..., 1])[..., None]
+    axes = np.concatenate([d, np.stack([-d[..., 1], d[..., 0]], axis=-1)], axis=1)
+    pa, pb = np.einsum("kci,kxi->kxc", a, axes), np.einsum("kci,kxi->kxc", b, axes)
+    apart = (pa.max(axis=2) + eps < pb.min(axis=2)) | (pb.max(axis=2) + eps < pa.min(axis=2))
+    return apart.any(axis=1)
+
+
+def _embedded(tri, pts):
+    """True only if ``tri`` is a disk and ``_first_overlap(pts)`` is None
+    for its development ``pts`` (T, 3, 2); False decides nothing.
+
+    The certificate reads the welded drawing W, in which every corner sits
+    at the first corner of its vertex class, so W is a continuous
+    piecewise-linear map of the disk.  Such a map, orientation preserving
+    on every triangle and with a simple boundary curve, is injective (the
+    degree argument), so no two triangles of W overlap.  With eps the
+    sweep's tolerance, the checks are:
+
+    * every triangle of W is counterclockwise, with every height above eps;
+    * every boundary vertex's angle sum in W is below 2 pi - 1e-9, so the
+      two boundary segments at a vertex meet only there;
+    * the boundary has at least three segments, none of whose ends are one
+      class, and any two segments without a common class are more than eps
+      apart (only the pairs whose boxes, grown by eps, meet are tested);
+    * every corner of ``pts`` lies within mu <= 0.45 eps of its place in W.
+
+    ``_interiors_overlap`` reports a pair whose least projection overlap on
+    the edge normals exceeds eps.  For two triangles that is their
+    penetration depth, the shortest move that separates them, and moving
+    every corner by at most mu changes it by at most 2 mu.  So no pair of
+    ``pts`` overlaps by more than 0.9 eps; the rest of eps covers the
+    rounding of the test's projections.
+    """
+    if not tri.is_disk():
+        return False
+    eps = _overlap_tol(pts)
+    flat = pts.reshape(-1, 2)
+    welded = flat[np.unique(tri.corner_class, return_index=True)[1]][tri.corner_class]
+    if np.max(np.hypot(*(flat - welded.reshape(-1, 2)).T)) > 0.45 * eps:
+        return False
+    edge = np.roll(welded, -1, axis=1) - welded
+    longest = np.hypot(edge[..., 0], edge[..., 1]).max(axis=1)
+    twice_area = edge[:, 0, 0] * edge[:, 1, 1] - edge[:, 0, 1] * edge[:, 1, 0]
+    if not np.all(twice_area > eps * longest):
+        return False
+    sums = _vertex_sums(tri, _corner_angles(welded))
+    if np.any(sums[tri.boundary_vertex] >= 2.0 * math.pi - 1e-9):
+        return False
+    t, s = tri.edge_sides[len(tri.gluings):, 0].T
+    ends = np.stack([s, (s + 1) % 3], axis=1)
+    cls = tri.corner_class[t[:, None], ends]
+    if len(t) < 3 or np.any(cls[:, 0] == cls[:, 1]):
+        return False
+    seg = welded[t[:, None], ends]
+    p, q = _meeting_boxes(seg.min(axis=1) - eps, seg.max(axis=1) + eps)
+    apart = (cls[p, :, None] != cls[q, None, :]).all(axis=(1, 2))
+    p, q = p[apart], q[apart]
+    return bool(np.all(_segments_apart(seg[p], seg[q], eps)))
 
 
 def _chart_positions(tri, dm):
@@ -149,34 +222,49 @@ def _transitions(tri, positions):
     return rot, pa - (rot @ qa[:, :, None])[:, :, 0]
 
 
-def _across(rot, shift, rotation, translation, near_is_target):
-    """The isometry (rot, shift) of the chart on the near side of an edge,
-    extended to the chart on the far side: composed with the edge's
-    transition when the near chart is its target, else with its inverse."""
-    if not near_is_target:
-        rotation, translation = rotation.T, -rotation.T @ translation
-    return rot @ rotation, rot @ translation + shift
-
-
 def _develop(tri, positions, rot, trans):
     """The charts of a flat disk moved into one plane: triangle 0, the root
     of the spanning forest, keeps its chart, and each other chart is moved
-    by the transitions composed along the forest, parents first."""
-    moves = [None] * tri.triangle_count
-    moves[0] = (np.eye(2), np.zeros(2))
-    # side 3t + s of every edge's target, the first side of its gluing
-    target = (3 * tri.edge_sides[:, 0, 0] + tri.edge_sides[:, 0, 1]).tolist()
-    side_edge, parent = tri.side_edge.ravel().tolist(), tri.parent_corner.tolist()
-    for t in tri.forest_order[1:].tolist():
-        x = parent[t]
-        e = side_edge[x]
-        moves[t] = _across(*moves[x // 3], rot[e], trans[e], target[e] == x)
-    rotation, translation = map(np.array, zip(*moves))
+    by the transitions composed along the forest, parents first.
+
+    The forest is breadth-first, so each depth is a run of ``forest_order``
+    whose parents all lie in the run before it; one depth is composed at a
+    time.  A triangle's move is its parent's (R, S) followed by the
+    transition across the parent's side, inverted where the parent is the
+    edge's source: (R @ rotation, R @ translation + S).
+    """
+    n = tri.triangle_count
+    order = tri.forest_order
+    rank = np.empty(n, dtype=int)
+    rank[order] = np.arange(n)
+    x = tri.parent_corner[order[1:]]
+    up = rank[x // 3]  # each non-root triangle's parent, by rank
+    e = tri.side_edge.ravel()[x]
+    step_rot, step_shift = rot[e], trans[e][..., None]
+    # the edge's target is the first side of its gluing
+    inverse = 3 * tri.edge_sides[e, 0, 0] + tri.edge_sides[e, 0, 1] != x
+    back = np.swapaxes(step_rot[inverse], 1, 2)
+    step_rot[inverse], step_shift[inverse] = back, -back @ step_shift[inverse]
+    rotation, translation = np.empty((n, 2, 2)), np.empty((n, 2, 1))
+    rotation[0], translation[0] = np.eye(2), 0.0
+    start, end = 0, 1  # ranks of the current depth
+    while end < n:
+        start, end = end, 1 + int(np.searchsorted(up, end))
+        k = slice(start - 1, end - 1)  # the depth's rows of the per-step arrays
+        r = rotation[up[k]]
+        rotation[start:end] = r @ step_rot[k]
+        translation[start:end] = r @ step_shift[k] + translation[up[k]]
+    rotation, translation = rotation[rank], translation[rank, :, 0]
     return positions @ np.swapaxes(rotation, 1, 2) + translation[:, None, :]
 
 
 def lay_out(tri: GluedTriangulation, dm: DecoratedMetric) -> ChartLayout:
-    """Global development for flat disks, chart atlas otherwise."""
+    """Global development for flat disks, chart atlas otherwise.
+
+    A development that ``_embedded`` certifies has no overlapping pair; any
+    other is swept by ``_first_overlap``, and a pair it finds is logged as a
+    warning, with the drawing emitted as-is.
+    """
     dm.validate(tri)
     positions = _chart_positions(tri, dm)
     cone = _vertex_sums(tri, _corner_angles(positions))
@@ -187,7 +275,7 @@ def lay_out(tri: GluedTriangulation, dm: DecoratedMetric) -> ChartLayout:
         positions = _develop(tri, positions, rot, trans)
         # a non-convex instance can wrap over itself: the drawing is
         # emitted as-is, but a warning names the first offending pair
-        pair = _first_overlap(positions)
+        pair = None if _embedded(tri, positions) else _first_overlap(positions)
         if pair is not None:
             logger.warning(
                 "global development overlaps itself (triangles %d and %d); "
@@ -290,10 +378,6 @@ def layout_from_json(text: str) -> ChartLayout:
 # -- SVG export ----------------------------------------------------------------
 
 
-def _fmt(x):
-    return format(float(x), ".9g")
-
-
 def export_svg(tri: GluedTriangulation, cl: ChartLayout) -> str:
     """Well-formed SVG 1.1: one path per triangle, circle elements for vertex
     and face circles; atlas charts are arranged on a grid, labeled, with their
@@ -325,52 +409,48 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout) -> str:
     points = np.concatenate(
         [vertices, center[:, None], vertices.mean(axis=1)[:, None]], axis=1)
     q = (points + shift[:, None] - lo) * SCALE
-    xs, ys = (q[..., 0] + MARGIN).tolist(), (height - MARGIN - q[..., 1]).tolist()
-    vertex_r, face_r = (cl.vertex_radii * SCALE).tolist(), (radius * SCALE).tolist()
+    x, y = q[..., 0] + MARGIN, height - MARGIN - q[..., 1]
     drawn = np.full((n, 3), atlas)
     if not atlas:  # each vertex circle at the first corner of its class
         drawn.flat[np.unique(tri.corner_class, return_index=True)[1]] = True
-    drawn = drawn.tolist()
 
-    stroke = _fmt(STROKE_WIDTH)
+    # every number of the charts goes through one % pass: chart k's row
+    # holds k, the path, the three vertex circles, the face circle and the
+    # label with k, where a global drawing keeps neither k nor the label and
+    # only the vertex circles it draws; %d prints the float k as an integer
+    k = np.arange(n, dtype=float)
+    rows = np.concatenate([
+        k[:, None], np.stack([x[:, :3], y[:, :3]], axis=-1).reshape(n, 6),
+        np.stack([x[:, :3], y[:, :3], cl.vertex_radii * SCALE], axis=-1).reshape(n, 9),
+        np.stack([x[:, 3], y[:, 3], radius * SCALE, x[:, 4], y[:, 4], k], axis=-1)], axis=1)
+    keep = np.concatenate([np.full((n, 1), atlas), np.ones((n, 6), dtype=bool),
+                           np.repeat(drawn, 3, axis=1), np.ones((n, 3), dtype=bool),
+                           np.full((n, 3), atlas)], axis=1)
+    stroke = "%.9g" % STROKE_WIDTH
     indent = "    " if atlas else "  "
-    out = io.StringIO()
-    out.write(
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
-    )
-    for k in range(n):
-        x, y = xs[k], ys[k]
-        if atlas:
-            out.write(f'  <g class="chart" id="chart-{k}">\n')
-        out.write(
-            f'{indent}<path d="M {_fmt(x[0])} {_fmt(y[0])} L {_fmt(x[1])} {_fmt(y[1])} '
-            f'L {_fmt(x[2])} {_fmt(y[2])} Z" fill="none" stroke="{TRIANGLE_COLOR}" '
-            f'stroke-width="{stroke}"/>\n'
-        )
-        circles = [(c, vertex_r[k][c], VERTEX_CIRCLE_COLOR, "") for c in range(3) if drawn[k][c]]
-        circles.append((3, face_r[k], FACE_CIRCLE_COLOR, ' stroke-dasharray="4 3"'))
-        for c, r, color, dash in circles:
-            out.write(
-                f'{indent}<circle cx="{_fmt(x[c])}" cy="{_fmt(y[c])}" r="{_fmt(r)}" '
-                f'fill="none" stroke="{color}" stroke-width="{stroke}"{dash}/>\n'
-            )
-        if atlas:
-            out.write(
-                f'    <text x="{_fmt(x[4])}" y="{_fmt(y[4])}" font-size="12" '
-                f'text-anchor="middle">t{k}</text>\n'
-                "  </g>\n"
-            )
+    circle = (f'{indent}<circle cx="%.9g" cy="%.9g" r="%.9g" fill="none" '
+              f'stroke="{{}}" stroke-width="{stroke}"{{}}/>\n')
+    vertex_circle = circle.format(VERTEX_CIRCLE_COLOR, "")
+    face_circle = circle.format(FACE_CIRCLE_COLOR, ' stroke-dasharray="4 3"')
+    path = (f'{indent}<path d="M %.9g %.9g L %.9g %.9g L %.9g %.9g Z" fill="none" '
+            f'stroke="{TRIANGLE_COLOR}" stroke-width="{stroke}"/>\n')
+    head = '  <g class="chart" id="chart-%d">\n' if atlas else ""
+    tail = ('    <text x="%.9g" y="%.9g" font-size="12" text-anchor="middle">t%d</text>\n'
+            "  </g>\n") if atlas else ""
+    templates = [head + path + vertex_circle * c + face_circle + tail for c in range(4)]
+    charts = "".join([templates[c] for c in drawn.sum(axis=1).tolist()])
+
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             'width="%.9g" height="%.9g" viewBox="0 0 %.9g %.9g">\n' % (width, height, width, height),
+             charts % tuple(rows[keep].tolist())]
     if atlas:
-        target, source = cl.sides[:, 0, 0].tolist(), cl.sides[:, 1, 0].tolist()
-        cos, sin = cl.rotation[:, 0, 0].tolist(), cl.rotation[:, 1, 0].tolist()
-        for e in range(len(target)):
-            deg = math.degrees(math.atan2(sin[e], cos[e]))
-            out.write(
-                f'  <text x="{_fmt(MARGIN)}" y="{_fmt(14 * (e + 1))}" font-size="11">'
-                f"edge {e}: chart {source[e]} &#8594; chart {target[e]}, "
-                f"rot {_fmt(deg)}&#176;</text>\n"
-            )
-    out.write("</svg>\n")
-    return out.getvalue()
+        e = np.arange(len(cl.sides), dtype=float)
+        deg = [math.degrees(math.atan2(sin, cos))
+               for sin, cos in zip(cl.rotation[:, 1, 0].tolist(), cl.rotation[:, 0, 0].tolist())]
+        labels = np.stack([np.full_like(e, MARGIN), 14.0 * (e + 1), e, cl.sides[:, 1, 0],
+                           cl.sides[:, 0, 0], deg], axis=-1)
+        label = ('  <text x="%.9g" y="%.9g" font-size="11">'
+                 "edge %d: chart %d &#8594; chart %d, rot %.9g&#176;</text>\n")
+        parts.append(label * len(e) % tuple(labels.ravel().tolist()))
+    parts.append("</svg>\n")
+    return "".join(parts)

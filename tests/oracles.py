@@ -38,9 +38,7 @@ from hyperideal.layout import (
     STROKE_WIDTH,
     TRIANGLE_COLOR,
     VERTEX_CIRCLE_COLOR,
-    _across,
     _check_fits,
-    _fmt,
 )
 from hyperideal.lob import lob, lob_deriv
 from hyperideal.pattern import DecoratedMetric, PatternReport, probe, verify_pattern
@@ -584,33 +582,55 @@ def _side_lengths(tri, points, simplices):
     return lengths
 
 
+def lattice_patch(n):
+    """The (n + 1)^2 points and the 2 n^2 counterclockwise point-index
+    triples of an n x n rhombic patch of the triangular lattice; point
+    i + (n + 1) j is on the rim when i or j is 0 or n."""
+    def vid(i, j):
+        return i + (n + 1) * j
+
+    points = np.array([[i + 0.5 * j, 0.5 * math.sqrt(3.0) * j]
+                       for j in range(n + 1) for i in range(n + 1)])
+    simplices = []
+    for j in range(n):
+        for i in range(n):
+            simplices.append((vid(i, j), vid(i + 1, j), vid(i, j + 1)))
+            simplices.append((vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    return points, simplices
+
+
+def _shortest_edges(tri, lengths):
+    """Per vertex class, the length of its shortest edge."""
+    t, s = tri.edge_sides[:, 0].T
+    shortest = np.full(tri.vertex_count, np.inf)
+    for c in (s, (s + 1) % 3):
+        np.minimum.at(shortest, tri.corner_class[t, c], lengths)
+    return shortest
+
+
 def lattice_disk(rng, n):
     """A flat n x n rhombic patch of the triangular lattice, T = 2 n^2.
 
     Lattice points are moved by up to 0.08 of the spacing; each vertex
     circle gets 0.2 to 0.3 of its shortest incident edge as radius.
     """
-    def vid(i, j):
-        return i + (n + 1) * j
-
-    points = np.array([[i + 0.5 * j, 0.5 * math.sqrt(3.0) * j]
-                       for j in range(n + 1) for i in range(n + 1)])
+    points, simplices = lattice_patch(n)
     points += 0.08 * rng.uniform(-1.0, 1.0, points.shape)
-    simplices = []
-    for j in range(n):
-        for i in range(n):
-            simplices.append((vid(i, j), vid(i + 1, j), vid(i, j + 1)))
-            simplices.append((vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
     tri = _glued(simplices)
     lengths = _side_lengths(tri, points, simplices)
-    shortest = np.full(len(tri.vertices), np.inf)
-    for e in tri.edges:
-        t, s = e.sides[0]
-        for c in (s, (s + 1) % 3):
-            v = tri.corner_class[(t, c)]
-            shortest[v] = min(shortest[v], lengths[e.index])
-    radii = rng.uniform(0.2, 0.3, len(tri.vertices)) * shortest
+    radii = rng.uniform(0.2, 0.3, tri.vertex_count) * _shortest_edges(tri, lengths)
     return tri, DecoratedMetric(lengths=lengths, radii=radii)
+
+
+def flat_disk(points, simplices):
+    """The disk of the point-index triples ``simplices``, each made
+    counterclockwise, with its side lengths read off ``points`` and each
+    vertex circle a quarter of its shortest incident edge; the points may
+    overlap, as the drawing of a disk that wraps over itself."""
+    simplices = _oriented_simplices(points, simplices)
+    tri = _glued(simplices)
+    lengths = _side_lengths(tri, points, simplices)
+    return tri, DecoratedMetric(lengths=lengths, radii=0.25 * _shortest_edges(tri, lengths))
 
 
 def _interiors_overlap(p, q, eps):
@@ -961,6 +981,32 @@ def develop_loop(tri, dm):
     return np.array([developed[t] for t in range(tri.triangle_count)])
 
 
+def _across(rot, shift, rotation, translation, near_is_target):
+    """The isometry (rot, shift) of the chart on the near side of an edge,
+    extended to the chart on the far side: composed with the edge's
+    transition when the near chart is its target, else with its inverse."""
+    if not near_is_target:
+        rotation, translation = rotation.T, -rotation.T @ translation
+    return rot @ rotation, rot @ translation + shift
+
+
+def develop_composed_loop(tri, positions, rot, trans):
+    """Reference for ``layout._develop``, one triangle at a time: each chart
+    of ``positions`` moved by the transitions ``rot``, ``trans`` composed
+    along the spanning forest, in ``forest_order``."""
+    moves = [None] * tri.triangle_count
+    moves[0] = (np.eye(2), np.zeros(2))
+    # side 3t + s of every edge's target, the first side of its gluing
+    target = (3 * tri.edge_sides[:, 0, 0] + tri.edge_sides[:, 0, 1]).tolist()
+    side_edge, parent = tri.side_edge.ravel().tolist(), tri.parent_corner.tolist()
+    for t in tri.forest_order[1:].tolist():
+        x = parent[t]
+        e = side_edge[x]
+        moves[t] = _across(*moves[x // 3], rot[e], trans[e], target[e] == x)
+    rotation, translation = map(np.array, zip(*moves))
+    return positions @ np.swapaxes(rotation, 1, 2) + translation[:, None, :]
+
+
 # -- holonomy: the transitions composed around a vertex -------------------------
 
 
@@ -1002,6 +1048,10 @@ def vertex_holonomy(tri, layout, t, c):
 
 
 # -- reference SVG export: one chart at a time ---------------------------------
+
+
+def _fmt(x):
+    return format(float(x), ".9g")
 
 
 def export_svg_loop(tri, cl):

@@ -41,6 +41,19 @@ def test_development_matches_the_per_triangle_reference():
         assert np.max(np.abs(developed(tri, dm) - want)) <= REL_TOL * scale
 
 
+def test_development_by_depth_is_the_per_triangle_composition():
+    """Bit for bit: the same products in the same order, parents first."""
+    rng = np.random.default_rng(27)
+    cases = [oracles.lattice_disk(rng, n) for n in (3, 5, 8, 12, 16, 23, 32)]  # T = 18 to 2048
+    cases += [oracles.random_disk(rng) for _ in range(6)]
+    for tri, dm in cases:
+        positions = layout._chart_positions(tri, dm)
+        rot, trans = layout._transitions(tri, positions)
+        got = layout._develop(tri, positions, rot, trans)
+        want = oracles.develop_composed_loop(tri, positions, rot, trans)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_shared_corners_coincide_on_a_large_disk():
     tri, dm = oracles.lattice_disk(np.random.default_rng(8), 8)
     positions = developed(tri, dm)

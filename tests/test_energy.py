@@ -183,6 +183,18 @@ def test_hessian_matches_fd_of_grad(rng):
         assert np.max(np.abs(h_an - h_fd)) <= 1e-6
 
 
+def test_hessian_is_the_sum_over_the_arguments_bit_for_bit(rng, monkeypatch):
+    """The table product sums sum_k w_k ARG_COEF[k]^T ARG_COEF[k] in the
+    einsum's order, for one triangle, a lone row and many rows."""
+    for shape in [(15,), (1, 15), (2, 15), (7, 15), (2, 3, 15), (512, 15), (5000, 15)]:
+        w = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+        monkeypatch.setattr(energy, "lob_arguments", lambda alpha, gamma: np.full(shape, 1.0))
+        monkeypatch.setattr(energy, "lob_second", lambda args: 2.0 * w)
+        got = energy.tet_volume_hess(None, None)
+        want = np.einsum("...k,ki,kj->...ij", w, energy.ARG_COEF, energy.ARG_COEF)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # -- boundary derivative dichotomy -------------------------------------------------
 
 

@@ -129,6 +129,27 @@ def test_max_slack_endgame_needs_no_rescue(monkeypatch, lengths, radius, s_star)
         assert abs(found_s - max_slack_highs(cs)) <= 1e-9
 
 
+@pytest.mark.parametrize("name", ["torus.json", "disk2.json"])
+def test_strictly_coherent_start_takes_a_range_space_step(monkeypatch, name):
+    # the min-norm start of both is already strictly coherent: the first LP
+    # step still goes to the range-space method, after which the solve
+    # path stops, while the LP to its optimum still ends on the LU
+    tri, data = bundled_instance(name)
+    cs = build_constraints(tri, data)
+    assert coherent_mod._strictly_coherent(cs, next(coherent_mod._max_slack(cs)))
+    lu = []
+    real_lu = coherent_mod._lu_solver
+
+    def lu_solver(cs, a, f):
+        lu.append(1)
+        return real_lu(cs, a, f)
+
+    monkeypatch.setattr(coherent_mod, "_lu_solver", lu_solver)
+    x, report = solve_problem(tri, data)
+    assert x is not None and report.status == "converged" and lu == []
+    assert isinstance(find_max_slack(cs), AngleSystem) and lu
+
+
 def _fail_factorizations_after(monkeypatch, calls):
     """Every KKT factorization after the first ``calls`` raises, on the
     range-space path and the LU alike."""
