@@ -147,21 +147,19 @@ class _TransposedRows(NamedTuple):
 class ConstraintSystem:
     """Linear description of the closure of the coherent polytope.
 
-    Equalities ``a_eq x = b_eq``; strict inequalities ``g_ineq x < h_ineq``.
-    ``a_eq`` and ``g_ineq`` are ``SparseRows``.  ``rank`` is the rank of
-    ``a_eq``, and ``independent_eq`` marks a set of ``rank`` equality rows
-    that spans the same row space (one redundant gamma-sum row per connected
-    component is left out): the rows of the whole KKT matrix, which only its
-    LU uses.  ``component_eq`` holds the gluing component of each equality
-    row, named by its smallest triangle.
+    Equalities ``a_eq x = b_eq``; strict inequalities ``g_ineq x < h_ineq``;
+    both are ``SparseRows`` of unnamed rows (``is_coherent`` names those it
+    reports).  ``rank`` is the rank of ``a_eq``; ``independent_eq`` marks
+    ``rank`` equality rows that span the same row space (one redundant
+    gamma-sum row per component is left out), which only the LU of the whole
+    KKT matrix uses; ``component_eq`` is each equality row's gluing
+    component, named by its smallest triangle.
     """
 
     a_eq: SparseRows
     b_eq: np.ndarray
-    labels_eq: list
     g_ineq: SparseRows
     h_ineq: np.ndarray
-    labels_ineq: list
     rank: int
     independent_eq: np.ndarray
     component_eq: np.ndarray
@@ -197,7 +195,6 @@ def build_constraints(tri: GluedTriangulation, data: AngleData) -> ConstraintSys
     n = 6 * n_t
     n_e = len(tri.edge_sides)
     n_int = len(tri.gluings)
-    n_v = tri.vertex_count
 
     # an interior edge row holds both sides, a boundary edge row its one side;
     # a vertex row holds the corners 3t + c of its class in ascending order
@@ -205,7 +202,7 @@ def build_constraints(tri: GluedTriangulation, data: AngleData) -> ConstraintSys
     corners = np.argsort(tri.corner_class, axis=None, kind="stable")
     class_size = np.bincount(tri.corner_class.ravel())
     a_eq = _csr(
-        [3] * n_t + [2] * n_int + [1] * (n_e - n_int) + class_size.tolist(),
+        np.concatenate([np.repeat([3, 2, 1], [n_t, n_int, n_e - n_int]), class_size]),
         np.concatenate([
             np.arange(n).reshape(n_t, 6)[:, 3:].ravel(),
             6 * sides[:, 0] + sides[:, 1],
@@ -218,28 +215,18 @@ def build_constraints(tri: GluedTriangulation, data: AngleData) -> ConstraintSys
         np.pi - np.asarray(data.theta, dtype=float),
         np.asarray(data.xi, dtype=float),
     ])
-    labels = [f"triangle {t} gamma sum" for t in range(n_t)]
-    labels += [f"edge {e} alpha sum" for e in range(n_int)]
-    labels += [f"edge {e} boundary alpha" for e in range(n_int, n_e)]
-    labels += [f"vertex {v} gamma sum" for v in range(n_v)]
 
     # rows 6t+k: x[6t+k] > 0; rows n + 3t + c: Delta bound at corner c of t,
     # gamma[t][c] + alpha[t][c] + alpha[t][c-1] < pi
-    tc = np.arange(3 * n_t)
-    t, c = tc // 3, tc % 3
+    t, c = np.divmod(np.arange(3 * n_t), 3)
     delta_cols = np.stack([6 * t + 3 + c, 6 * t + c, 6 * t + (c + 2) % 3], axis=1)
     g_ineq = _csr(
-        [1] * n + [3] * (3 * n_t),
+        np.repeat([1, 3], [n, 3 * n_t]),
         np.concatenate([np.arange(n), delta_cols.ravel()]),
         n,
         vals=np.concatenate([-np.ones(n), np.ones(9 * n_t)]),
     )
     h_ineq = np.concatenate([np.zeros(n), np.full(3 * n_t, np.pi)])
-    g_labels = []
-    for t in range(n_t):
-        g_labels += [f"alpha[{t}][{s}] > 0" for s in range(3)]
-        g_labels += [f"gamma[{t}][{c}] > 0" for c in range(3)]
-    g_labels += [f"triangle {t} corner {c} delta bound" for t in range(n_t) for c in range(3)]
 
     # Every alpha lies in exactly one edge row, so the edge rows are
     # independent of each other and of the gamma rows.  The gamma rows are
@@ -254,16 +241,34 @@ def build_constraints(tri: GluedTriangulation, data: AngleData) -> ConstraintSys
     return ConstraintSystem(
         a_eq=a_eq,
         b_eq=b_eq,
-        labels_eq=labels,
         g_ineq=g_ineq,
         h_ineq=h_ineq,
-        labels_ineq=g_labels,
-        rank=n_t + n_e + n_v - len(roots),
+        rank=n_t + n_e + tri.vertex_count - len(roots),
         independent_eq=independent,
         component_eq=tri.component[np.concatenate([
-            np.arange(n_t), tri.edge_sides[:, 0, 0],
-            corners[np.cumsum(class_size) - class_size] // 3])],
+            np.arange(n_t), tri.edge_sides[:, 0, 0], tri.first_corner // 3])],
     )
+
+
+def _eq_labels(a, rows):
+    """The names of the equality rows ``rows`` of ``a``, in the order of
+    ``build_constraints``: T = dimension // 6 triangle rows, then the edge
+    rows, which hold alphas (two on an interior edge), then the vertex rows."""
+    if not len(rows):
+        return []
+    n_t, size = a.shape[1] // 6, np.diff(a.indptr)
+    edge = a.indices[a.indptr[:-1]] % 6 < 3
+    n_te = n_t + int(np.count_nonzero(edge))
+    return [f"triangle {i} gamma sum" if i < n_t
+            else f"edge {i - n_t} {'alpha sum' if size[i] == 2 else 'boundary alpha'}" if edge[i]
+            else f"vertex {i - n_te} gamma sum" for i in rows.tolist()]
+
+
+def _ineq_labels(n, rows):
+    """The names of the inequality rows ``rows`` of a system of dimension n:
+    the sign row of every angle, then the Delta bound at every corner."""
+    return [f"{'alpha' if i % 6 < 3 else 'gamma'}[{i // 6}][{i % 3}] > 0" if i < n
+            else f"triangle {(i - n) // 3} corner {(i - n) % 3} delta bound" for i in rows.tolist()]
 
 
 @dataclass
@@ -281,16 +286,13 @@ def is_coherent(x: AngleSystem, cs: ConstraintSystem) -> CoherenceReport:
         raise NotCoherentError("angle system dimension does not match constraints")
     res = cs.a_eq @ v - cs.b_eq
     slack = cs.h_ineq - cs.g_ineq @ v
-    violations = [
-        (cs.labels_eq[i], float(res[i])) for i in np.flatnonzero(np.abs(res) > EQ_TOL)
-    ] + [
-        (cs.labels_ineq[i], float(slack[i])) for i in np.flatnonzero(slack <= SLACK_TOL)
-    ]
+    eq, ineq = np.flatnonzero(np.abs(res) > EQ_TOL), np.flatnonzero(slack <= SLACK_TOL)
+    violations = list(zip(_eq_labels(cs.a_eq, eq), res[eq].tolist()))
+    violations += zip(_ineq_labels(cs.dimension, ineq), slack[ineq].tolist())
     # per-triangle Delta membership is implied by the rows above at equal
     # tolerances; re-checked for safety.
-    if not np.all(in_delta(x.alphas(), x.gammas(), closed=False)):
-        if not violations:
-            violations.append(("delta membership", float("nan")))
+    if not violations and not np.all(in_delta(x.alphas(), x.gammas(), closed=False)):
+        violations.append(("delta membership", float("nan")))
     return CoherenceReport(
         ok=not violations,
         max_equality_residual=float(np.max(np.abs(res))) if res.size else 0.0,

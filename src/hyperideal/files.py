@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import SchemaError
 from .pattern import DecoratedMetric
-from .surface import GluedTriangulation, float_array, parse_header, parse_problem, problem_dict
+from .surface import (GluedTriangulation, float_array, json_object, object_of, parse_header,
+                      problem_dict, problem_of)
 
 
 def canonical_json(value) -> str:
@@ -35,14 +36,12 @@ def angle_system_dict(tri, data, x):
     }
 
 
-def solution_dict(tri, data, x, report, tl=None, dm=None):
+def solution_dict(tri, data, x, report, tl, dm):
     doc = angle_system_dict(tri, data, x)
-    if tl is not None:
-        doc["a_edge"] = [float(v) for v in tl.a_edge]
-        doc["a_vertex"] = [float(v) for v in tl.a_vertex]
-    if dm is not None:
-        doc["lengths"] = [float(v) for v in dm.lengths]
-        doc["radii"] = [float(v) for v in dm.radii]
+    doc["a_edge"] = [float(v) for v in tl.a_edge]
+    doc["a_vertex"] = [float(v) for v in tl.a_vertex]
+    doc["lengths"] = [float(v) for v in dm.lengths]
+    doc["radii"] = [float(v) for v in dm.radii]
     doc["report"] = {
         "objective": report.objective,
         "grad_norm": report.projected_grad_norm,
@@ -57,20 +56,13 @@ def solution_dict(tri, data, x, report, tl=None, dm=None):
 
 def read_solution(text):
     """Parse a solution file; returns (tri, data, angles (T,6), dm or None)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"solution file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("solution file must be a JSON object")
+    doc = json_object(text, "solution")
     if "problem" not in doc:
         raise SchemaError("solution file is missing the embedded 'problem'")
-    tri, data = parse_problem(json.dumps(doc["problem"]))
+    tri, data = problem_of(object_of(doc["problem"], "problem"))
     try:
-        alpha, gamma = (
-            np.array([float_array(row, f"angles.{key}", 3) for row in doc["angles"][key]])
-            for key in ("alpha", "gamma")
-        )
+        alpha, gamma = (np.array([float_array(row, f"angles.{key}", 3) for row in doc["angles"][key]])
+                        for key in ("alpha", "gamma"))
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"solution file has invalid 'angles': {exc}") from exc
     if alpha.shape != (tri.triangle_count, 3) or gamma.shape != (tri.triangle_count, 3):
@@ -93,8 +85,8 @@ def geometry_dict(tri, dm):
 
 def parse_geometry(text):
     """Parse a geometry file; returns (GluedTriangulation, DecoratedMetric)."""
-    count, gluings, doc = parse_header(text, "geometry",
-                                       ("triangles", "gluings", "lengths", "radii"))
+    doc = json_object(text, "geometry")
+    count, gluings = parse_header(doc, "geometry", ("triangles", "gluings", "lengths", "radii"))
     lengths = float_array(doc["lengths"], "lengths", 3 * count - len(gluings))
     tri = GluedTriangulation(count, gluings)
     return tri, DecoratedMetric(lengths=lengths,

@@ -173,7 +173,7 @@ def _embedded(tri, pts):
         return False
     eps = _overlap_tol(pts)
     flat = pts.reshape(-1, 2)
-    welded = flat[np.unique(tri.corner_class, return_index=True)[1]][tri.corner_class]
+    welded = flat[tri.first_corner][tri.corner_class]
     if np.max(np.hypot(*(flat - welded.reshape(-1, 2)).T)) > 0.45 * eps:
         return False
     edge = np.roll(welded, -1, axis=1) - welded
@@ -412,7 +412,7 @@ def export_svg(tri: GluedTriangulation, cl: ChartLayout) -> str:
     x, y = q[..., 0] + MARGIN, height - MARGIN - q[..., 1]
     drawn = np.full((n, 3), atlas)
     if not atlas:  # each vertex circle at the first corner of its class
-        drawn.flat[np.unique(tri.corner_class, return_index=True)[1]] = True
+        drawn.flat[tri.first_corner] = True
 
     # every number of the charts goes through one % pass: chart k's row
     # holds k, the path, the three vertex circles, the face circle and the

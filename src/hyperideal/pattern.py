@@ -56,8 +56,7 @@ def _potentials(tri, gp):
     psi = np.array(psi)
     mismatch = np.zeros(len(g))
     mismatch[linked] = np.abs(psi[tri.forward[linked] // 3] - (psi[linked // 3] + step[linked]))
-    _, smallest = np.unique(tri.corner_class, return_index=True)
-    return psi[smallest // 3] + g[smallest], mismatch
+    return psi[tri.first_corner // 3] + g[tri.first_corner], mismatch
 
 
 def _at_sides(tri, per_side):

@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -47,10 +48,10 @@ _INDEX = (int, np.integer)  # the types of a triangle count or a side index
 
 def _surface_fault(triangle_count, gluings):
     """The first fault of the triangle count and the gluings, or None: a
-    count or index that is not an integer, no triangle, a gluing that is not
-    two sides (t, s), a side out of range, a side glued to itself, a side in
-    two gluings."""
-    if not isinstance(triangle_count, _INDEX):
+    count or index that is not an integer (a JSON true or false is a bool),
+    no triangle, a gluing that is not two sides (t, s), a side out of range,
+    a side glued to itself, a side in two gluings."""
+    if not isinstance(triangle_count, _INDEX) or type(triangle_count) is bool:
         return "the triangle count must be an integer"
     if triangle_count < 1:
         return "need at least one triangle"
@@ -62,8 +63,8 @@ def _surface_fault(triangle_count, gluings):
             return f"gluing {gluing!r} is not two sides (t, s)"
         a, b = (t, s), (t2, s2)
         for t, s in (a, b):
-            if not (isinstance(t, _INDEX) and isinstance(s, _INDEX)
-                    and 0 <= t < triangle_count and 0 <= s < 3):
+            if not (isinstance(t, _INDEX) and isinstance(s, _INDEX) and 0 <= t < triangle_count
+                    and 0 <= s < 3) or type(t) is bool or type(s) is bool:
                 return f"gluing references invalid side {(t, s)}"
         if a == b:
             return f"side {a} glued to itself"
@@ -82,6 +83,7 @@ class GluedTriangulation:
     ``3t + s`` in the flat arrays.  ``forward[3t + c]`` is the corner reached
     by crossing side ``c`` (the next corner counterclockwise around the
     vertex), -1 where that side is unglued, and ``backward`` is its inverse.
+    Only the constructor checks the count and the gluings (``SurfaceError``).
     Everything combinatorial is read from the gluings once:
 
     * ``edge_sides`` (E, 2, 2): the sides (t, s) of every edge, the gluings
@@ -90,10 +92,11 @@ class GluedTriangulation:
       are made from it on first use;
     * the vertex classes: the corner classes that ``forward`` links,
       numbered 0..V-1 in the order of their smallest corner;
-      ``corner_class`` (T, 3) is the class of every corner, ``vertex_count``
-      is V and ``boundary_vertex`` (V,) flags the classes with an unglued
-      side; ``vertices``, the (t, c) corners of every class, each class
-      sorted, is made from ``corner_class`` on first use;
+      ``corner_class`` (T, 3) is the class of every corner, ``first_corner``
+      (V,) the smallest corner 3t + c of every class, ``vertex_count`` is V
+      and ``boundary_vertex`` (V,) flags the classes with an unglued side;
+      ``vertices``, the sorted (t, c) corners of every class, is made from
+      ``corner_class`` on first use;
     * one spanning forest of the gluings, breadth-first across sides 0, 1, 2
       from each triangle not yet reached, in ascending order: the visit
       order ``forest_order`` (T,), parents first; ``parent_corner`` (T,),
@@ -151,12 +154,12 @@ class GluedTriangulation:
             first, ahead, behind = label, ahead[ahead], behind[behind]
         # a class's number is the count of class minima below its own, so
         # the classes are ordered by their smallest corner
-        minima = np.cumsum(first == corner)
-        corner_class = minima[first] - 1
+        smallest = first == corner
+        self.first_corner = np.flatnonzero(smallest)
+        corner_class = np.cumsum(smallest)[first] - 1
         self.corner_class = corner_class.reshape(n_t, 3)
-        self.vertex_count = int(minima[-1])
-        self.boundary_vertex = np.zeros(self.vertex_count, dtype=bool)
-        self.boundary_vertex[corner_class[free]] = True
+        self.vertex_count = len(self.first_corner)
+        self.boundary_vertex = np.bincount(corner_class[free], minlength=self.vertex_count) > 0
 
         # the spanning forest: each queue is read while it grows
         neighbor = (self.forward // 3).tolist()  # -1 at an unglued side
@@ -227,39 +230,38 @@ class AngleData:
             raise SchemaError("xi entries must be finite and positive")
 
 
-def parse_header(text, what, keys):
-    """The JSON object of a ``what`` file, checked for ``keys``, with its
-    "triangles" count and "gluings"; returns (count, gluings, doc).
-
-    Callers check the list lengths that count and gluings fix before they
-    build the triangulation, whose cost grows with the count: a huge count
-    in a small file then fails at once.  Faulty gluings are reported first,
-    since they make those lengths meaningless."""
+def json_object(text, what):
+    """The JSON object that the text of a ``what`` file holds."""
     try:
-        doc = json.loads(text)
+        return object_of(json.loads(text), what)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} file is not valid JSON: {exc}") from exc
+
+
+def object_of(doc, what):
+    """``doc``, checked to be the JSON object of a ``what`` file."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{what} file must be a JSON object")
+    return doc
+
+
+def parse_header(doc, what, keys):
+    """The "triangles" count and the (a, b) side pairs of the "gluings",
+    unchecked, of ``doc``, the JSON object of a ``what`` file with ``keys``.
+    Callers check the list lengths that these fix before they build the
+    triangulation, which checks the gluings and whose cost grows with the
+    count: a huge count in a small file then fails at once."""
     for key in keys:
         if key not in doc:
             raise SchemaError(f"{what} file is missing key {key!r}")
     count = doc["triangles"]
     # type, not isinstance: a JSON true is a bool, which is an int subclass
-    if type(count) is not int:
-        raise SchemaError("'triangles' must be an integer")
-    form = "each gluing needs 'a': [t, s] and 'b': [t2, s2]"
+    if type(count) is not int or count < 1:
+        raise SchemaError("'triangles' must be a positive integer")
     try:
-        gluings = [(tuple(g["a"]), tuple(g["b"])) for g in doc["gluings"]]
+        return count, list(map(itemgetter("a", "b"), doc["gluings"]))
     except (TypeError, KeyError) as exc:
-        raise SchemaError(form) from exc
-    if not all(len(side) == 2 and all(type(i) is int for i in side)
-               for pair in gluings for side in pair):
-        raise SchemaError(form)
-    fault = _surface_fault(count, gluings)
-    if fault:
-        raise SurfaceError(fault)
-    return count, gluings, doc
+        raise SchemaError("each gluing needs 'a': [t, s] and 'b': [t2, s2]") from exc
 
 
 def float_array(value, name, count):
@@ -277,7 +279,12 @@ def float_array(value, name, count):
 
 def parse_problem(text):
     """Parse a problem file; returns (GluedTriangulation, AngleData)."""
-    count, gluings, doc = parse_header(text, "problem", ("triangles", "gluings", "theta", "xi"))
+    return problem_of(json_object(text, "problem"))
+
+
+def problem_of(doc):
+    """(GluedTriangulation, AngleData) of the JSON object of a problem file."""
+    count, gluings = parse_header(doc, "problem", ("triangles", "gluings", "theta", "xi"))
     theta_doc = doc["theta"]
     if not isinstance(theta_doc, dict) or set(theta_doc) - {"interior", "boundary"}:
         raise SchemaError("theta must be {'interior': [...], 'boundary': [...]}")

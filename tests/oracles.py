@@ -233,13 +233,28 @@ def permuted(cs, perm_eq, perm_ineq):
         cs,
         a_eq=cs.a_eq[perm_eq],
         b_eq=cs.b_eq[perm_eq],
-        labels_eq=[cs.labels_eq[i] for i in perm_eq],
         g_ineq=cs.g_ineq[perm_ineq],
         h_ineq=cs.h_ineq[perm_ineq],
-        labels_ineq=[cs.labels_ineq[i] for i in perm_ineq],
         independent_eq=cs.independent_eq[perm_eq],
         component_eq=cs.component_eq[perm_eq],
     )
+
+
+def row_labels(tri):
+    """The names of every equality and inequality row that
+    ``build_constraints`` makes for ``tri``, one list each, spelled out
+    row by row: the reference for ``is_coherent``'s names."""
+    n_t, n_e, n_int = tri.triangle_count, len(tri.edge_sides), len(tri.gluings)
+    labels_eq = [f"triangle {t} gamma sum" for t in range(n_t)]
+    labels_eq += [f"edge {e} alpha sum" for e in range(n_int)]
+    labels_eq += [f"edge {e} boundary alpha" for e in range(n_int, n_e)]
+    labels_eq += [f"vertex {v} gamma sum" for v in range(tri.vertex_count)]
+    labels_ineq = []
+    for t in range(n_t):
+        labels_ineq += [f"alpha[{t}][{s}] > 0" for s in range(3)]
+        labels_ineq += [f"gamma[{t}][{c}] > 0" for c in range(3)]
+    labels_ineq += [f"triangle {t} corner {c} delta bound" for t in range(n_t) for c in range(3)]
+    return labels_eq, labels_ineq
 
 
 def kkt_solve_reference(cs, blocks, rhs):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hyperideal import solve as solve_mod
+from hyperideal import surface
 from hyperideal.cli import main, parse_angle
 from hyperideal.coherent import Infeasible
 from hyperideal.errors import SchemaError
@@ -300,6 +301,30 @@ def test_boolean_gluing_index_exit_code(tmp_path):
     p = tmp_path / "problem.json"
     p.write_text(json.dumps(doc))
     assert main(["check", str(p)]) == 3
+
+
+def test_repeated_gluing_side_exit_code(tmp_path, capsys):
+    # caught by the triangulation, after the list lengths
+    doc = json.loads(bundled_text("torus.json"))
+    doc["gluings"][1]["a"] = doc["gluings"][0]["a"]
+    p = tmp_path / "problem.json"
+    p.write_text(json.dumps(doc))
+    assert main(["check", str(p)]) == 3
+    assert "appears in two gluings" in capsys.readouterr().err
+
+
+def test_each_file_reader_checks_the_gluings_once(monkeypatch, torus_file, tmp_path):
+    sol = tmp_path / "solution.json"
+    assert main(["solve", torus_file, "-o", str(sol)]) == 0
+    calls = []
+    check = surface._surface_fault
+    monkeypatch.setattr(surface, "_surface_fault", lambda *args: calls.append(1) or check(*args))
+    for read, text in ((parse_problem, bundled_text("torus.json")),
+                       (parse_geometry, bundled_text("disk2_geometry.json")),
+                       (read_solution, sol.read_text())):
+        calls.clear()
+        read(text)
+        assert len(calls) == 1, read
 
 
 @pytest.mark.parametrize("group, key, value", [

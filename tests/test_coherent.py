@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from hyperideal.coherent import (
     AngleSystem,
@@ -12,7 +13,8 @@ from hyperideal.coherent import (
 )
 from hyperideal.surface import AngleData, GluedTriangulation
 
-from .oracles import permuted, sample_coherent, single_triangle_feasible
+from .conftest import bundled_instance
+from .oracles import lattice_disk, permuted, row_labels, sample_coherent, single_triangle_feasible
 
 PI = math.pi
 TORUS = GluedTriangulation(2, [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))])
@@ -75,6 +77,27 @@ def test_negative_gamma_named():
     report = is_coherent(x, cs)
     assert not report.ok
     assert any("gamma[0][0] > 0" == label for label, _ in report.violations)
+
+
+@pytest.mark.parametrize("case", ["lattice disk", "torus", "one triangle"])
+def test_every_row_named_as_built(case):
+    # x = -1 breaks every equality and sign row, x = 10 every equality and
+    # Delta row; each report lists its rows in row order
+    if case == "lattice disk":
+        tri = lattice_disk(np.random.default_rng(7), 4)[0]
+    elif case == "torus":
+        tri = bundled_instance("torus.json")[0]
+    else:
+        tri = GluedTriangulation(1, [])
+    data = AngleData(theta=np.full(len(tri.edge_sides), 1.0), xi=np.full(tri.vertex_count, 1.0))
+    cs = build_constraints(tri, data)
+    labels_eq, labels_ineq = row_labels(tri)
+    n = cs.dimension
+    for value, rows in ((-1.0, slice(None, n)), (10.0, slice(n, None))):
+        x = np.full(n, value)
+        res, slack = (cs.a_eq @ x - cs.b_eq).tolist(), (cs.h_ineq - cs.g_ineq @ x).tolist()
+        assert is_coherent(AngleSystem(x), cs).violations == \
+            list(zip(labels_eq, res)) + list(zip(labels_ineq, slack))[rows]
 
 
 # -- feasibility -------------------------------------------------------------------

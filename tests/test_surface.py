@@ -80,6 +80,8 @@ def test_out_of_range_side_rejected():
     (2, [((0.5, 0), (1, 0))]),
     (2, [((0, 1.0), (1, 0))]),
     (2, [((0, 0), (np.float64(1.0), 0))]),
+    (True, []),  # a JSON true or false is a bool, an int subclass
+    (2, [((True, 0), (1, 0))]),
 ])
 def test_non_integer_count_or_index_rejected(count, gluings):
     with pytest.raises(SurfaceError, match="integer|invalid side"):
@@ -243,6 +245,7 @@ def test_combinatorics_match_loop_references(family):
         for v, corners in enumerate(vertices):
             assert all(tri.corner_class[corner] == v for corner in corners)
             assert tri.boundary_vertex[v] == flags[v]
+            assert tri.first_corner[v] == 3 * corners[0][0] + corners[0][1]
         component = oracles.component_roots_loop(tri)
         assert tri.component.tolist() == component
         roots = sorted(set(component))
