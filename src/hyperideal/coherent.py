@@ -47,7 +47,9 @@ LP_RESIDUAL_TOL = 1e-6
 # the gap already this small the current primal point is kept.
 LP_RESCUE_GAP = 1e-8
 LP_MAX_ITERS = 100
-LP_STEP_KEEP = 0.99  # share of the step to the boundary of w, z >= 0 taken
+# share of the distance to the boundary that a step takes: of w, z >= 0 in
+# the LP, of the strict inequalities' slacks in Newton (solve.maximize)
+STEP_KEEP = 0.99
 # An orthonormal basis (6 x 5) of a triangle's gamma-sum plane: its three
 # alphas and two directions along which the gamma sum stays fixed.
 _PLANE = np.zeros((6, 5))
@@ -67,10 +69,6 @@ class AngleSystem:
         if self.values.ndim != 1 or self.values.size % 6:
             raise ValueError("AngleSystem needs a flat vector of length 6|T|")
 
-    @property
-    def triangle_count(self):
-        return self.values.size // 6
-
     def as_triangles(self):
         """View of shape (T, 6) rows (a12, a23, a31, g1, g2, g3)."""
         return self.values.reshape(-1, 6)
@@ -80,9 +78,6 @@ class AngleSystem:
 
     def gammas(self):
         return self.as_triangles()[:, 3:]
-
-    def copy(self):
-        return AngleSystem(self.values.copy())
 
 
 def _sum_products(out_index, data, x, size):
@@ -471,12 +466,12 @@ def _triangle_rows(g):
 
 
 def _fraction_to_boundary(v, dv):
-    """Largest step in (0, 1] keeping v + step * dv >= 0, times LP_STEP_KEEP
+    """Largest step in (0, 1] keeping v + step * dv >= 0, times STEP_KEEP
     unless it is the full step."""
     shrink = dv < 0.0
     if not np.any(shrink):
         return 1.0
-    return float(min(1.0, LP_STEP_KEEP * np.min(-v[shrink] / dv[shrink])))
+    return float(min(1.0, STEP_KEEP * np.min(-v[shrink] / dv[shrink])))
 
 
 def _strictly_coherent(cs: ConstraintSystem, x):

@@ -85,20 +85,11 @@ def in_delta(alpha, gamma, closed=False):
     return sum_ok & (u > tol).all(axis=-1) & (tri < np.pi - tol).all(axis=-1)
 
 
-def in_delta0(triple, closed=False):
-    """Membership in the ideal-tetrahedron angle set Delta_0 or its closure."""
-    t = np.asarray(triple, dtype=float)
-    tol = MEMBERSHIP_TOL
-    sum_ok = np.abs(t.sum(axis=-1) - np.pi) <= tol
-    if closed:
-        return sum_ok & (t >= -tol).all(axis=-1)
-    return sum_ok & (t > tol).all(axis=-1)
-
-
 def v0(triple):
     """Volume of an ideal tetrahedron with dihedral-angle triple in closed Delta_0."""
     t = np.asarray(triple, dtype=float)
-    if not np.all(in_delta0(t, closed=True)):
+    tol = MEMBERSHIP_TOL
+    if not np.all((np.abs(t.sum(axis=-1) - np.pi) <= tol) & (t >= -tol).all(axis=-1)):
         raise DomainError("v0: triple outside the closure of Delta_0")
     out = lob(t).sum(axis=-1)
     return float(out) if out.ndim == 0 else out

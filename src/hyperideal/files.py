@@ -61,16 +61,14 @@ def read_solution(text):
         raise SchemaError("solution file is missing the embedded 'problem'")
     tri, data = problem_of(object_of(doc["problem"], "problem"))
     try:
-        alpha, gamma = (np.array([float_array(row, f"angles.{key}", 3) for row in doc["angles"][key]])
+        alpha, gamma = (float_array(doc["angles"][key], f"angles.{key}", (tri.triangle_count, 3))
                         for key in ("alpha", "gamma"))
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"solution file has invalid 'angles': {exc}") from exc
-    if alpha.shape != (tri.triangle_count, 3) or gamma.shape != (tri.triangle_count, 3):
-        raise SchemaError("solution angles have the wrong shape")
     dm = None
     if "lengths" in doc and "radii" in doc:
-        dm = DecoratedMetric(lengths=float_array(doc["lengths"], "lengths", len(tri.edge_sides)),
-                             radii=float_array(doc["radii"], "radii", tri.vertex_count))
+        dm = DecoratedMetric(lengths=float_array(doc["lengths"], "lengths", (len(tri.edge_sides),)),
+                             radii=float_array(doc["radii"], "radii", (tri.vertex_count,)))
     return tri, data, np.hstack([alpha, gamma]).reshape(-1), dm
 
 
@@ -87,7 +85,7 @@ def parse_geometry(text):
     """Parse a geometry file; returns (GluedTriangulation, DecoratedMetric)."""
     doc = json_object(text, "geometry")
     count, gluings = parse_header(doc, "geometry", ("triangles", "gluings", "lengths", "radii"))
-    lengths = float_array(doc["lengths"], "lengths", 3 * count - len(gluings))
+    lengths = float_array(doc["lengths"], "lengths", (3 * count - len(gluings),))
     tri = GluedTriangulation(count, gluings)
     return tri, DecoratedMetric(lengths=lengths,
-                                radii=float_array(doc["radii"], "radii", tri.vertex_count))
+                                radii=float_array(doc["radii"], "radii", (tri.vertex_count,)))

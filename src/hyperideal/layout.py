@@ -27,7 +27,7 @@ from .pattern import (
     place_canonical,
     radical_center,
 )
-from .surface import GluedTriangulation
+from .surface import GluedTriangulation, float_array
 
 logger = logging.getLogger(__name__)
 
@@ -329,24 +329,6 @@ def _index(value):
     return value
 
 
-def _number(value):
-    # the type rule of surface.float_array: a JSON true is a bool, an int subclass
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise SchemaError(f"{value!r} is not a finite number")
-    return float(value)
-
-
-def _array(items, key, shape):
-    """Field ``key`` of every item as one float array of shape
-    (len(items), *shape), each entry a finite JSON number."""
-    out = np.array([item[key] for item in items], dtype=object)
-    if not items:  # [] reads as shape (0,)
-        out = out.reshape(0, *shape)
-    if out.shape != (len(items), *shape):
-        raise SchemaError(f"{key} of shape {out.shape} where {(len(items), *shape)} is required")
-    return np.array([_number(x) for x in out.flat], dtype=float).reshape(out.shape)
-
-
 def layout_from_json(text: str) -> ChartLayout:
     """The layout that ``layout_to_json`` wrote: chart k must be triangle k
     and transition k edge k."""
@@ -361,16 +343,15 @@ def layout_from_json(text: str) -> ChartLayout:
                   [_index(t["source"]), _index(t["source_side"])]] for t in transitions]
         if doc["mode"] not in (GLOBAL, ATLAS):
             raise SchemaError(f"layout mode {doc['mode']!r} is neither {GLOBAL!r} nor {ATLAS!r}")
-        return ChartLayout(
-            mode=doc["mode"],
-            vertices=_array(charts, "vertices", (3, 2)),
-            face_center=_array(charts, "face_center", (2,)),
-            face_radius=_array(charts, "face_radius", ()),
-            vertex_radii=_array(charts, "vertex_radii", (3,)),
-            sides=np.array(sides, dtype=int).reshape(-1, 2, 2),
-            rotation=_array(transitions, "rotation", (2, 2)),
-            translation=_array(transitions, "translation", (2,)),
-        )
+        fields = {key: float_array([item[key] for item in items], key, (len(items), *shape))
+                  for items, key, shape in (
+                      (charts, "vertices", (3, 2)), (charts, "face_center", (2,)),
+                      (charts, "face_radius", ()), (charts, "vertex_radii", (3,)),
+                      (transitions, "rotation", (2, 2)), (transitions, "translation", (2,)))}
+        if not all(np.all(np.isfinite(v)) for v in fields.values()):
+            raise SchemaError("layout numbers must be finite")
+        return ChartLayout(mode=doc["mode"], sides=np.array(sides, dtype=int).reshape(-1, 2, 2),
+                           **fields)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"invalid layout JSON: {exc}") from exc
 

@@ -4,9 +4,11 @@ From a critical angle system, Schlaefli-type derivative identities give
 truncated hyperbolic lengths: ``a_edge = -2 dF/dalpha`` (agreeing from both
 sides of each interior edge) and vertex potentials ``a_vertex`` integrated
 from the gamma-partial differences along the one spanning forest of the
-gluings that ``GluedTriangulation`` derives.  The compat2 residual is the
-largest mismatch of those differences over all corners; it vanishes exactly
-when the potentials exist.  These convert to euclidean data by
+gluings that ``GluedTriangulation`` derives.  From the same read of the
+gradient, compat1 is half the largest gap between an edge's two lengths and
+compat2 the largest mismatch of those differences over all corners; compat2
+vanishes exactly when the potentials exist.  The lengths convert to
+euclidean data by
 
     r_i = exp(-a_i)       (up to the gauge a = 0, r = 1 at vertex class 0),
     l_ij^2 = r_i^2 + r_j^2 + 2 r_i r_j cosh(a_ij).
@@ -71,13 +73,18 @@ def _end_radii(tri, radii):
     return radii[tri.corner_class[t, s]], radii[tri.corner_class[t, (s + 1) % 3]]
 
 
+def _critical_read(tri, x: AngleSystem):
+    """One evaluation of F's gradient at x, read as at a critical point: the
+    truncated length -2 dF/dalpha at both sides of every edge (E, 2), and
+    ``_potentials``' output from the gamma-partials."""
+    grads = tet_volume_grad(x.alphas(), x.gammas())
+    return -2.0 * _at_sides(tri, grads[:, :3]), _potentials(tri, grads[:, 3:])
+
+
 def compat_residuals(tri, x: AngleSystem):
     """(max |compat_1| over interior edges, max |compat_2| over corners)."""
-    grads = tet_volume_grad(x.alphas(), x.gammas())
-    ap, gp = grads[:, :3], grads[:, 3:]
-    across = _at_sides(tri, ap)
-    c1 = float(np.max(np.abs(across[:, 0] - across[:, 1])))
-    return c1, float(np.max(_potentials(tri, gp)[1]))
+    sides, (_, mismatch) = _critical_read(tri, x)
+    return 0.5 * float(np.max(np.abs(sides[:, 0] - sides[:, 1]))), float(np.max(mismatch))
 
 
 # -- truncated lengths and the decorated metric -------------------------------
@@ -94,9 +101,8 @@ class TruncatedLengths:
 
 def truncated_lengths(x: AngleSystem, tri: GluedTriangulation) -> TruncatedLengths:
     """Truncated lengths at a critical point; raises if x is not critical."""
-    grads = tet_volume_grad(x.alphas(), x.gammas())
-    ap, gp = grads[:, :3], grads[:, 3:]
-    one, two = (-2.0 * _at_sides(tri, ap)).T
+    sides, (psi_v, mismatch) = _critical_read(tri, x)
+    one, two = sides.T
     differ = np.flatnonzero(np.abs(one - two) > 2.0 * COMPAT_TOL)
     if differ.size:
         e = differ[0]
@@ -105,7 +111,6 @@ def truncated_lengths(x: AngleSystem, tri: GluedTriangulation) -> TruncatedLengt
             f"({one[e]:.12g} vs {two[e]:.12g}); angle system is not critical"
         )
     a_edge = 0.5 * (one + two)
-    psi_v, mismatch = _potentials(tri, gp)
     cycle_res = float(np.max(mismatch))
     if cycle_res > COMPAT_TOL:
         raise NotCriticalError(
@@ -268,10 +273,10 @@ def _read_off_triangles(sides, radii):
     if np.any(np.abs(h) >= radius[..., None]):
         raise PreconditionError("an edge line does not meet the orthocircle")
     alpha = np.arccos(h / radius[..., None])
-    gamma = _corner_angles(points)
+    far, _ = _side_frames(points, np.roll(points, -2, axis=-2))
+    gamma = np.arctan2(np.abs(far[..., 1]), far[..., 0])  # as _corner_angles
     if not np.all(in_delta(alpha, gamma, closed=False)):
         raise PreconditionError("read-off angles fall outside Delta")
-    far, _ = _side_frames(points, np.roll(points, -2, axis=-2))
     return np.concatenate([alpha, gamma], axis=-1), radius, face, far / length
 
 

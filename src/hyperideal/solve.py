@@ -6,9 +6,11 @@ at the mildly degenerate parts of the boundary, so the maximizer is interior
 and unique.  Newton's method on the affine space of the equality constraints
 (each step one solve of the KKT system of the Hessian, see
 ``coherent._RangeSpace``)
-with an Armijo backtracking line search reaches it quadratically; steps are
-capped so every strict inequality keeps at least 1% of its current slack,
-which keeps all Lobachevsky arguments away from their singularities.
+with an Armijo backtracking line search reaches it quadratically.  A step
+is capped by the LP's rule (``coherent._fraction_to_boundary``): it goes at
+most ``STEP_KEEP`` of the way to the boundary of the strict inequalities,
+so every slack keeps at least 1% of itself and all Lobachevsky arguments
+stay away from their singularities.
 """
 
 import logging
@@ -20,6 +22,7 @@ from .coherent import (
     AngleSystem,
     ConstraintSystem,
     Infeasible,
+    _fraction_to_boundary,
     build_constraints,
     find_coherent,
     is_coherent,
@@ -35,7 +38,6 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 200
 ARMIJO_C1 = 1e-4
 ARMIJO_SHRINK = 0.5
-SLACK_KEEP = 1e-2
 # When the increase a Newton step predicts, half the step times the slope, is
 # at most this many float spacings of F, objective differences are rounding
 # noise and an Armijo test can stall on it; the capped Newton step is then
@@ -77,16 +79,6 @@ def _hess_blocks(x: AngleSystem) -> np.ndarray:
     return tet_volume_hess(x.alphas(), x.gammas())
 
 
-def _max_step(cs, x, d):
-    """Largest step along d keeping every strict slack >= SLACK_KEEP of itself."""
-    slack = cs.h_ineq - cs.g_ineq @ x
-    drop = cs.g_ineq @ d
-    mask = drop > 0.0
-    if not np.any(mask):
-        return 1.0
-    return float(min(1.0, np.min((1.0 - SLACK_KEEP) * slack[mask] / drop[mask])))
-
-
 def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
              tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
              cs: ConstraintSystem = None):
@@ -116,7 +108,7 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
         c1, c2 = compat_residuals(tri, xs)
         slack = float(np.min(cs.h_ineq - cs.g_ineq @ x))
         rep = SolveReport(
-            objective=objective_f(xs),
+            objective=fx,
             projected_grad_norm=pgn,
             iterations=iters,
             min_slack=slack,
@@ -127,6 +119,7 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
         )
         return xs, rep
 
+    fx = objective_f(AngleSystem(x))
     if cs.rank == cs.dimension:
         return report(CONVERGED, 0, 0.0)
 
@@ -135,7 +128,6 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
     def projected_norm(v):
         return float(np.max(np.abs(project(objective_grad(AngleSystem(v))))))
 
-    fx = objective_f(AngleSystem(x))
     for it in range(max_iters):
         g = objective_grad(AngleSystem(x))
         pg = project(g)
@@ -157,7 +149,7 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
             # must have failed numerically)
             d = pg
 
-        step = _max_step(cs, x, d)
+        step = _fraction_to_boundary(cs.h_ineq - cs.g_ineq @ x, -(cs.g_ineq @ d))
         slope = float(g @ d)
         trusted = newton and 0.5 * step * slope <= NEWTON_TRUST_ULPS * np.spacing(abs(fx))
         # a passed gradient test bounds the distance to the maximizer only by

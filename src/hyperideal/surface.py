@@ -264,15 +264,19 @@ def parse_header(doc, what, keys):
         raise SchemaError("each gluing needs 'a': [t, s] and 'b': [t2, s2]") from exc
 
 
-def float_array(value, name, count):
-    """``value``, a JSON list of ``count`` numbers, as a float array."""
+def float_array(value, name, shape):
+    """``value``, JSON lists of numbers nested to the tuple ``shape``, as a
+    float array."""
+    entries = np.array(value, dtype=object)
+    if entries.shape == (0,):  # [] reads as shape (0,)
+        entries = entries.reshape(0, *shape[1:])
+    if entries.shape != shape:
+        raise SchemaError(f"{name} has shape {entries.shape}, expected {shape}")
     # type, not isinstance: a JSON true is a bool, which is an int subclass
-    if not isinstance(value, list) or any(type(x) not in (int, float) for x in value):
-        raise SchemaError(f"{name} must be a list of numbers")
-    if len(value) != count:
-        raise SchemaError(f"{name} has {len(value)} entries, expected {count}")
+    if not set(map(type, entries.flat)) <= {int, float}:
+        raise SchemaError(f"{name} must hold numbers only")
     try:
-        return np.array(value, dtype=float)
+        return entries.astype(float)
     except OverflowError:  # an integer literal beyond the float range
         raise SchemaError(f"{name} holds a number out of range") from None
 
@@ -290,11 +294,11 @@ def problem_of(doc):
         raise SchemaError("theta must be {'interior': [...], 'boundary': [...]}")
     n_int = len(gluings)
     theta = np.concatenate([
-        float_array(theta_doc.get("interior", []), "theta.interior", n_int),
-        float_array(theta_doc.get("boundary", []), "theta.boundary", 3 * count - 2 * n_int),
+        float_array(theta_doc.get("interior", []), "theta.interior", (n_int,)),
+        float_array(theta_doc.get("boundary", []), "theta.boundary", (3 * count - 2 * n_int,)),
     ])
     tri = GluedTriangulation(count, gluings)
-    data = AngleData(theta=theta, xi=float_array(doc["xi"], "xi", tri.vertex_count))
+    data = AngleData(theta=theta, xi=float_array(doc["xi"], "xi", (tri.vertex_count,)))
     data.validate(tri)
     return tri, data
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import hyperideal.solve as solve_mod
 from hyperideal.coherent import (
     AngleSystem,
     Infeasible,
@@ -27,7 +29,14 @@ from hyperideal.solve import (
 from hyperideal.surface import AngleData, GluedTriangulation
 
 from .conftest import bundled_instance
-from .oracles import fd_gradient, objective_sum, permuted, sample_coherent, tangent_span_vectors
+from .oracles import (
+    fd_gradient,
+    objective_sum,
+    permuted,
+    sample_coherent,
+    scipy_csr,
+    tangent_span_vectors,
+)
 from .test_surface import GEN
 
 PI = math.pi
@@ -203,6 +212,61 @@ def test_iterates_monotone_and_strictly_interior(rng):
     values = [f for f, _ in seen]
     assert all(b >= a - 1e-13 for a, b in zip(values, values[1:]))
     assert all(slack > 0.0 for _, slack in seen)
+
+
+def _probed_lattice_disk():
+    tri, dm = GEN.lattice_disk(np.random.default_rng(1), 5)
+    assert tri.triangle_count == 50
+    return tri, probe(tri, dm)[0]
+
+
+@pytest.mark.parametrize("instance", [
+    lambda: bundled_instance("disk2.json"),
+    lambda: bundled_instance("triangle.json"),  # pinned: no Newton step
+    _probed_lattice_disk,
+], ids=["disk2", "triangle", "lattice disk T=50"])
+def test_objective_evaluated_once_per_point(monkeypatch, instance):
+    """maximize evaluates F once at its start and once per line-search
+    candidate, and its report keeps the F it holds for the final point."""
+    tri, data = instance()
+    cs = build_constraints(tri, data)
+    x0 = find_coherent(cs)
+    real, points = solve_mod.objective_f, []
+
+    def objective(x):
+        points.append(x.values.tobytes())
+        return real(x)
+
+    monkeypatch.setattr(solve_mod, "objective_f", objective)
+    x, rep = maximize(tri, data, x0, cs=cs)
+    assert rep.status == CONVERGED
+    assert points[0] == x0.values.tobytes()
+    assert len(set(points)) == len(points) >= rep.iterations + 1
+    assert rep.objective == real(x)
+
+
+def test_every_newton_iterate_keeps_a_hundredth_of_each_slack():
+    """From near a vertex of the polytope, where steps run into the cap, an
+    accepted iterate keeps at least 1 % of each slack of the one before."""
+    tri, data = _probed_lattice_disk()
+    cs = build_constraints(tri, data)
+    vertex = linprog(np.random.default_rng(0).standard_normal(cs.dimension),
+                     A_ub=scipy_csr(cs.g_ineq), b_ub=cs.h_ineq, A_eq=scipy_csr(cs.a_eq),
+                     b_eq=cs.b_eq, bounds=(None, None), method="highs").x
+    x0 = AngleSystem(0.99 * vertex + 0.01 * find_max_slack(cs).values)
+    slacks = [cs.h_ineq - cs.g_ineq @ x0.values]
+    assert 1e-5 < np.min(slacks[0]) < 1e-3
+    for k in range(1, DEFAULT_MAX_ITERS + 1):
+        xk, rep = maximize(tri, data, x0, cs=cs, max_iters=k)
+        if rep.iterations < k:
+            break
+        slacks.append(cs.h_ineq - cs.g_ineq @ xk.values)
+        if rep.status == CONVERGED:
+            break
+    assert rep.status == CONVERGED
+    kept = [np.min((after + 1e-14) / before) for before, after in zip(slacks, slacks[1:])]
+    assert min(kept) >= 0.01
+    assert min(kept) < 0.1, "no step came near the cap"
 
 
 def test_max_iters_status_when_budget_exhausted():

@@ -309,3 +309,16 @@ def test_forest_potentials_match_the_walk(name):
     _, mismatch = _potentials(tri, gp)
     assert np.all(mismatch[tri.parent_corner[tri.parent_corner >= 0]] == 0.0)
     assert (np.max(mismatch) > 1e-9) == (oracles._potential_walk(tri, gp)[1] > 1e-9)
+
+
+@pytest.mark.parametrize("name", list(CRITICAL))
+def test_compat_residuals_and_lengths_are_one_read(name):
+    """compat2 is the lengths' cycle residual and compat1 half the largest
+    gap between the two sides' -2 dF/dalpha, bit for bit."""
+    tri, given = CRITICAL[name]()
+    x = solve_problem(tri, given)[0] if isinstance(given, AngleData) else probe(tri, given)[1]
+    ap = tet_volume_grad(x.alphas(), x.gammas())[:, :3]
+    one, two = (-2.0 * ap[tri.edge_sides[..., 0], tri.edge_sides[..., 1]]).T
+    c1, c2 = compat_residuals(tri, x)
+    assert c1 == 0.5 * np.max(np.abs(one - two))
+    assert c2 == truncated_lengths(x, tri).max_cycle_residual
