@@ -145,10 +145,9 @@ class ConstraintSystem:
     Equalities ``a_eq x = b_eq``; strict inequalities ``g_ineq x < h_ineq``;
     both are ``SparseRows`` of unnamed rows (``is_coherent`` names those it
     reports).  ``rank`` is the rank of ``a_eq``; ``independent_eq`` marks
-    ``rank`` equality rows that span the same row space (one redundant
-    gamma-sum row per component is left out), which only the LU of the whole
-    KKT matrix uses; ``component_eq`` is each equality row's gluing
-    component, named by its smallest triangle.
+    ``rank`` equality rows that span the same row space (the one redundant
+    row, triangle 0's gamma sum, is left out), which only the LU of the
+    whole KKT matrix uses.
     """
 
     a_eq: SparseRows
@@ -157,7 +156,6 @@ class ConstraintSystem:
     h_ineq: np.ndarray
     rank: int
     independent_eq: np.ndarray
-    component_eq: np.ndarray
 
     @property
     def dimension(self):
@@ -226,22 +224,18 @@ def build_constraints(tri: GluedTriangulation, data: AngleData) -> ConstraintSys
     # Every alpha lies in exactly one edge row, so the edge rows are
     # independent of each other and of the gamma rows.  The gamma rows are
     # the unsigned incidence matrix of the bipartite triangle/vertex-class
-    # graph, of rank (nodes - components): per component, the triangle rows
-    # and the vertex rows sum to the same row, and dropping any one of them
-    # leaves independent rows.  The components of that graph are the gluing
-    # components, so the dropped rows are their smallest triangles.
-    roots = np.flatnonzero(tri.component == np.arange(n_t))
+    # graph, which the gluings connect, of rank (nodes - 1): the triangle
+    # rows and the vertex rows sum to the same row, and dropping any one of
+    # them, here triangle 0's, leaves independent rows.
     independent = np.ones(a_eq.shape[0], dtype=bool)
-    independent[roots] = False
+    independent[0] = False
     return ConstraintSystem(
         a_eq=a_eq,
         b_eq=b_eq,
         g_ineq=g_ineq,
         h_ineq=h_ineq,
-        rank=n_t + n_e + tri.vertex_count - len(roots),
+        rank=n_t + n_e + tri.vertex_count - 1,
         independent_eq=independent,
-        component_eq=tri.component[np.concatenate([
-            np.arange(n_t), tri.edge_sides[:, 0, 0], tri.first_corner // 3])],
     )
 
 
@@ -330,19 +324,19 @@ class _RangeSpace:
     gamma-sum row: x_t = x0_t + P y_t, with P = ``_PLANE`` and the gammas of
     x0_t a third of the row's right-hand side, so the triangle contributes
     M_t = P K_t^-1 P^T, K_t = P^T H_t P.  The other rows C, the edge rows and
-    all vertex rows but one per gluing component, get their multipliers mu
-    from the definite matrix S = C M C^T, and x = x0 + M (s - C^T mu),
-    s = r - H x0.  Systems of at most ``DENSE_KKT_MAX`` unknowns (angles
-    plus independent equality rows) factorize S by ``np.linalg.solve``,
-    which keeps no factor, larger ones once with ``splu``.
+    all vertex rows but the first, get their multipliers mu from the
+    definite matrix S = C M C^T, and x = x0 + M (s - C^T mu), s = r - H x0.
+    Systems of at most ``DENSE_KKT_MAX`` unknowns (angles plus independent
+    equality rows) factorize S by ``np.linalg.solve``, which keeps no
+    factor, larger ones once with ``splu``.
 
     The right-hand side of every triangle row and every row of C is read
     from its own entry of e, so a triangle's gamma sum holds to the rounding
-    of its three gammas.  In a gluing component the triangle rows and the
-    vertex rows sum to the same row, so the vertex row left out of C holds
-    when e is consistent.  The row roles are read from ``a_eq``, so a
-    row-permuted copy works: every row holds ones, and every angle lies in
-    exactly one edge or vertex row.
+    of its three gammas.  The gluings connect the surface, so the triangle
+    rows and the vertex rows sum to the same row, and the vertex row left
+    out of C holds when e is consistent.  The row roles are read from
+    ``a_eq``, so a row-permuted copy works: every row holds ones, and every
+    angle lies in exactly one edge or vertex row.
     """
 
     def __init__(self, cs: ConstraintSystem):
@@ -361,8 +355,7 @@ class _RangeSpace:
         self.triangle_rows[owner[starts[own]]] = own
         kept = np.ones(len(gamma), dtype=bool)
         kept[self.triangle_rows] = False
-        vertex = np.flatnonzero(gamma & kept)
-        kept[vertex[np.unique(cs.component_eq[vertex], return_index=True)[1]]] = False
+        kept[np.flatnonzero(gamma & kept)[0]] = False  # the first vertex row
         self.c_rows = c_rows = np.flatnonzero(kept)
         self.c = a[c_rows]
         at_c = np.full(n, -1)  # the row of C that holds each angle, if any

@@ -30,18 +30,18 @@ def angle_system_dict(tri, data, x):
     return {
         "problem": problem_dict(tri, data),
         "angles": {
-            "alpha": [list(map(float, row)) for row in x.alphas()],
-            "gamma": [list(map(float, row)) for row in x.gammas()],
+            "alpha": np.asarray(x.alphas(), dtype=float).tolist(),
+            "gamma": np.asarray(x.gammas(), dtype=float).tolist(),
         },
     }
 
 
 def solution_dict(tri, data, x, report, tl, dm):
     doc = angle_system_dict(tri, data, x)
-    doc["a_edge"] = [float(v) for v in tl.a_edge]
-    doc["a_vertex"] = [float(v) for v in tl.a_vertex]
-    doc["lengths"] = [float(v) for v in dm.lengths]
-    doc["radii"] = [float(v) for v in dm.radii]
+    doc["a_edge"] = np.asarray(tl.a_edge, dtype=float).tolist()
+    doc["a_vertex"] = np.asarray(tl.a_vertex, dtype=float).tolist()
+    doc["lengths"] = np.asarray(dm.lengths, dtype=float).tolist()
+    doc["radii"] = np.asarray(dm.radii, dtype=float).tolist()
     doc["report"] = {
         "objective": report.objective,
         "grad_norm": report.projected_grad_norm,
@@ -76,8 +76,8 @@ def geometry_dict(tri, dm):
     return {
         "triangles": tri.triangle_count,
         "gluings": [{"a": list(a), "b": list(b)} for a, b in tri.gluings],
-        "lengths": [float(v) for v in dm.lengths],
-        "radii": [float(v) for v in dm.radii],
+        "lengths": np.asarray(dm.lengths, dtype=float).tolist(),
+        "radii": np.asarray(dm.radii, dtype=float).tolist(),
     }
 
 

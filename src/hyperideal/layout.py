@@ -4,7 +4,7 @@ Every triangle is placed once, in its own chart, and each interior edge gets
 the orientation-preserving isometry (transition) that moves the neighbor
 chart into abutting position.  A simply connected flat instance (disk
 topology, interior cone angles 2pi) is developed into the plane by composing
-the transitions along the one spanning forest of the gluings that
+the transitions along the one spanning tree of the gluings that
 ``GluedTriangulation`` derives; everything else is drawn as the atlas.  Both
 forms carry the face circle and the vertex circles and are exportable as SVG
 and JSON.
@@ -224,17 +224,17 @@ def _transitions(tri, positions):
 
 def _develop(tri, positions, rot, trans):
     """The charts of a flat disk moved into one plane: triangle 0, the root
-    of the spanning forest, keeps its chart, and each other chart is moved
-    by the transitions composed along the forest, parents first.
+    of the spanning tree, keeps its chart, and each other chart is moved
+    by the transitions composed along the tree, parents first.
 
-    The forest is breadth-first, so each depth is a run of ``forest_order``
+    The tree is breadth-first, so each depth is a run of ``tree_order``
     whose parents all lie in the run before it; one depth is composed at a
     time.  A triangle's move is its parent's (R, S) followed by the
     transition across the parent's side, inverted where the parent is the
     edge's source: (R @ rotation, R @ translation + S).
     """
     n = tri.triangle_count
-    order = tri.forest_order
+    order = tri.tree_order
     rank = np.empty(n, dtype=int)
     rank[order] = np.arange(n)
     x = tri.parent_corner[order[1:]]

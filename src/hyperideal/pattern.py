@@ -3,7 +3,7 @@
 From a critical angle system, Schlaefli-type derivative identities give
 truncated hyperbolic lengths: ``a_edge = -2 dF/dalpha`` (agreeing from both
 sides of each interior edge) and vertex potentials ``a_vertex`` integrated
-from the gamma-partial differences along the one spanning forest of the
+from the gamma-partial differences along the one spanning tree of the
 gluings that ``GluedTriangulation`` derives.  From the same read of the
 gradient, compat1 is half the largest gap between an edge's two lengths and
 compat2 the largest mismatch of those differences over all corners; compat2
@@ -42,18 +42,16 @@ def _potentials(tri, gp):
 
     Crossing side x of triangle t to corner y = forward[x] of t2 steps the
     triangle potential by psi[t2] = psi[t] + gp[x] - gp[y]; the spanning
-    forest fixes psi, the mismatch is how far each glued corner's step
-    misses (exactly 0 on the forest), and each class's potential is
-    psi[t] + gp[t, c] at its smallest corner, 0 for class 0."""
-    if tri.component.any():
-        raise PreconditionError("surface is disconnected")
+    tree fixes psi, the mismatch is how far each glued corner's step misses
+    (exactly 0 on the tree), and each class's potential is psi[t] + gp[t, c]
+    at its smallest corner, 0 for class 0."""
     g = gp.ravel()
     linked = np.flatnonzero(tri.forward >= 0)
     step = np.zeros(len(g))
     step[linked] = g[linked] - g[tri.forward[linked]]
     psi = [-float(g[0])] * tri.triangle_count
     parent, steps = tri.parent_corner.tolist(), step.tolist()
-    for t in tri.forest_order[1:].tolist():
+    for t in tri.tree_order[1:].tolist():
         psi[t] = psi[parent[t] // 3] + steps[parent[t]]
     psi = np.array(psi)
     mismatch = np.zeros(len(g))

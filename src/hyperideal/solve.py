@@ -28,7 +28,7 @@ from .coherent import (
     is_coherent,
 )
 from .energy import tet_volume, tet_volume_grad, tet_volume_hess
-from .errors import DomainError, NotCoherentError, PreconditionError
+from .errors import DomainError, NotCoherentError, SingularityError
 from .pattern import compat_residuals
 from .surface import AngleData, GluedTriangulation
 
@@ -124,12 +124,8 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
         return report(CONVERGED, 0, 0.0)
 
     project = cs.kkt.identity_solve
-
-    def projected_norm(v):
-        return float(np.max(np.abs(project(objective_grad(AngleSystem(v))))))
-
+    g = objective_grad(AngleSystem(x))
     for it in range(max_iters):
-        g = objective_grad(AngleSystem(x))
         pg = project(g)
         pgn = float(np.max(np.abs(pg)))
         try:
@@ -158,26 +154,32 @@ def maximize(tri: GluedTriangulation, data: AngleData, x0: AngleSystem,
             return report(CONVERGED, it, pgn)
 
         # a trusted step's predicted increase is of rounding size, below what
-        # the Armijo test can judge, so it is taken as it is
+        # the Armijo test can judge, so it is taken as it is; a candidate
+        # where F or its gradient cannot be evaluated (the rounding of a step
+        # at the boundary can leave Delta) fails as the Armijo test does
         for _ in range(60):
-            cand = x + step * d
-            f_cand = objective_f(AngleSystem(cand))
-            if trusted or f_cand >= fx + ARMIJO_C1 * step * slope:
-                break
+            cand = AngleSystem(x + step * d)
+            try:
+                f_cand = objective_f(cand)
+                if trusted or f_cand >= fx + ARMIJO_C1 * step * slope:
+                    g = objective_grad(cand)
+                    break
+            except (DomainError, SingularityError):
+                pass
             step *= ARMIJO_SHRINK
         else:
             logger.warning("line search failed at iteration %d", it)
             return report(LINE_SEARCH_FAILED, it, pgn)
-        x = cand
+        x = cand.values
         fx = f_cand
         if trusted and step == 1.0:
             # the Newton decrement g.d, which is affine-invariant, puts F
             # within rounding of its maximum; the projected gradient itself
             # can floor above tol on thin polytopes, where it is formed from
             # differences of O(1) angles
-            return report(CONVERGED, it + 1, projected_norm(x))
+            return report(CONVERGED, it + 1, float(np.max(np.abs(project(g)))))
 
-    pgn = projected_norm(x)
+    pgn = float(np.max(np.abs(project(g))))
     status = CONVERGED if pgn <= tol else MAX_ITERS
     return report(status, max_iters, pgn)
 
@@ -201,8 +203,6 @@ def _flip_diagnostics(tri, data, x: AngleSystem):
 def solve_problem(tri: GluedTriangulation, data: AngleData,
                   tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     """find_coherent + maximize; returns (x, report) with x None when infeasible."""
-    if tri.component.any():
-        raise PreconditionError("surface is disconnected")
     cs = build_constraints(tri, data)
     start = find_coherent(cs)
     if isinstance(start, Infeasible):

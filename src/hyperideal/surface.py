@@ -14,10 +14,11 @@ gluings, never user-supplied; this is what makes non-regular triangulations
 (such as the one-vertex torus) unproblematic.  ``GluedTriangulation`` reads
 the gluings once into one corner-adjacency array (``forward``: the corner
 reached by crossing a side) and derives the edge sides, the vertex classes,
-their boundary flags and one spanning forest of the gluings from it.  The
-forest gives the connected components; the vertex potentials (``pattern``)
-and the flat-disk development (``layout``) are integrated along it.
-Instances should be treated as immutable after construction.
+their boundary flags and one spanning tree of the gluings from it.  A
+surface that the gluings do not connect is refused; the vertex potentials
+(``pattern``) and the flat-disk development (``layout``) are integrated
+along the tree.  Instances should be treated as immutable after
+construction.
 """
 
 import json
@@ -76,15 +77,16 @@ def _surface_fault(triangle_count, gluings):
 
 
 class GluedTriangulation:
-    """Triangles plus side gluings, with derived edges, vertex classes and one
-    spanning forest.
+    """A connected surface of triangles and side gluings, with derived edges,
+    vertex classes and one spanning tree.
 
     Corner ``c`` and side ``s`` of triangle ``t`` are numbered ``3t + c`` and
     ``3t + s`` in the flat arrays.  ``forward[3t + c]`` is the corner reached
     by crossing side ``c`` (the next corner counterclockwise around the
     vertex), -1 where that side is unglued, and ``backward`` is its inverse.
-    Only the constructor checks the count and the gluings (``SurfaceError``).
-    Everything combinatorial is read from the gluings once:
+    Only the constructor checks the count and the gluings, and that the
+    gluings connect every triangle (``SurfaceError``).  Everything
+    combinatorial is read from the gluings once:
 
     * ``edge_sides`` (E, 2, 2): the sides (t, s) of every edge, the gluings
       in order, then every unglued side, twice, in (t, s) order;
@@ -97,12 +99,11 @@ class GluedTriangulation:
       and ``boundary_vertex`` (V,) flags the classes with an unglued side;
       ``vertices``, the sorted (t, c) corners of every class, is made from
       ``corner_class`` on first use;
-    * one spanning forest of the gluings, breadth-first across sides 0, 1, 2
-      from each triangle not yet reached, in ascending order: the visit
-      order ``forest_order`` (T,), parents first; ``parent_corner`` (T,),
-      the corner ``x = 3p + s`` of the parent p whose side leads to the
-      triangle ``forward[x] // 3``, -1 at a root; ``component`` (T,), the
-      root of each tree, which is the smallest triangle of its component.
+    * one spanning tree of the gluings, breadth-first across sides 0, 1, 2
+      from triangle 0: the visit order ``tree_order`` (T,), parents
+      first; ``parent_corner`` (T,), the corner ``x = 3p + s`` of the
+      parent p whose side leads to the triangle ``forward[x] // 3``, -1 at
+      the root, triangle 0.
 
     The interior edges are the first ``len(gluings)`` rows of
     ``edge_sides`` and the boundary edges the rest.  ``euler_characteristic``
@@ -161,23 +162,20 @@ class GluedTriangulation:
         self.vertex_count = len(self.first_corner)
         self.boundary_vertex = np.bincount(corner_class[free], minlength=self.vertex_count) > 0
 
-        # the spanning forest: each queue is read while it grows
+        # the spanning tree: the queue is read while it grows
         neighbor = (self.forward // 3).tolist()  # -1 at an unglued side
-        order, parent, component = [], [-1] * n_t, [-1] * n_t
-        for root in range(n_t):
-            if component[root] < 0:
-                component[root] = root
-                queue = [root]
-                for t in queue:
-                    for x in range(3 * t, 3 * t + 3):
-                        child = neighbor[x]
-                        if child >= 0 and component[child] < 0:
-                            component[child], parent[child] = root, x
-                            queue.append(child)
-                order += queue
-        self.forest_order = np.array(order)
+        order, parent, reached = [0], [-1] * n_t, [True] + [False] * (n_t - 1)
+        for t in order:
+            for x in range(3 * t, 3 * t + 3):
+                child = neighbor[x]
+                if child >= 0 and not reached[child]:
+                    reached[child], parent[child] = True, x
+                    order.append(child)
+        if len(order) < n_t:
+            raise SurfaceError("the surface is disconnected: no chain of gluings links "
+                               f"triangle {reached.index(False)} to triangle 0")
+        self.tree_order = np.array(order)
         self.parent_corner = np.array(parent)
-        self.component = np.array(component)
 
     @cached_property
     def vertices(self):
@@ -198,9 +196,8 @@ class GluedTriangulation:
         return self.vertex_count - len(self.edge_sides) + self.triangle_count
 
     def is_disk(self):
-        """Connected, genus 0, one boundary component (checked via chi = 1)."""
-        return self.euler_characteristic() == 1 and len(self.edge_sides) > len(self.gluings) \
-            and not self.component.any()
+        """Genus 0 with one boundary component (checked via chi = 1)."""
+        return self.euler_characteristic() == 1 and len(self.edge_sides) > len(self.gluings)
 
 
 @dataclass(frozen=True)
@@ -310,8 +307,8 @@ def problem_dict(tri, data):
         "triangles": tri.triangle_count,
         "gluings": [{"a": list(a), "b": list(b)} for a, b in tri.gluings],
         "theta": {
-            "interior": [float(x) for x in data.theta[:n_int]],
-            "boundary": [float(x) for x in data.theta[n_int:]],
+            "interior": np.asarray(data.theta[:n_int], dtype=float).tolist(),
+            "boundary": np.asarray(data.theta[n_int:], dtype=float).tolist(),
         },
-        "xi": [float(x) for x in data.xi],
+        "xi": np.asarray(data.xi, dtype=float).tolist(),
     }

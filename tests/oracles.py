@@ -236,7 +236,6 @@ def permuted(cs, perm_eq, perm_ineq):
         g_ineq=cs.g_ineq[perm_ineq],
         h_ineq=cs.h_ineq[perm_ineq],
         independent_eq=cs.independent_eq[perm_eq],
-        component_eq=cs.component_eq[perm_eq],
     )
 
 
@@ -335,42 +334,23 @@ def derive_vertices_loop(tri):
 
 def vertex_rows_loop(tri):
     """The vertex-class rows of ``build_constraints``, read from
-    ``GluedTriangulation.vertices`` one class at a time: the row lengths, the
-    columns 6t + 3 + c of their entries in order, and the component of each
-    class's first corner."""
-    lengths, cols, component = [], [], []
+    ``GluedTriangulation.vertices`` one class at a time: the row lengths and
+    the columns 6t + 3 + c of their entries in order."""
+    lengths, cols = [], []
     for corners in tri.vertices:
         lengths.append(len(corners))
         cols += [6 * t + 3 + c for t, c in corners]
-        component.append(int(tri.component[corners[0][0]]))
-    return lengths, cols, component
+    return lengths, cols
 
 
-def component_roots_loop(tri):
-    """Per triangle, the smallest triangle index of its connected component
-    of the triangle/vertex-class incidence graph, over ``derive_vertices_loop``."""
-    parent = list(range(tri.triangle_count))
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    for corners in derive_vertices_loop(tri):
-        for t, _ in corners[1:]:
-            a, b = find(corners[0][0]), find(t)
-            if a != b:
-                parent[max(a, b)] = min(a, b)  # roots stay the smallest index
-    return [find(t) for t in range(tri.triangle_count)]
-
-
-def is_connected_loop(tri):
-    """Depth-first search over the gluings from triangle 0."""
+def is_connected_loop(triangle_count, gluings):
+    """Depth-first search over the gluings from triangle 0: whether it
+    reaches every triangle, and the smallest triangle that it does not reach
+    (None when it reaches every one)."""
     seen = {0}
     stack = [0]
     adj = {}
-    for (t, _), (t2, _) in tri.gluings:
+    for (t, _), (t2, _) in gluings:
         adj.setdefault(t, set()).add(t2)
         adj.setdefault(t2, set()).add(t)
     while stack:
@@ -379,7 +359,8 @@ def is_connected_loop(tri):
             if t2 not in seen:
                 seen.add(t2)
                 stack.append(t2)
-    return len(seen) == tri.triangle_count
+    unreached = sorted(set(range(triangle_count)) - seen)
+    return not unreached, unreached[0] if unreached else None
 
 
 def boundary_flags_loop(tri, vertices):
@@ -1008,13 +989,13 @@ def _across(rot, shift, rotation, translation, near_is_target):
 def develop_composed_loop(tri, positions, rot, trans):
     """Reference for ``layout._develop``, one triangle at a time: each chart
     of ``positions`` moved by the transitions ``rot``, ``trans`` composed
-    along the spanning forest, in ``forest_order``."""
+    along the spanning tree, in ``tree_order``."""
     moves = [None] * tri.triangle_count
     moves[0] = (np.eye(2), np.zeros(2))
     # side 3t + s of every edge's target, the first side of its gluing
     target = (3 * tri.edge_sides[:, 0, 0] + tri.edge_sides[:, 0, 1]).tolist()
     side_edge, parent = tri.side_edge.ravel().tolist(), tri.parent_corner.tolist()
-    for t in tri.forest_order[1:].tolist():
+    for t in tri.tree_order[1:].tolist():
         x = parent[t]
         e = side_edge[x]
         moves[t] = _across(*moves[x // 3], rot[e], trans[e], target[e] == x)

@@ -366,16 +366,26 @@ def test_huge_triangle_count_fails_fast(tmp_path):
 
 
 def test_solve_rejects_disconnected_surface_before_feasibility(monkeypatch, tmp_path, capsys):
+    # two triangles without a gluing are no surface: every command reads
+    # them as a parse error, in a problem, geometry or solution file
     def no_feasibility(cs):
         raise AssertionError("find_coherent ran on a disconnected surface")
 
     monkeypatch.setattr(solve_mod, "find_coherent", no_feasibility)
-    doc = {"triangles": 2, "gluings": [],
-           "theta": {"interior": [], "boundary": [5 * math.pi / 6] * 6}, "xi": [math.pi / 3] * 6}
-    p = tmp_path / "two_triangles.json"
-    p.write_text(json.dumps(doc))
-    assert main(["solve", str(p)]) == 5
-    assert "surface is disconnected" in capsys.readouterr().err
+    problem = {"triangles": 2, "gluings": [],
+               "theta": {"interior": [], "boundary": [5 * math.pi / 6] * 6},
+               "xi": [math.pi / 3] * 6}
+    geometry = {"triangles": 2, "gluings": [], "lengths": [1.0] * 6, "radii": [0.2] * 6}
+    solution = {"problem": problem, "angles": {"alpha": [[math.pi / 6] * 3] * 2,
+                                               "gamma": [[math.pi / 3] * 3] * 2},
+                "lengths": [1.0] * 6, "radii": [0.2] * 6}
+    for command, doc in (("check", problem), ("solve", problem), ("probe", geometry),
+                         ("layout", solution)):
+        p = tmp_path / f"{command}.json"
+        p.write_text(json.dumps(doc))
+        assert main([command, str(p)]) == 3, command
+        assert ("error: the surface is disconnected: no chain of gluings links triangle 1 "
+                "to triangle 0") in capsys.readouterr().err
 
 
 # keys of the problem, geometry and solution schemas, for drawn dicts

@@ -20,7 +20,6 @@ from hyperideal.solve import (
     objective_grad,
     solve_problem,
 )
-from hyperideal.surface import AngleData, GluedTriangulation
 
 from .conftest import bundled_instance, bundled_text
 from .oracles import kkt_solve_reference, lattice_disk, permuted, tangent_span_vectors
@@ -42,14 +41,6 @@ def test_combinatorial_rank_matches_matrix_rank(rng):
         cs = build_constraints(*bundled_instance(name))
         _check_rank(cs)
         _check_rank(permuted(cs, rng.permutation(len(cs.b_eq)), rng.permutation(len(cs.h_ineq))))
-
-
-def test_rank_of_two_component_surface():
-    tri = GluedTriangulation(2, [])
-    data = AngleData(theta=np.full(6, 5 * PI / 6), xi=np.full(6, PI / 3))
-    cs = build_constraints(tri, data)
-    assert cs.rank == 12
-    _check_rank(cs)
 
 
 def test_constraints_are_sparse():
@@ -255,24 +246,6 @@ def test_cli_reports_line_search_failure(monkeypatch, tmp_path, capsys):
     assert "did not converge" not in err
 
 
-def _two_disks():
-    """Two probed 50-triangle lattice disks as one surface of two
-    components, and its max-slack point."""
-    (tri1, dm1), (tri2, dm2) = (GEN.lattice_disk(np.random.default_rng(seed), 5) for seed in (3, 4))
-    shift = tri1.triangle_count
-    tri = GluedTriangulation(2 * shift, list(tri1.gluings) + [
-        ((t + shift, s), (u + shift, r)) for (t, s), (u, r) in tri2.gluings])
-    x = np.concatenate([probe(tri1, dm1)[1].values, probe(tri2, dm2)[1].values])
-    alphas, gammas = x.reshape(-1, 6)[:, :3], x.reshape(-1, 6)[:, 3:]
-    sides = tri.edge_sides
-    theta = PI - alphas[sides[:, 0, 0], sides[:, 0, 1]]
-    interior = len(tri.gluings)
-    theta[:interior] -= alphas[sides[:interior, 1, 0], sides[:interior, 1, 1]]
-    xi = np.array([sum(gammas[t, c] for t, c in cls) for cls in tri.vertices])
-    cs = build_constraints(tri, AngleData(theta=theta, xi=xi))
-    return cs, find_max_slack(cs)
-
-
 def _range_space_case(case):
     """(constraint system above DENSE_KKT_MAX, a strictly coherent point)."""
     if case == "disk-newton start":
@@ -281,8 +254,6 @@ def _range_space_case(case):
         tri, dm = GEN.lattice_disk(np.random.default_rng(1), 16)
         data = probe(tri, dm)[0]
         return build_constraints(tri, data), AngleSystem(max_slack_start(tri, data)[0])
-    if case == "two components":
-        return _two_disks()
     tri, dm = GEN.lattice_torus(np.random.default_rng(6), 7, cone=case == "cone torus")
     cs = build_constraints(tri, probe(tri, dm)[0])
     if case == "permuted":
@@ -291,8 +262,7 @@ def _range_space_case(case):
     return cs, find_coherent(cs)
 
 
-@pytest.mark.parametrize("case", ["disk-newton start", "flat torus", "cone torus",
-                                  "two components", "permuted"])
+@pytest.mark.parametrize("case", ["disk-newton start", "flat torus", "cone torus", "permuted"])
 def test_range_space_step_matches_the_kkt(case, rng):
     cs, x = _range_space_case(case)
     kkt = cs.kkt
@@ -318,22 +288,23 @@ def test_range_space_step_matches_the_kkt(case, rng):
 
 
 def test_range_space_leaves_one_vertex_row_per_component():
-    # the vertex rows of a gluing component sum to its triangle rows, which
-    # each triangle enforces itself: keeping them all in C makes S = C M C^T
-    # singular by one per component
-    cs, x = _two_disks()
+    # the vertex rows of the surface, which the gluings connect, sum to its
+    # triangle rows, which each triangle enforces itself: keeping them all
+    # in C makes S = C M C^T singular
+    tri, dm = GEN.lattice_disk(np.random.default_rng(3), 5)
+    assert tri.triangle_count == 50
+    cs = build_constraints(tri, probe(tri, dm)[0])
+    x = find_max_slack(cs)
     space = cs.kkt
     n_t = cs.dimension // 6
     left = np.setdiff1d(np.arange(len(cs.b_eq)), np.union1d(space.c_rows, space.triangle_rows))
-    assert len(left) == 2
-    owners = [set(cs.a_eq[row].indices // 6 < n_t // 2) for row in left]
-    assert owners == [{True}, {False}]  # one vertex row of each disk
+    assert left.tolist() == [len(cs.b_eq) - tri.vertex_count]  # the first vertex row
     blocks = solve_mod._hess_blocks(x)
     p = coherent_mod._PLANE
     m = p @ np.linalg.solve(p.T @ blocks @ p, p.T)
     c = cs.a_eq[space.c_rows].toarray().reshape(len(space.c_rows), n_t, 6)
     singular = np.linalg.svd(np.einsum("ati,tij,btj->ab", c, m, c), compute_uv=False)
-    assert singular.min() >= 1e-6 * singular.max()  # 7e-4 here; 1e-17 with every vertex row
+    assert singular.min() >= 1e-6 * singular.max()  # 8e-4 here; 2e-17 with every vertex row
 
 
 def test_min_norm_start_at_scale():
@@ -417,8 +388,8 @@ def test_dense_branch_solves_with_numpy_alone():
 
 
 def test_sparse_branch_solves_without_a_graph_search():
-    # the range-space step reads the gluing components off the constraint
-    # system; scipy.sparse.csgraph stays unloaded
+    # the range-space step leaves out the first vertex row, with no graph
+    # search; scipy.sparse.csgraph stays unloaded
     import subprocess
     import sys
 

@@ -37,11 +37,6 @@ def _certified(tri, positions):
     return certified
 
 
-def _loose(positions):
-    """Triangles with no gluing: no disk, so never certified."""
-    return GluedTriangulation(len(positions), [])
-
-
 def _wrapped_fan():
     # six 72-degree wedges around a boundary vertex: the development wraps
     k = 6
@@ -140,15 +135,29 @@ def test_equal_lower_x_matches_reference(positions, expected):
     positions = np.array(positions)
     assert first_overlapping_pair(positions) == expected
     assert _first_overlap(positions) == expected
-    assert not _certified(_loose(positions), positions)
 
 
-def test_nested_triangles_without_gluings_are_not_certified():
-    # neither boundary crosses the other, but two loose triangles are no
-    # disk, so the degree argument says nothing about them
+def test_nested_triangles_overlap():
+    # neither boundary crosses the other, yet one triangle holds the other
     positions = np.array([[[-10.0, -10.0], [20.0, -10.0], [-10.0, 20.0]], _unit(0.0, 0.0)])
     assert _first_overlap(positions) == first_overlapping_pair(positions) == (0, 1)
-    assert not _certified(_loose(positions), positions)
+
+
+def test_flat_ring_is_not_certified():
+    # a closed strip drawn as a flat ring: no two triangles overlap, but the
+    # annulus is no disk, so the degree argument says nothing about it
+    k = 8
+    tri = GluedTriangulation(2 * k, [gluing for j in range(k) for gluing in (
+        ((2 * j, 2), (2 * j + 1, 0)), ((2 * j + 1, 1), ((2 * j + 2) % (2 * k), 0)))])
+    angle = 2.0 * math.pi * np.arange(k + 1) / k
+    inner = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    outer = 2.0 * inner
+    positions = np.array([corners for j in range(k) for corners in (
+        [inner[j], outer[j], outer[j + 1]], [inner[j], outer[j + 1], inner[j + 1]])])
+    assert tri.euler_characteristic() == 0 and not tri.is_disk()
+    assert first_overlapping_pair(positions) is None
+    assert _first_overlap(positions) is None
+    assert not _certified(tri, positions)
 
 
 def test_all_triangles_stacked_in_one_place():
@@ -169,7 +178,6 @@ def test_triangles_that_only_touch_do_not_overlap(second):
     positions = np.array([_unit(0.0, 0.0), second])
     assert first_overlapping_pair(positions) is None
     assert _first_overlap(positions) is None
-    assert not _certified(_loose(positions), positions)
 
 
 @pytest.mark.parametrize("depth, certified, expected", [

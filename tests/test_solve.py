@@ -21,6 +21,7 @@ from hyperideal.solve import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     INFEASIBLE,
+    MAX_ITERS,
     maximize,
     objective_f,
     objective_grad,
@@ -227,22 +228,42 @@ def _probed_lattice_disk():
 ], ids=["disk2", "triangle", "lattice disk T=50"])
 def test_objective_evaluated_once_per_point(monkeypatch, instance):
     """maximize evaluates F once at its start and once per line-search
-    candidate, and its report keeps the F it holds for the final point."""
+    candidate, its gradient once at the start and once per accepted point
+    (neither for a pinned system), and its report keeps the F it holds for
+    the final point."""
     tri, data = instance()
     cs = build_constraints(tri, data)
     x0 = find_coherent(cs)
     real, points = solve_mod.objective_f, []
+    real_grad, grad_points = solve_mod.objective_grad, []
 
     def objective(x):
         points.append(x.values.tobytes())
         return real(x)
 
+    def gradient(x):
+        grad_points.append(x.values.tobytes())
+        return real_grad(x)
+
     monkeypatch.setattr(solve_mod, "objective_f", objective)
+    monkeypatch.setattr(solve_mod, "objective_grad", gradient)
     x, rep = maximize(tri, data, x0, cs=cs)
     assert rep.status == CONVERGED
     assert points[0] == x0.values.tobytes()
     assert len(set(points)) == len(points) >= rep.iterations + 1
     assert rep.objective == real(x)
+    assert len(grad_points) == (rep.iterations + 1 if cs.rank < cs.dimension else 0)
+    assert set(grad_points) <= set(points)
+
+
+def _near_vertex(cs, seed, blend):
+    """(1 - blend) of the HiGHS vertex for a random cost of ``seed`` plus
+    ``blend`` of the max-slack point: a strictly coherent start whose
+    smallest slacks are about ``blend`` times the max-slack point's."""
+    vertex = linprog(np.random.default_rng(seed).standard_normal(cs.dimension),
+                     A_ub=scipy_csr(cs.g_ineq), b_ub=cs.h_ineq, A_eq=scipy_csr(cs.a_eq),
+                     b_eq=cs.b_eq, bounds=(None, None), method="highs").x
+    return AngleSystem((1.0 - blend) * vertex + blend * find_max_slack(cs).values)
 
 
 def test_every_newton_iterate_keeps_a_hundredth_of_each_slack():
@@ -250,10 +271,7 @@ def test_every_newton_iterate_keeps_a_hundredth_of_each_slack():
     accepted iterate keeps at least 1 % of each slack of the one before."""
     tri, data = _probed_lattice_disk()
     cs = build_constraints(tri, data)
-    vertex = linprog(np.random.default_rng(0).standard_normal(cs.dimension),
-                     A_ub=scipy_csr(cs.g_ineq), b_ub=cs.h_ineq, A_eq=scipy_csr(cs.a_eq),
-                     b_eq=cs.b_eq, bounds=(None, None), method="highs").x
-    x0 = AngleSystem(0.99 * vertex + 0.01 * find_max_slack(cs).values)
+    x0 = _near_vertex(cs, 0, 0.01)
     slacks = [cs.h_ineq - cs.g_ineq @ x0.values]
     assert 1e-5 < np.min(slacks[0]) < 1e-3
     for k in range(1, DEFAULT_MAX_ITERS + 1):
@@ -267,6 +285,22 @@ def test_every_newton_iterate_keeps_a_hundredth_of_each_slack():
     kept = [np.min((after + 1e-14) / before) for before, after in zip(slacks, slacks[1:])]
     assert min(kept) >= 0.01
     assert min(kept) < 0.1, "no step came near the cap"
+
+
+@pytest.mark.parametrize("seed, blend, max_iters, status", [
+    (2, 1e-6, DEFAULT_MAX_ITERS, CONVERGED),
+    (0, 1e-5, 30, MAX_ITERS),
+])
+def test_start_near_a_vertex_ends_with_a_status(seed, blend, max_iters, status):
+    """So near a vertex, the rounding of a capped step can leave Delta, where
+    F or its gradient raises: the line search rejects such a candidate as it
+    rejects one that fails the Armijo test."""
+    tri, data = _probed_lattice_disk()
+    cs = build_constraints(tri, data)
+    x, rep = maximize(tri, data, _near_vertex(cs, seed, blend), cs=cs, max_iters=max_iters)
+    assert rep.status == status
+    if status == CONVERGED:
+        assert np.max(np.abs(x.values - solve_problem(tri, data)[0].values)) <= 1e-8
 
 
 def test_max_iters_status_when_budget_exhausted():

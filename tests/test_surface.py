@@ -113,7 +113,8 @@ def test_numpy_integer_indices_accepted():
 
 
 def test_corner_count_partition():
-    for gluings, n in ((TORUS_GLUINGS, 2), ([((0, 0), (1, 0))], 2), ([], 3)):
+    for gluings, n in ((TORUS_GLUINGS, 2), ([((0, 0), (1, 0))], 2),
+                       ([((0, 0), (1, 2)), ((1, 0), (2, 2))], 3)):
         tri = GluedTriangulation(n, gluings)
         corners = [c for cls in tri.vertices for c in cls]
         assert sorted(corners) == [(t, c) for t in range(n) for c in range(3)]
@@ -214,8 +215,8 @@ def _lattice(kind, n):
 
 
 # name -> builder of a list of triangulations: the benchmark's instance kinds
-# and lattice ladder (T = 50, 512, 4608), random disks, a fold, two disjoint
-# triangles, and long vertex classes: the center of an open fan (a chain of
+# and lattice ladder (T = 50, 512, 4608), random disks, a fold, and long
+# vertex classes: the center of an open fan (a chain of
 # 1000 corners) and of a closed one (a cycle of 1000 corners), a strip of
 # 2000 triangles and the one-vertex torus
 FAMILIES = {
@@ -225,8 +226,7 @@ FAMILIES = {
        for n in (5, 16, 48) for kind in ("flat torus", "cone torus", "disk")},
     "random_disk": lambda rng=np.random.default_rng(3): _triangulations(
         oracles.random_disk(rng) for _ in range(4)),
-    "fold and two parts": lambda: [GluedTriangulation(1, [((0, 0), (0, 1))]),
-                                   GluedTriangulation(2, [])],
+    "fold": lambda: [GluedTriangulation(1, [((0, 0), (0, 1))])],
     "open fan T=1000": lambda: [GluedTriangulation(1000, FAN_GLUINGS[:-1])],
     "closed fan T=1000": lambda: [GluedTriangulation(1000, FAN_GLUINGS)],
     # triangle t glues its side 2 to triangle t - 1, alternately at corner 0 and 2
@@ -246,38 +246,65 @@ def test_combinatorics_match_loop_references(family):
             assert all(tri.corner_class[corner] == v for corner in corners)
             assert tri.boundary_vertex[v] == flags[v]
             assert tri.first_corner[v] == 3 * corners[0][0] + corners[0][1]
-        component = oracles.component_roots_loop(tri)
-        assert tri.component.tolist() == component
-        roots = sorted(set(component))
-        # the spanning forest: every triangle once, parents first, each
-        # parent corner leading to its child, one tree per component
-        order = tri.forest_order.tolist()
-        assert sorted(order) == list(range(tri.triangle_count))
-        assert np.flatnonzero(tri.parent_corner < 0).tolist() == roots
-        tree_root = {}
-        for t in order:
+        # the spanning tree: one root, triangle 0, then every other triangle
+        # once, parents first, each parent corner leading to its child
+        order = tri.tree_order.tolist()
+        assert order[0] == 0 and sorted(order) == list(range(tri.triangle_count))
+        assert np.flatnonzero(tri.parent_corner < 0).tolist() == [0]
+        reached = {0}
+        for t in order[1:]:
             x = tri.parent_corner[t]
-            if x >= 0:
-                assert tri.forward[x] // 3 == t
-                tree_root[t] = tree_root[x // 3]  # KeyError if the parent comes later
-            else:
-                tree_root[t] = t
-        assert [tree_root[t] for t in range(tri.triangle_count)] == component
+            assert tri.forward[x] // 3 == t and x // 3 in reached
+            reached.add(t)
         assert tri.is_disk() == (tri.euler_characteristic() == 1
-                                 and len(tri.edge_sides) > len(tri.gluings)
-                                 and oracles.is_connected_loop(tri))
+                                 and len(tri.edge_sides) > len(tri.gluings))
         data = AngleData(theta=np.full(len(tri.edges), 1.0), xi=np.full(len(vertices), 1.0))
         cs = build_constraints(tri, data)
-        assert cs.rank == tri.triangle_count + len(tri.edges) + len(vertices) - len(roots)
-        assert np.flatnonzero(~cs.independent_eq).tolist() == roots
+        assert cs.rank == tri.triangle_count + len(tri.edges) + len(vertices) - 1
+        assert np.flatnonzero(~cs.independent_eq).tolist() == [0]
         n_v = tri.vertex_count
         assert n_v == len(vertices)
         rows = cs.a_eq[cs.a_eq.shape[0] - n_v:]
-        lengths, cols, component = oracles.vertex_rows_loop(tri)
+        lengths, cols = oracles.vertex_rows_loop(tri)
         assert np.diff(rows.indptr).tolist() == lengths
         assert rows.indices.tolist() == cols
         assert np.all(rows.data == 1.0)
-        assert cs.component_eq[-n_v:].tolist() == component
+
+
+def _side_by_side(tri):
+    """(triangle count, gluings) of two unglued copies of ``tri``."""
+    n = tri.triangle_count
+    return 2 * n, list(tri.gluings) + [((t + n, s), (u + n, r)) for (t, s), (u, r) in tri.gluings]
+
+
+# (triangle count, gluings) of surfaces that the gluings do not connect
+DISCONNECTED = {
+    "two loose triangles": lambda: (2, []),
+    "a glued pair and a loose triangle": lambda: (3, [((0, 0), (1, 0))]),
+    "two one-vertex tori": lambda: _side_by_side(
+        GEN.one_vertex_torus(np.random.default_rng(0))[0]),
+}
+
+
+@pytest.mark.parametrize("case", list(FAMILIES) + list(DISCONNECTED))
+def test_construction_refuses_a_disconnected_surface(case):
+    surfaces = ([(tri.triangle_count, tri.gluings) for tri in FAMILIES[case]()]
+                if case in FAMILIES else [DISCONNECTED[case]()])
+    for count, gluings in surfaces:
+        connected, first = oracles.is_connected_loop(count, gluings)
+        assert connected == (case in FAMILIES)
+        if connected:
+            GluedTriangulation(count, gluings)
+            continue
+        with pytest.raises(SurfaceError, match=(
+                f"^the surface is disconnected: no chain of gluings links triangle {first} "
+                "to triangle 0$")):
+            GluedTriangulation(count, gluings)
+
+
+def test_gluing_faults_come_before_connectivity():
+    with pytest.raises(SurfaceError, match="appears in two gluings"):
+        GluedTriangulation(3, [((0, 0), (1, 0)), ((0, 0), (1, 1))])
 
 
 CRITICAL = {
@@ -291,7 +318,7 @@ CRITICAL = {
 @pytest.mark.parametrize("name", list(CRITICAL))
 def test_forest_potentials_match_the_walk(name):
     """The bundled instances solved, a lattice disk and a cone torus probed:
-    the vertex potentials integrated along the spanning forest agree with
+    the vertex potentials integrated along the spanning tree agree with
     the breadth-first walk over the vertex/triangle incidence graph."""
     tri, given = CRITICAL[name]()
     x = solve_problem(tri, given)[0] if isinstance(given, AngleData) else probe(tri, given)[1]
@@ -302,7 +329,7 @@ def test_forest_potentials_match_the_walk(name):
     tl = truncated_lengths(x, tri)
     assert np.max(np.abs(tl.a_vertex - reference)) <= 1e-12
     assert max(walk_residual, tl.max_cycle_residual, compat_residuals(tri, x)[1]) <= COMPAT_TOL
-    # off the critical point: exact on the forest, and a mismatch where the
+    # off the critical point: exact on the tree, and a mismatch where the
     # walk finds a cycle that does not close (the walk's own residual
     # carries rounding even where the graph has no cycle)
     gp = np.random.default_rng(0).normal(size=gp.shape)
